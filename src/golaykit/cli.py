@@ -59,6 +59,28 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _count(least: int):
+    """An argparse type for integers >= `least`; argparse reports a bad
+    value through `_Parser.error`, so it exits with the usage code."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _count(1)
+_non_negative = _count(0)
+
+
 def _load_registry(path: str | None) -> seeds.SeedRegistry:
     if path is None:
         return seeds.load_bundled()
@@ -239,12 +261,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="check a stored set for complementarity")
     p.add_argument("path", metavar="SET.json")
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=_positive, default=16)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="power-spectrum flatness diagnostic")
     p.add_argument("path", metavar="SET.json")
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=_positive, default=16)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("seed", help="seed registry operations")
@@ -254,14 +276,14 @@ def _build_parser() -> _Parser:
     ps.add_argument("--alphabet", choices=["binary", "quaternary"],
                     default="binary")
     ps.add_argument("--shape", metavar="N")
-    ps.add_argument("--m", type=int, metavar="N")
-    ps.add_argument("--budget", type=int, metavar="N")
+    ps.add_argument("--m", type=_positive, metavar="N")
+    ps.add_argument("--budget", type=_non_negative, metavar="N")
     ps.set_defaults(func=cmd_seed_search)
 
     p = sub.add_parser("coverage", help="bulk reachability scans")
     p.add_argument("--kind", choices=["quad-sum-coverage", "golay-count"],
                    required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_positive, required=True)
     p.add_argument("--alphabet", choices=["binary", "quaternary"])
     p.set_defaults(func=cmd_coverage)
 

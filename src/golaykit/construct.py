@@ -48,7 +48,12 @@ from .tensor import (
     tensor_from_obj,
     tensor_to_obj,
 )
-from .verify import gca_check_polynomial, jointly_complementary, pad_to
+from .verify import (
+    gca_check_polynomial,
+    is_gca_set,
+    jointly_complementary,
+    pad_to,
+)
 
 __all__ = [
     "GcaSet",
@@ -70,19 +75,11 @@ __all__ = [
     "set_from_obj",
 ]
 
-_ALPHABET_RANK = {
-    Alphabet.BINARY: 0,
-    Alphabet.QUATERNARY: 1,
-    Alphabet.POLYPHASE4_WITH_ZEROS: 2,
-    Alphabet.GENERAL: 3,
-}
-
-
 def _combined_alphabet(arrays: Sequence[Tensor]) -> Alphabet:
     best = Alphabet.BINARY
     for a in arrays:
         cand = alphabet_of(a)
-        if _ALPHABET_RANK[cand] > _ALPHABET_RANK[best]:
+        if not best.admits(cand):
             best = cand
     return best
 
@@ -134,7 +131,7 @@ def _verify(arrays: Sequence[Tensor], lineage: str) -> None:
         raise RankMismatch(f"{lineage}: mixed ranks in output")
     bound = tuple(max(a.shape[k] for a in arrays) for k in range(rank))
     padded = [pad_to(a, bound) for a in arrays]
-    verdict = jointly_complementary(arrays)
+    verdict = is_gca_set(padded)
     if not verdict.is_complementary:
         raise VerificationFailed(
             f"{lineage}: autocorrelation check failed "
@@ -340,15 +337,32 @@ def cross_set(first: GcaSet, second: GcaSet) -> GcaSet:
 
 # quad constructions -------------------------------------------------------
 
-def _split_quad_input(first: GcaSet, second: GcaSet | None, op: str):
-    """Two pairs, or one jointly-complementary quad split 2 + 2."""
+def _split_quad_input(first: GcaSet, second: GcaSet | None, op: str,
+                      dim: int):
+    """Two pairs, or one jointly-complementary quad split 2 + 2, to be
+    laid side by side along `dim`: each pair has one shape, and the two
+    pairs agree off `dim`."""
     if second is None:
         _require_role(first, "quad", f"{op} single input")
-        arrays = first.arrays
-        return (arrays[0], arrays[1]), (arrays[2], arrays[3])
-    _require_role(first, "pair", f"{op} first input")
-    _require_role(second, "pair", f"{op} second input")
-    return first.arrays, second.arrays
+        a, b, c, d = first.arrays
+    else:
+        _require_role(first, "pair", f"{op} first input")
+        _require_role(second, "pair", f"{op} second input")
+        _require_same_rank(first, second)
+        (a, b), (c, d) = first.arrays, second.arrays
+    rank = a.rank
+    if not 0 <= dim < rank:
+        raise ShapeMismatch(f"dim {dim} out of range for rank {rank}")
+    if a.shape != b.shape or c.shape != d.shape:
+        raise ShapeMismatch("each input pair must have uniform shape")
+    if any(k != dim and a.shape[k] != c.shape[k] for k in range(rank)):
+        raise ShapeMismatch(f"{op}: input sizes differ off dim {dim}")
+    if second is not None:
+        if not jointly_complementary([a, b, c, d]).is_complementary:
+            raise NotComplementary(
+                "the four input arrays are not jointly complementary"
+            )
+    return (a, b), (c, d)
 
 
 def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
@@ -370,22 +384,17 @@ def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
         z = Tensor.zeros(a.shape)
         e, f, g, h = a, z, b, z
         return _tag_interleaved(e, f, g, h, "interleave_quad")
-    (a, b), (c, d) = _split_quad_input(first, second, "interleave_quad")
-    rank = a.rank
-    if not 0 <= dim < rank:
-        raise ShapeMismatch(f"dim {dim} out of range for rank {rank}")
-    if a.shape != b.shape or c.shape != d.shape:
-        raise ShapeMismatch("each input pair must have uniform shape")
+    (a, b), (c, d) = _split_quad_input(first, second, "interleave_quad", dim)
     if a.shape[dim] != c.shape[dim] + 1:
         raise ShapeMismatch(
             f"sizes along dim {dim} must differ by one: "
             f"{a.shape[dim]} vs {c.shape[dim]}"
         )
-    for k in range(rank):
-        if k != dim and a.shape[k] != c.shape[k]:
-            raise ShapeMismatch("input sizes differ off the interleave axis")
-    if not jointly_complementary([a, b, c, d]).is_complementary:
-        raise NotComplementary("the four input arrays are not jointly complementary")
+    # unlike the other quad ops, interleaving re-checks a whole quad too
+    if second is None and not jointly_complementary(
+            [a, b, c, d]).is_complementary:
+        raise NotComplementary(
+            "the four input arrays are not jointly complementary")
     za = Tensor.zeros(a.shape)
     zc = Tensor.zeros(c.shape)
     e = interleave(a, zc, dim)
@@ -402,20 +411,7 @@ def concat_zero_quad(first: GcaSet, second: GcaSet | None = None, *,
     Input sizes g and g' along `dim` give output size 2(g+g');
     the outer blocks carry the first pair, the inner blocks the second.
     """
-    (a, b), (c, d) = _split_quad_input(first, second, "concat_zero_quad")
-    rank = a.rank
-    if not 0 <= dim < rank:
-        raise ShapeMismatch(f"dim {dim} out of range for rank {rank}")
-    if a.shape != b.shape or c.shape != d.shape:
-        raise ShapeMismatch("each input pair must have uniform shape")
-    for k in range(rank):
-        if k != dim and a.shape[k] != c.shape[k]:
-            raise ShapeMismatch("input sizes differ off the concat axis")
-    if second is not None:
-        if not jointly_complementary([a, b, c, d]).is_complementary:
-            raise NotComplementary(
-                "the four input arrays are not jointly complementary"
-            )
+    (a, b), (c, d) = _split_quad_input(first, second, "concat_zero_quad", dim)
     za = Tensor.zeros(a.shape)
     zc = Tensor.zeros(c.shape)
 
@@ -534,23 +530,10 @@ def compromise_quad(ab: GcaSet, cd: GcaSet | None, dim: int,
     a common size, then combined with the binder pair {I, J} by the
     two-term product rule in each of the four outputs.
     """
-    (a, b), (c, d) = _split_quad_input(ab, cd, "compromise_quad")
     _require_role(ij, "pair", "binder")
-    rank = a.rank
-    if ij.rank != rank:
+    if ij.rank != ab.rank:
         raise RankMismatch("binder rank differs from pair rank")
-    if not 0 <= dim < rank:
-        raise ShapeMismatch(f"dim {dim} out of range for rank {rank}")
-    if a.shape != b.shape or c.shape != d.shape:
-        raise ShapeMismatch("each input pair must have uniform shape")
-    for k in range(rank):
-        if k != dim and a.shape[k] != c.shape[k]:
-            raise ShapeMismatch("pair sizes differ off the extension axis")
-    if cd is not None:
-        if not jointly_complementary([a, b, c, d]).is_complementary:
-            raise NotComplementary(
-                "the four input arrays are not jointly complementary"
-            )
+    (a, b), (c, d) = _split_quad_input(ab, cd, "compromise_quad", dim)
     i_t, j_t = ij.arrays
     za = Tensor.zeros(a.shape)
     zc = Tensor.zeros(c.shape)

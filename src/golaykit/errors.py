@@ -78,7 +78,3 @@ class MissingSeed(GolayKitError):
 
 class ParseError(GolayKitError):
     """A JSON document does not conform to the expected wire format."""
-
-
-class InfeasibleShape(GolayKitError):
-    """The planner cannot produce the requested shape with known methods."""

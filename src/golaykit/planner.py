@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .construct import (
     GcaSet,
@@ -36,18 +36,22 @@ from .construct import (
     concat_zero_quad,
     cross_set,
     disjoint_from_pair,
-    disjoint_mask_pair,
     expand_quad,
     glue_pair,
     interleave_quad,
     lagrange_quad,
     pair as make_pair,
     quad as make_quad,
-    rank1_pair,
 )
-from .errors import GolayKitError, MissingSeed, ParseError, ShapeMismatch
+from .errors import (
+    GolayKitError,
+    MissingSeed,
+    ParseError,
+    ShapeMismatch,
+    VerificationFailed,
+)
 from .seeds import SeedRegistry, load_bundled
-from .tensor import Alphabet, embed, reshape_to_sequence
+from .tensor import Alphabet, embed
 from .verify import is_gca_set
 
 __all__ = [
@@ -197,12 +201,53 @@ def _decomposable(s: int) -> bool:
 
 # recipes ------------------------------------------------------------------
 
-_RECIPE_OPS = frozenset([
-    "seed", "binary_turyn_pair", "rank1_pair", "concat_pair", "glue_pair",
-    "cross_set", "interleave_quad", "concat_zero_quad", "lagrange_quad",
-    "expand_quad", "compromise_quad", "disjoint_from_pair",
-    "disjoint_mask_pair", "reshape",
-])
+class _Op(NamedTuple):
+    """A recipe op: its construction, the child counts and the params
+    it accepts."""
+
+    run: Callable[[list[GcaSet], int | None], GcaSet] | None
+    arity: tuple[int, ...]
+    params: frozenset[str]
+
+
+_SHAPE_ONLY = frozenset({"shape"})
+_ALONG_DIM = frozenset({"dim", "shape"})
+
+# Every construction is looked up by its module-level name when it runs,
+# so a rebinding of that name (a tracer, say) is seen by `execute`.
+_OPS = {
+    "seed": _Op(None, (0,), frozenset({"axis", "rank", "shape"})),
+    "binary_turyn_pair": _Op(lambda kids, dim: binary_turyn_pair(*kids),
+                             (2,), _SHAPE_ONLY),
+    "concat_pair": _Op(lambda kids, dim: concat_pair(*kids, dim),
+                       (2,), _ALONG_DIM),
+    "glue_pair": _Op(lambda kids, dim: glue_pair(*kids), (3,), _SHAPE_ONLY),
+    "cross_set": _Op(lambda kids, dim: cross_set(*kids), (2,), _SHAPE_ONLY),
+    "interleave_quad": _Op(lambda kids, dim: interleave_quad(*kids, dim=dim),
+                           (1,), _ALONG_DIM),
+    "concat_zero_quad": _Op(
+        lambda kids, dim: concat_zero_quad(*kids, dim=dim), (1, 2),
+        _ALONG_DIM),
+    "lagrange_quad": _Op(lambda kids, dim: lagrange_quad(*kids),
+                         (2,), _SHAPE_ONLY),
+    "expand_quad": _Op(lambda kids, dim: expand_quad(*kids),
+                       (2,), _SHAPE_ONLY),
+    "compromise_quad": _Op(
+        lambda kids, dim: compromise_quad(kids[0], kids[1], dim, kids[2]),
+        (3,), _ALONG_DIM),
+    "disjoint_from_pair": _Op(lambda kids, dim: disjoint_from_pair(*kids),
+                              (1,), _SHAPE_ONLY),
+}
+
+
+def _is_shape(shape, rank: int) -> bool:
+    """True for a list of `rank` positive integers (booleans excluded)."""
+    if type(shape) is not list or len(shape) != rank:
+        return False
+    for size in shape:
+        if type(size) is not int or size < 1:
+            return False
+    return True
 
 
 @dataclass
@@ -212,17 +257,57 @@ class Recipe:
     Leaves are `seed` nodes naming a registry key plus the axis and
     rank to orient the stored 1-D arrays along.  Inner nodes name a
     construction and hold its inputs as children.  `params` may carry
-    a declared output shape that `execute` cross-checks.
+    a declared output shape that `execute` cross-checks.  Each node is
+    checked against the op table when it is built, so a malformed
+    document fails with ParseError before anything runs.
     """
 
     op: str
     params: dict = field(default_factory=dict)
     children: list["Recipe"] = field(default_factory=list)
     seed: str | None = None
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.op not in _RECIPE_OPS:
-            raise ParseError(f"unknown recipe op: {self.op}")
+        # `type(x) is int` also turns away JSON booleans
+        op, params = self.op, self.params
+        spec = _OPS.get(op)
+        if spec is None:
+            raise ParseError(f"unknown recipe op: {op}")
+        if len(self.children) not in spec.arity:
+            counts = " or ".join(str(n) for n in spec.arity)
+            raise ParseError(f"{op} takes {counts} children, "
+                             f"got {len(self.children)}")
+        if not spec.params.issuperset(params):
+            stray = sorted(set(params) - spec.params)
+            raise ParseError(f"{op} does not accept params {stray}")
+        if op == "seed":
+            if not self.seed:
+                raise ParseError("seed node without a key")
+            rank = params.get("rank", 1)
+            if type(rank) is not int or rank < 1:
+                raise ParseError(f"seed rank must be a positive integer, "
+                                 f"got {rank!r}")
+        else:
+            if self.seed is not None:
+                raise ParseError(f"{op} node carries a seed key; "
+                                 f"only seed leaves do")
+            rank = self.children[0].rank
+            for child in self.children:
+                if child.rank != rank:
+                    raise ParseError(f"{op} children have different ranks")
+        self.rank = rank
+        if "dim" in spec.params and "dim" not in params:
+            raise ParseError(f"{op} needs a dim param")
+        for name in ("dim", "axis"):
+            value = params.get(name, 0)
+            if type(value) is not int or not 0 <= value < rank:
+                raise ParseError(f"{op} {name} must be an integer in "
+                                 f"[0, {rank}), got {value!r}")
+        shape = params.get("shape")
+        if shape is not None and not _is_shape(shape, rank):
+            raise ParseError(f"{op} shape must be a list of {rank} "
+                             f"positive integers, got {shape!r}")
 
 
 def recipe_to_obj(recipe: Recipe, _top: bool = True) -> dict:
@@ -243,8 +328,8 @@ def recipe_from_obj(obj, _top: bool = True) -> Recipe:
         raise ParseError("recipe node must be an object")
     if _top and obj.get("format") != RECIPE_FORMAT:
         raise ParseError(f"expected format {RECIPE_FORMAT!r}")
-    if "op" not in obj:
-        raise ParseError("recipe node lacks an op")
+    if not isinstance(obj.get("op"), str):
+        raise ParseError("recipe node needs a string op")
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("recipe params must be an object")
@@ -315,13 +400,25 @@ def report_to_obj(report: FeasibilityReport) -> dict:
 
 # pair planning ------------------------------------------------------------
 
-def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
+def _check_shape(role: str, alphabet: Alphabet, shape: Sequence[int]
+                 ) -> tuple[tuple[int, ...], FeasibilityReport | None]:
+    """The shape as a tuple, plus a refusal for requests that planning
+    does not cover, made before any search: other alphabets, and
+    products above the planning cap."""
+    shape = tuple(map(int, shape))
     if len(shape) < 1:
         raise ShapeMismatch("shape must have at least one dimension")
-    if any(s < 1 for s in shape):
+    if min(shape) < 1:
         raise ShapeMismatch(f"dimensions must be positive: {shape}")
-    return shape
+    if alphabet not in (Alphabet.BINARY, Alphabet.QUATERNARY):
+        reason = (f"{role} planning covers binary and quaternary "
+                  f"alphabets, not {alphabet.value}")
+    elif math.prod(shape) > _PRODUCT_CAP:
+        reason = (f"product {math.prod(shape)} exceeds the planning cap "
+                  f"{_PRODUCT_CAP}")
+    else:
+        return shape, None
+    return shape, FeasibilityReport(False, alphabet, shape, reason=reason)
 
 
 def _seed_leaf(alphabet: Alphabet, length: int, axis: int,
@@ -353,16 +450,12 @@ def plan_pair(alphabet: Alphabet, shape: Sequence[int]) -> FeasibilityReport:
     with total binder surplus >= -1; glued 10/26 blocks must fit inside
     single dimensions.  Feasible reports carry an executable recipe.
     """
-    shape = _check_shape(shape)
+    shape, refusal = _check_shape("pair", alphabet, shape)
+    if refusal is not None:
+        return refusal
     if alphabet is Alphabet.BINARY:
         return _plan_pair_binary(shape)
-    if alphabet is Alphabet.QUATERNARY:
-        return _plan_pair_quaternary(shape)
-    return FeasibilityReport(
-        False, alphabet, shape,
-        reason=f"pair planning covers binary and quaternary alphabets, "
-               f"not {alphabet.value}",
-    )
+    return _plan_pair_quaternary(shape)
 
 
 _RULED_OUT_PAIR_SHAPES = ((2, 5), (2, 13))
@@ -391,15 +484,7 @@ def _plan_pair_binary(shape: tuple[int, ...]) -> FeasibilityReport:
             leaves.append(_seed_leaf(
                 Alphabet.BINARY, g, axis, len(shape),
                 _oriented(len(shape), axis, g)))
-    if not leaves:
-        recipe = _trivial_leaf(len(shape))
-    else:
-        recipe = leaves[0]
-        for leaf in leaves[1:]:
-            out_shape = _merge_shapes(recipe.params["shape"],
-                                      leaf.params["shape"])
-            recipe = Recipe("binary_turyn_pair", {"shape": out_shape},
-                            [recipe, leaf])
+    recipe = _turyn_chain(leaves, len(shape))
     return FeasibilityReport(
         True, Alphabet.BINARY, shape, witness=tuple(wits), recipe=recipe,
     )
@@ -407,11 +492,6 @@ def _plan_pair_binary(shape: tuple[int, ...]) -> FeasibilityReport:
 
 def _plan_pair_quaternary(shape: tuple[int, ...]) -> FeasibilityReport:
     n = math.prod(shape)
-    if n > _PRODUCT_CAP:
-        return FeasibilityReport(
-            False, Alphabet.QUATERNARY, shape,
-            reason=f"product {n} exceeds the planning cap {_PRODUCT_CAP}",
-        )
     product_wit = is_quaternary_golay_number(n)
     per_dim = [_best_blocks(s) for s in shape]
     assignable = all(p is not None for p in per_dim)
@@ -463,54 +543,51 @@ def _plan_pair_quaternary(shape: tuple[int, ...]) -> FeasibilityReport:
     )
 
 
+def _turyn_chain(leaves: list[Recipe], rank: int) -> Recipe:
+    """Left-deep product of binary seed leaves, or the trivial pair."""
+    if not leaves:
+        return _trivial_leaf(rank)
+    recipe = leaves[0]
+    for leaf in leaves[1:]:
+        out_shape = _merge_shapes(recipe.params["shape"],
+                                  leaf.params["shape"])
+        recipe = Recipe("binary_turyn_pair", {"shape": out_shape},
+                        [recipe, leaf])
+    return recipe
+
+
 def _assemble_glue_tree(quater, binders, rank: int) -> Recipe:
     """Left-deep tree: quaternary seeds glued by binary binders.
 
     A length-2 binder degenerates to concat_pair along its axis; the
-    leftover binders multiply in against a trivial pair.
+    binders left over once every quaternary seed is glued in multiply
+    in against a trivial pair.
     """
     if not quater:
-        seeds = [leaf for _, _, leaf in binders]
-        if not seeds:
-            return _trivial_leaf(rank)
-        recipe = seeds[0]
-        for leaf in seeds[1:]:
-            out_shape = _merge_shapes(recipe.params["shape"],
-                                      leaf.params["shape"])
-            recipe = Recipe("binary_turyn_pair", {"shape": out_shape},
-                            [recipe, leaf])
-        return recipe
+        return _turyn_chain([leaf for _, _, leaf in binders], rank)
     current = quater[0][2]
-    used = len(quater) - 1
-    for (axis, g, leaf), (_, _, qleaf) in zip(binders[:used], quater[1:]):
+    partners = [qleaf for _, _, qleaf in quater[1:]]
+    partners += [_trivial_leaf(rank)
+                 for _ in range(len(binders) - len(partners))]
+    for (axis, g, leaf), partner in zip(binders, partners):
         merged = _merge_shapes(current.params["shape"],
-                               qleaf.params["shape"])
+                               partner.params["shape"])
         if g == 2:
             merged[axis] *= 2
             current = Recipe("concat_pair", {"dim": axis, "shape": merged},
-                             [current, qleaf])
+                             [current, partner])
         else:
             merged = _merge_shapes(merged, leaf.params["shape"])
             current = Recipe("glue_pair", {"shape": merged},
-                             [leaf, current, qleaf])
-    for axis, g, leaf in binders[used:]:
-        if g == 2:
-            merged = list(current.params["shape"])
-            merged[axis] *= 2
-            current = Recipe("concat_pair", {"dim": axis, "shape": merged},
-                             [current, _trivial_leaf(rank)])
-        else:
-            merged = _merge_shapes(current.params["shape"],
-                                   leaf.params["shape"])
-            current = Recipe("glue_pair", {"shape": merged},
-                             [leaf, current, _trivial_leaf(rank)])
+                             [leaf, current, partner])
     return current
 
 
 # quad planning ------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _divisor_tuples(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -534,13 +611,9 @@ def plan_quad(alphabet: Alphabet, shape: Sequence[int],
     hard-wired 959 pipeline.  The first hit wins; `registry` (bundled
     by default) gates which base-sequence tiles are available.
     """
-    shape = _check_shape(shape)
-    if alphabet not in (Alphabet.BINARY, Alphabet.QUATERNARY):
-        return FeasibilityReport(
-            False, alphabet, shape,
-            reason=f"quad planning covers binary and quaternary alphabets, "
-                   f"not {alphabet.value}",
-        )
+    shape, refusal = _check_shape("quad", alphabet, shape)
+    if refusal is not None:
+        return refusal
     if len(shape) > 2:
         return FeasibilityReport(
             False, alphabet, shape,
@@ -656,12 +729,6 @@ def _quad_lagrange(alphabet, shape, registry, misses, depth):
     return None
 
 
-def _plan_alphabet_pair(alphabet, shape) -> FeasibilityReport:
-    if alphabet is Alphabet.BINARY:
-        return _plan_pair_binary(tuple(shape))
-    return _plan_pair_quaternary(tuple(shape))
-
-
 def _quad_compromise(alphabet, shape, registry, misses, depth):
     """Sum-extension: two pairs sharing one dimension, plus a binder."""
     rank = len(shape)
@@ -691,13 +758,13 @@ def _quad_compromise(alphabet, shape, registry, misses, depth):
                     pshape2 = put(s2, s_off)
                     pshape3 = put(s3, s_off)
                     bshape = put(t_j, t_off)
-                    r2 = _plan_alphabet_pair(alphabet, pshape2)
+                    r2 = plan_pair(alphabet, pshape2)
                     if not r2.feasible:
                         continue
-                    r3 = _plan_alphabet_pair(alphabet, pshape3)
+                    r3 = plan_pair(alphabet, pshape3)
                     if not r3.feasible:
                         continue
-                    rb = _plan_alphabet_pair(alphabet, bshape)
+                    rb = plan_pair(alphabet, bshape)
                     if not rb.feasible:
                         continue
                     recipe = Recipe(
@@ -787,13 +854,11 @@ def _quad_special_959(alphabet, shape, registry, misses, depth):
 def _resolve_seed(recipe: Recipe, registry: SeedRegistry,
                   path: str) -> GcaSet:
     key = recipe.seed
-    if not key:
-        raise ParseError(f"seed node without a key at {path}")
     record = registry.records.get(key)
     if record is None:
         raise MissingSeed(key, path)
-    rank = int(recipe.params.get("rank", 1))
-    axis = int(recipe.params.get("axis", 0))
+    rank = recipe.rank
+    axis = recipe.params.get("axis", 0)
     tensors = [embed(t, rank, axis) if rank > 1 else t
                for t in record.tensors]
     if len(tensors) == 2:
@@ -802,50 +867,15 @@ def _resolve_seed(recipe: Recipe, registry: SeedRegistry,
 
 
 def _exec_node(recipe: Recipe, registry: SeedRegistry, path: str) -> GcaSet:
-    op = recipe.op
     kids = [
         _exec_node(ch, registry, f"{path}/{ch.op}[{i}]")
         for i, ch in enumerate(recipe.children)
     ]
-    dim = int(recipe.params["dim"]) if "dim" in recipe.params else None
     try:
-        if op == "seed":
+        if recipe.op == "seed":
             out = _resolve_seed(recipe, registry, path)
-        elif op == "binary_turyn_pair":
-            out = binary_turyn_pair(*kids)
-        elif op == "rank1_pair":
-            out = rank1_pair(*kids)
-        elif op == "concat_pair":
-            out = concat_pair(kids[0], kids[1], dim)
-        elif op == "glue_pair":
-            out = glue_pair(*kids)
-        elif op == "cross_set":
-            out = cross_set(*kids)
-        elif op == "interleave_quad":
-            out = (interleave_quad(kids[0], dim=dim) if len(kids) == 1
-                   else interleave_quad(kids[0], kids[1], dim=dim))
-        elif op == "concat_zero_quad":
-            out = (concat_zero_quad(kids[0], dim=dim) if len(kids) == 1
-                   else concat_zero_quad(kids[0], kids[1], dim=dim))
-        elif op == "lagrange_quad":
-            out = lagrange_quad(*kids)
-        elif op == "expand_quad":
-            out = expand_quad(*kids)
-        elif op == "compromise_quad":
-            if len(kids) == 3:
-                out = compromise_quad(kids[0], kids[1], dim, kids[2])
-            else:
-                out = compromise_quad(kids[0], None, dim, kids[1])
-        elif op == "disjoint_from_pair":
-            out = disjoint_from_pair(*kids)
-        elif op == "disjoint_mask_pair":
-            out = disjoint_mask_pair(*kids)
-        elif op == "reshape":
-            from .construct import assemble
-            flat = [reshape_to_sequence(t) for t in kids[0].arrays]
-            out = assemble(flat, "reshape")
         else:
-            raise ParseError(f"unknown recipe op: {op}")
+            out = _OPS[recipe.op].run(kids, recipe.params.get("dim"))
     except MissingSeed:
         raise
     except GolayKitError as err:
@@ -876,7 +906,7 @@ def execute(recipe: Recipe, registry: SeedRegistry | None = None) -> GcaSet:
     out = _exec_node(recipe, registry, path=recipe.op)
     verdict = is_gca_set(out.arrays)
     if not verdict.is_complementary:
-        raise GolayKitError(
+        raise VerificationFailed(
             f"executed recipe failed final verification: {verdict}")
     return out
 

@@ -123,6 +123,44 @@ def _codes_to_tensor(codes: np.ndarray, shape: tuple[int, ...]) -> Tensor:
     return Tensor(re, im)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, so that whole rows sort and compare."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(
+        np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    ).ravel()
+
+
+def _first_match(table: np.ndarray, queries: np.ndarray):
+    """(query index, table index) for the first query row that equals
+    some table row, paired with the smallest such table row; None when
+    no query row matches."""
+    keyed = _row_keys(table)
+    order = np.argsort(keyed, kind="stable")
+    sorted_keys = keyed[order]
+    targets = _row_keys(queries)
+    pos = np.searchsorted(sorted_keys, targets)
+    pos_clip = np.minimum(pos, len(sorted_keys) - 1)
+    hit = sorted_keys[pos_clip] == targets
+    if not np.any(hit):
+        return None
+    q = int(np.flatnonzero(hit)[0])
+    # equal keys form one run from pos[q]; the stable sort keeps the
+    # smallest table index first in it
+    return q, int(order[pos[q]])
+
+
+def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
+    """Outcome of a DFS kernel run: status 0 found (with one code row
+    per member), 1 exhausted, otherwise budget exceeded."""
+    if status == 0:
+        arrays = tuple(_codes_to_tensor(c, (len(c),)) for c in codes)
+        return SearchOutcome(SearchStatus.FOUND, arrays, nodes)
+    if status == 1:
+        return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes)
+    return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+
+
 def _mitm_pair(shape: tuple[int, ...], phases: int):
     """Exhaustive pair search over one shape; both members normalized.
 
@@ -134,30 +172,10 @@ def _mitm_pair(shape: tuple[int, ...], phases: int):
     re, im = _codes_to_planes(codes, fix_first=True)
     tails = _batch_autocorr_tail(re, im, shape)
     enumerated = 2 * codes.shape[0]
-
-    keyed = np.ascontiguousarray(tails).view(
-        np.dtype((np.void, tails.dtype.itemsize * tails.shape[1]))
-    ).ravel()
-    order = np.argsort(keyed, kind="stable")
-    sorted_keys = keyed[order]
-
-    targets = np.ascontiguousarray(-tails).view(
-        np.dtype((np.void, tails.dtype.itemsize * tails.shape[1]))
-    ).ravel()
-    pos = np.searchsorted(sorted_keys, targets)
-    pos_clip = np.minimum(pos, len(sorted_keys) - 1)
-    hit = sorted_keys[pos_clip] == targets
-    if not np.any(hit):
+    match = _first_match(tails, -tails)
+    if match is None:
         return None, None, enumerated
-    a_idx = int(np.flatnonzero(hit)[0])
-    # smallest partner index among equal keys starting at pos[a_idx]
-    start = int(pos[a_idx])
-    b_candidates = []
-    k = start
-    while k < len(sorted_keys) and sorted_keys[k] == targets[a_idx]:
-        b_candidates.append(int(order[k]))
-        k += 1
-    b_idx = min(b_candidates)
+    a_idx, b_idx = match
     lead = np.zeros(1, dtype=np.int8)
     code_a = np.concatenate([lead, codes[a_idx]])
     code_b = np.concatenate([lead, codes[b_idx]])
@@ -170,13 +188,8 @@ def _mitm_count(shape: tuple[int, ...], phases: int, fix_first: bool) -> int:
     codes = _enumerate_codes(n - (1 if fix_first else 0), phases)
     re, im = _codes_to_planes(codes, fix_first)
     tails = _batch_autocorr_tail(re, im, shape)
-    keyed = np.ascontiguousarray(tails).view(
-        np.dtype((np.void, tails.dtype.itemsize * tails.shape[1]))
-    ).ravel()
-    uniq, counts = np.unique(keyed, return_counts=True)
-    targets = np.ascontiguousarray(-tails).view(
-        np.dtype((np.void, tails.dtype.itemsize * tails.shape[1]))
-    ).ravel()
+    uniq, counts = np.unique(_row_keys(tails), return_counts=True)
+    targets = _row_keys(-tails)
     pos = np.searchsorted(uniq, targets)
     pos_clip = np.minimum(pos, len(uniq) - 1)
     hit = uniq[pos_clip] == targets
@@ -223,15 +236,7 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     status, a_codes, b_codes, nodes = _dfskernels.run_pair_dfs(
         n, phases, -1 if budget is None else int(budget)
     )
-    if status == 0:
-        return SearchOutcome(
-            SearchStatus.FOUND,
-            (_codes_to_tensor(a_codes, (n,)), _codes_to_tensor(b_codes, (n,))),
-            nodes,
-        )
-    if status == 1:
-        return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes)
-    return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+    return _dfs_outcome(status, (a_codes, b_codes), nodes)
 
 
 def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
@@ -253,43 +258,17 @@ def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
         status, seqs, nodes = _dfskernels.run_base_dfs(
             m, -1 if budget is None else int(budget)
         )
-        if status == 0:
-            return SearchOutcome(
-                SearchStatus.FOUND,
-                tuple(_codes_to_tensor(s, (len(s),)) for s in seqs),
-                nodes,
-            )
-        if status == 1:
-            return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes)
-        return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
+        return _dfs_outcome(status, seqs, nodes)
 
     # tails cover shifts 1..m (the longer pair's range); the shorter
     # pair's rows are zero beyond their own range
     ab_codes, ab_tails = _joint_tails(p, m)
     cd_codes, cd_tails = _joint_tails(m, m)
     enumerated = ab_codes.shape[0] + cd_codes.shape[0]
-    width = ab_tails.shape[1]
-
-    keyed = np.ascontiguousarray(cd_tails).view(
-        np.dtype((np.void, cd_tails.dtype.itemsize * width))
-    ).ravel()
-    order = np.argsort(keyed, kind="stable")
-    sorted_keys = keyed[order]
-    targets = np.ascontiguousarray(-ab_tails).view(
-        np.dtype((np.void, ab_tails.dtype.itemsize * width))
-    ).ravel()
-    pos = np.searchsorted(sorted_keys, targets)
-    pos_clip = np.minimum(pos, len(sorted_keys) - 1)
-    hit = sorted_keys[pos_clip] == targets
-    if not np.any(hit):
+    match = _first_match(cd_tails, -ab_tails)
+    if match is None:
         return SearchOutcome(SearchStatus.EXHAUSTED, None, enumerated)
-    ab_idx = int(np.flatnonzero(hit)[0])
-    k = int(pos[ab_idx])
-    cd_candidates = []
-    while k < len(sorted_keys) and sorted_keys[k] == targets[ab_idx]:
-        cd_candidates.append(int(order[k]))
-        k += 1
-    cd_idx = min(cd_candidates)
+    ab_idx, cd_idx = match
     a_code, b_code = ab_codes[ab_idx, :p], ab_codes[ab_idx, p:]
     c_code, d_code = cd_codes[cd_idx, :m], cd_codes[cd_idx, m:]
     return SearchOutcome(

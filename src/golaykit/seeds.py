@@ -197,7 +197,15 @@ def registry_to_obj(registry: SeedRegistry) -> list:
     return [record_to_obj(r) for r in registry.records.values()]
 
 
-def _registry_from_list(payload) -> SeedRegistry:
+def _registry_from_text(text: str, source: str) -> SeedRegistry:
+    """Parse and re-verify gca-seeds/1 text; bad records are reported
+    in .rejects, not fatal.  Blank text is an empty registry."""
+    if not text.strip():
+        return SeedRegistry()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
     if not isinstance(payload, list):
         raise ParseError("seed file must be a JSON list of records")
     registry = SeedRegistry()
@@ -210,18 +218,9 @@ def _registry_from_list(payload) -> SeedRegistry:
 
 
 def load_registry(path) -> SeedRegistry:
-    """Load and re-verify a gca-seeds/1 file; bad records are reported
-    in .rejects, not fatal.  A blank file is an empty registry.
-    """
+    """Load and re-verify a gca-seeds/1 file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        return SeedRegistry()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return _registry_from_list(payload)
+        return _registry_from_text(fh.read(), str(path))
 
 
 def load_bundled() -> SeedRegistry:
@@ -229,28 +228,17 @@ def load_bundled() -> SeedRegistry:
     from importlib import resources
 
     ref = resources.files("golaykit").joinpath("data/seeds.json")
-    text = ref.read_text(encoding="utf-8")
-    if not text.strip():
-        return SeedRegistry()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bundled seeds: {exc}") from exc
-    return _registry_from_list(payload)
+    return _registry_from_text(ref.read_text(encoding="utf-8"),
+                               "bundled seeds")
 
 
-def search_golay_pair(alphabet: Alphabet, shape: tuple[int, ...],
-                      budget: int | None = None):
-    """Search outcome for a pair over `shape`.
-
-    Returns (status, record_or_None, nodes); a found record has been
-    verified by the oracle before it is returned.
-    """
-    outcome = search_pair_arrays(tuple(shape), alphabet, budget)
+def _searched(outcome, kind: str, alphabet: Alphabet):
+    """(status, record_or_None, nodes) for a search outcome; a found
+    record has been verified by the oracle before it is returned."""
     if outcome.status is not SearchStatus.FOUND:
         return outcome.status, None, outcome.nodes
     record = SeedRecord(
-        PAIR_KIND,
+        kind,
         alphabet,
         outcome.arrays,
         provenance=f"exhaustive search, {outcome.nodes} nodes",
@@ -259,17 +247,16 @@ def search_golay_pair(alphabet: Alphabet, shape: tuple[int, ...],
     return outcome.status, record, outcome.nodes
 
 
+def search_golay_pair(alphabet: Alphabet, shape: tuple[int, ...],
+                      budget: int | None = None):
+    """Search outcome for a pair over `shape`, as (status, record,
+    nodes)."""
+    outcome = search_pair_arrays(tuple(shape), alphabet, budget)
+    return _searched(outcome, PAIR_KIND, alphabet)
+
+
 def search_base_sequences(m: int, budget: int | None = None):
     """Search outcome for base sequences of index m, as (status, record,
     nodes)."""
     outcome = search_base_arrays(m, budget)
-    if outcome.status is not SearchStatus.FOUND:
-        return outcome.status, None, outcome.nodes
-    record = SeedRecord(
-        BASE_KIND,
-        Alphabet.BINARY,
-        outcome.arrays,
-        provenance=f"exhaustive search, {outcome.nodes} nodes",
-    )
-    record.verify()
-    return outcome.status, record, outcome.nodes
+    return _searched(outcome, BASE_KIND, Alphabet.BINARY)

@@ -103,15 +103,6 @@ class GaussInt:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-ONE = GaussInt(1, 0)
-ZERO = GaussInt(0, 0)
-I_UNIT = GaussInt(0, 1)
-
-# Branch order used by the searchers and anywhere a canonical entry
-# ordering is needed: 1, -1, i, -i.
-UNIT_ORDER = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
-
-
 class Alphabet(Enum):
     """Entry alphabets, from most to least restrictive."""
 
@@ -129,13 +120,10 @@ class Alphabet(Enum):
 
     def admits(self, other: "Alphabet") -> bool:
         """True when every array over `other` is also over this alphabet."""
-        order = [
-            Alphabet.BINARY,
-            Alphabet.QUATERNARY,
-            Alphabet.POLYPHASE4_WITH_ZEROS,
-            Alphabet.GENERAL,
-        ]
-        return order.index(other) <= order.index(self)
+        return _ALPHABET_ORDER[other] <= _ALPHABET_ORDER[self]
+
+
+_ALPHABET_ORDER = {member: k for k, member in enumerate(Alphabet)}
 
 
 def _validate_shape(shape: Sequence[int]) -> tuple[int, ...]:

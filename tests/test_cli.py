@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from golaykit import cli
+import numpy as np
+
+from golaykit import cli, planner
+from golaykit.construct import GcaSet
+from golaykit.tensor import Alphabet, Tensor
+
+from .test_planner import MALFORMED_RECIPES
 
 
 def run(capsys, *argv):
@@ -98,6 +104,33 @@ class TestGenerateVerifyRoundTrip:
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "bogus/9", "op": "seed"}')
         assert run(capsys, "generate", "--recipe", str(bad))[0] == 65
+
+    @pytest.mark.parametrize("doc", MALFORMED_RECIPES)
+    def test_malformed_recipe_exit_65(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "generate", "--recipe", str(bad))
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("role", ["pair", "quad"])
+    def test_over_cap_exit_2(self, capsys, role):
+        code, obj, _ = run_json(
+            capsys, "generate", "--alphabet", "binary", "--role", role,
+            "--shape", str(2 ** 40))
+        assert code == 2
+        assert "exceeds the planning cap" in obj["reason"]
+
+    def test_final_check_failure_exit_4(self, capsys, monkeypatch):
+        ones = Tensor(np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        monkeypatch.setattr(
+            planner, "binary_turyn_pair",
+            lambda ab, cd: GcaSet((ones, ones), Alphabet.BINARY, "pair"))
+        code, _, err = run(capsys, "generate", "--alphabet", "binary",
+                           "--role", "pair", "--shape", "4")
+        assert code == 4
+        assert "failed final verification" in err
 
 
 class TestVerifyFailures:
@@ -198,9 +231,17 @@ class TestUsageErrors:
         ("coverage", "--kind", "golay-count", "--limit", "10"),
         ("seed", "search", "--kind", "pair"),
         ("seed", "search", "--kind", "base"),
+        ("seed", "search", "--kind", "base", "--m", "0"),
+        ("seed", "search", "--kind", "base", "--m", "6", "--budget", "-5"),
+        ("coverage", "--kind", "golay-count", "--alphabet", "binary",
+         "--limit", "0"),
+        ("verify", "set.json", "--grid", "0"),
+        ("spectrum", "set.json", "--grid", "-3"),
     ])
     def test_exit_64(self, capsys, argv):
-        assert run(capsys, *argv)[0] == 64
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert "Traceback" not in err
 
     def test_stdout_stays_machine_readable(self, capsys):
         # human text goes to stderr even on failure paths

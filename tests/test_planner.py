@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golaykit import planner
+from golaykit.construct import GcaSet
 from golaykit.errors import (
     GolayKitError,
     MissingSeed,
     ParseError,
     ShapeMismatch,
+    VerificationFailed,
 )
 from golaykit.planner import (
     FeasibilityReport,
@@ -29,9 +31,50 @@ from golaykit.planner import (
     report_to_obj,
 )
 from golaykit.seeds import SeedRegistry, load_bundled
-from golaykit.tensor import Alphabet
+from golaykit.tensor import Alphabet, Tensor
 
 B, Q = Alphabet.BINARY, Alphabet.QUATERNARY
+
+
+def _leaf(length=2, axis=0, rank=1, **extra):
+    return {"op": "seed", "seed": f"golay-pair/binary/{length};{length}",
+            "params": {"axis": axis, "rank": rank}, **extra}
+
+
+def _doc(op, children, **params):
+    return {"format": "gca-recipe/1", "op": op, "params": params,
+            "children": children}
+
+
+# Documents that must fail with ParseError when parsed, before any
+# construction runs.
+MALFORMED_RECIPES = [
+    pytest.param(_doc("glue_pair", [_leaf(), _leaf(), _leaf()], dim=0),
+                 id="dim-on-glue-pair"),
+    pytest.param(_doc("concat_pair", [_leaf(), _leaf()], dim="x"),
+                 id="dim-not-integer"),
+    pytest.param(_doc("concat_pair", [_leaf()], dim=0),
+                 id="missing-child"),
+    pytest.param({"format": "gca-recipe/1", **_leaf(children=[_leaf()])},
+                 id="seed-with-child"),
+    pytest.param(_doc("binary_turyn_pair",
+                      [_leaf(axis=5, rank=2), _leaf(axis=1, rank=2)]),
+                 id="axis-outside-rank"),
+    pytest.param(_doc("concat_pair", [_leaf(rank=2), _leaf(rank=2)], dim=2),
+                 id="dim-outside-rank"),
+    pytest.param(_doc("binary_turyn_pair", [_leaf(rank=1), _leaf(rank=2)]),
+                 id="mixed-rank-children"),
+    pytest.param(_doc("binary_turyn_pair", [_leaf(), _leaf()], shape="abc"),
+                 id="shape-not-list"),
+    pytest.param(_doc("concat_pair", [_leaf(), _leaf()]), id="dim-missing"),
+    pytest.param(_doc("cross_set", [_leaf(), _leaf()]) | {"seed": "x"},
+                 id="seed-key-on-inner-node"),
+    pytest.param(_doc(["cross_set"], [_leaf(), _leaf()]), id="op-not-string"),
+    pytest.param(_doc("rank1_pair", [_leaf(), _leaf()]), id="rank1-pair"),
+    pytest.param(_doc("disjoint_mask_pair", [_leaf()]),
+                 id="disjoint-mask-pair"),
+    pytest.param(_doc("reshape", [_leaf(rank=2)]), id="reshape"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +269,20 @@ class TestSpecial959:
         assert rep.feasible
 
 
+class TestSizeCap:
+    @pytest.mark.parametrize("plan, alphabet, shape", [
+        (plan_pair, B, (2 ** 40,)),
+        (plan_pair, Q, (2 ** 20, 2 ** 20)),
+        (plan_quad, B, (2 ** 24,)),
+        (plan_quad, Q, (2 ** 40,)),
+    ])
+    def test_refused_before_planning(self, registry, plan, alphabet, shape):
+        args = (registry,) if plan is plan_quad else ()
+        rep = plan(alphabet, shape, *args)
+        assert not rep.feasible
+        assert "exceeds the planning cap" in rep.reason
+
+
 class TestRecipeSerialization:
     def test_round_trip(self, registry):
         rec = plan_quad(Q, (3, 3), registry).recipe
@@ -248,6 +305,32 @@ class TestRecipeSerialization:
         with pytest.raises(ParseError):
             Recipe("transmogrify", {}, ())
 
+    @pytest.mark.parametrize("doc", MALFORMED_RECIPES)
+    def test_malformed_rejected_at_parse(self, doc):
+        with pytest.raises(ParseError):
+            recipe_from_obj(doc)
+
+    def test_table_arities_all_emitted(self, registry):
+        # every (op, child count) the op table allows is one the
+        # planner emits for some shape below
+        plans = [plan_pair(B, (1, 4)), plan_pair(Q, (1, 6)),
+                 plan_pair(Q, (1, 30))]
+        plans += [plan_quad(B, (1, n), registry) for n in (1, 3, 6, 14, 38)]
+        plans.append(plan_quad(Q, (4, 959), registry))
+        emitted = set()
+
+        def walk(node):
+            emitted.add((node.op, len(node.children)))
+            for child in node.children:
+                walk(child)
+
+        for rep in plans:
+            assert rep.feasible, rep.reason
+            walk(rep.recipe)
+        allowed = {(op, n) for op, spec in planner._OPS.items()
+                   for n in spec.arity}
+        assert emitted == allowed
+
     def test_declared_shape_cross_checked(self, registry):
         obj = recipe_to_obj(plan_pair(Q, (9, 10)).recipe)
         obj["params"]["shape"] = [9, 11]
@@ -262,6 +345,17 @@ class TestRecipeSerialization:
         for x, y in zip(first, second):
             assert np.array_equal(x.re, y.re)
             assert np.array_equal(x.im, y.im)
+
+    def test_final_check_raises_verification_failed(self, registry,
+                                                     monkeypatch):
+        # the op table looks constructions up by name when it runs, so
+        # a rebound name reaches execute; its unverified output must
+        # then fail the final check
+        ones = Tensor(np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        monkeypatch.setattr(planner, "binary_turyn_pair",
+                            lambda ab, cd: GcaSet((ones, ones), B, "pair"))
+        with pytest.raises(VerificationFailed):
+            execute(plan_pair(B, (4,)).recipe, registry)
 
     def test_missing_seed_carries_recipe_path(self, registry):
         rec = plan_pair(Q, (9, 10)).recipe
