@@ -98,6 +98,8 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests too deeply to parse") from None
 
 
 def _plan(args) -> planner.FeasibilityReport:

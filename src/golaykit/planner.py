@@ -14,12 +14,14 @@ shape is plannable when the total surplus is at least -1.  The glued
 blocks 10 and 26 count as binders but each must land inside a single
 dimension.
 
-Quad planning walks a fixed strategy ladder: pairwise products of two
-planned pairs, products of two zero-tiled quads, sum-extension with a
-binder pair, dimension expansion by a disjoint binary pair, and one
-hard-wired pipeline for the 959 case.  Every recipe this module returns
-has been checked against the registry for seed availability, and
-`execute` re-verifies each intermediate through the construction layer.
+Quad planning tries five rules in order: products of two planned
+pairs or of two zero-tiled quads, sum-extension with a binder pair,
+expansion of a smaller planned quad by a disjoint binary pair, and a
+tile times a smaller planned quad zero-concatenated along the other
+axis; the last two recurse on a depth budget.  Every recipe this
+module returns has been checked against the registry for seed
+availability, and `execute` re-verifies each intermediate through the
+construction layer.
 """
 from __future__ import annotations
 
@@ -80,6 +82,8 @@ _BLOCK_ORDER = _BINARY_BLOCKS + _QUATERNARY_BLOCKS
 _BLOCK_SCORE = {2: 1, 10: 1, 26: 1, 3: -1, 5: -1, 11: -1, 13: -1}
 
 _PRODUCT_CAP = 10 ** 7
+_MAX_RANK = 32  # numpy 1.x's limit on array axes
+_MAX_NESTING = 100  # the deepest plan (binary pair 2^23) has 23 levels
 
 
 # witnesses ----------------------------------------------------------------
@@ -285,9 +289,9 @@ class Recipe:
             if not self.seed:
                 raise ParseError("seed node without a key")
             rank = params.get("rank", 1)
-            if type(rank) is not int or rank < 1:
-                raise ParseError(f"seed rank must be a positive integer, "
-                                 f"got {rank!r}")
+            if type(rank) is not int or not 1 <= rank <= _MAX_RANK:
+                raise ParseError(f"seed rank must be an integer in "
+                                 f"[1, {_MAX_RANK}], got {rank!r}")
         else:
             if self.seed is not None:
                 raise ParseError(f"{op} node carries a seed key; "
@@ -323,10 +327,12 @@ def recipe_to_obj(recipe: Recipe, _top: bool = True) -> dict:
     return obj
 
 
-def recipe_from_obj(obj, _top: bool = True) -> Recipe:
+def recipe_from_obj(obj, _level: int = 1) -> Recipe:
+    if _level > _MAX_NESTING:
+        raise ParseError(f"recipe nests deeper than {_MAX_NESTING} levels")
     if not isinstance(obj, dict):
         raise ParseError("recipe node must be an object")
-    if _top and obj.get("format") != RECIPE_FORMAT:
+    if _level == 1 and obj.get("format") != RECIPE_FORMAT:
         raise ParseError(f"expected format {RECIPE_FORMAT!r}")
     if not isinstance(obj.get("op"), str):
         raise ParseError("recipe node needs a string op")
@@ -342,7 +348,7 @@ def recipe_from_obj(obj, _top: bool = True) -> Recipe:
     return Recipe(
         op=obj["op"],
         params=dict(params),
-        children=[recipe_from_obj(ch, _top=False) for ch in children],
+        children=[recipe_from_obj(ch, _level + 1) for ch in children],
         seed=seed,
     )
 
@@ -605,11 +611,11 @@ def plan_quad(alphabet: Alphabet, shape: Sequence[int],
               _depth: int = 2) -> FeasibilityReport:
     """Decide whether a quad of the given 1-D or 2-D shape is plannable.
 
-    Strategies are tried in a fixed order: product of two planned
-    pairs, product of two zero-tiled quads, sum-extension with a
-    binder pair, expansion by a disjoint binary pair, and the
-    hard-wired 959 pipeline.  The first hit wins; `registry` (bundled
-    by default) gates which base-sequence tiles are available.
+    Rules are tried in a fixed order: product of two planned pairs,
+    product of two zero-tiled quads, sum-extension with a binder pair,
+    expansion by a disjoint binary pair, and a tile times a
+    zero-concatenated planned quad.  The first hit wins; `registry`
+    (bundled by default) gates which base-sequence tiles are available.
     """
     shape, refusal = _check_shape("quad", alphabet, shape)
     if refusal is not None:
@@ -623,7 +629,7 @@ def plan_quad(alphabet: Alphabet, shape: Sequence[int],
         registry = load_bundled()
     misses: list[str] = []
     strategies = (_quad_cross, _quad_lagrange, _quad_compromise,
-                  _quad_expand, _quad_special_959)
+                  _quad_expand, _quad_tile_concat)
     for strategy in strategies:
         hit = strategy(alphabet, shape, registry, misses, _depth)
         if hit is not None:
@@ -632,7 +638,7 @@ def plan_quad(alphabet: Alphabet, shape: Sequence[int],
                 True, alphabet, shape, witness=witness, recipe=recipe,
             )
     reason = ("no product, zero-tiling, sum-extension, expansion, or "
-              "special-case strategy applies")
+              "tile-times-zero-concatenation strategy applies")
     if misses:
         missing = ", ".join(sorted(set(misses)))
         reason += f"; missing seeds that would unlock a recipe: {missing}"
@@ -803,49 +809,35 @@ def _quad_expand(alphabet, shape, registry, misses, depth):
     return None
 
 
-def _quad_special_959(alphabet, shape, registry, misses, depth):
-    """Hard-wired pipeline for sizes (4g) x 959.
-
-    Two pairs 1x5 and 1x132 are sum-extended with a g x 1 binder to a
-    g x 137 quad, zero-concatenated to 4g x 137, and multiplied by the
-    1x7 tile from base sequences with index 3.
+def _quad_tile_concat(alphabet, shape, registry, misses, depth):
+    """A size-t tile along axis j times the quad planned at the shape
+    divided by t along j and by 4 along the other axis, zero-concatenated
+    back to full size; smallest t first.  A missing tile names no seed,
+    as the inner quad may not exist either.
     """
-    if alphabet is not Alphabet.QUATERNARY or len(shape) != 2:
+    if depth <= 0 or len(shape) != 2:
         return None
     for j in (0, 1):
-        if shape[j] != 959:
-            continue
         o = 1 - j
         if shape[o] % 4 != 0:
             continue
-        g = shape[o] // 4
-        if is_quaternary_golay_number(g) is None:
-            continue
-        if registry.find_base_sequences(3) is None:
-            misses.append(SeedRegistry.base_key(3))
-            continue
-        rank = 2
-        p5 = _plan_pair_quaternary(_oriented(rank, j, 5))
-        p132 = _plan_pair_quaternary(_oriented(rank, j, 132))
-        binder = _plan_pair_quaternary(_oriented(rank, o, g))
-        if not (p5.feasible and p132.feasible and binder.feasible):
-            continue
-        comp_shape = list(_oriented(rank, j, 137))
-        comp_shape[o] = g
-        comp = Recipe("compromise_quad", {"dim": j, "shape": comp_shape},
-                      [p5.recipe, p132.recipe, binder.recipe])
-        wide_shape = list(comp_shape)
-        wide_shape[o] *= 4
-        wide = Recipe("concat_zero_quad", {"dim": o, "shape": wide_shape},
-                      [comp])
-        seven = Recipe("interleave_quad",
-                       {"dim": j, "shape": list(_oriented(rank, j, 7))},
-                       [Recipe("seed", {"axis": j, "rank": rank},
-                               seed=SeedRegistry.base_key(3))])
-        recipe = Recipe("lagrange_quad", {"shape": list(shape)},
-                        [seven, wide])
-        return recipe, {"strategy": "special-959", "binder_length": g,
-                        "sum_axis": j}
+        for t in _divisors(shape[j])[1:]:
+            tile = _tile_quad(t, j, 2, alphabet, registry, [])
+            if tile is None:
+                continue
+            inner = list(shape)
+            inner[j] //= t
+            inner[o] //= 4
+            sub = plan_quad(alphabet, inner, registry, _depth=depth - 1)
+            if not sub.feasible:
+                continue
+            inner[o] = shape[o]
+            wide = Recipe("concat_zero_quad", {"dim": o, "shape": inner},
+                          [sub.recipe])
+            recipe = Recipe("lagrange_quad", {"shape": list(shape)},
+                            [tile[0], wide])
+            return recipe, {"strategy": "tile-zero-concat", "tile_axis": j,
+                            "tile": tile[1], "inner": sub.witness}
     return None
 
 

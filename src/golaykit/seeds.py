@@ -206,6 +206,8 @@ def _registry_from_text(text: str, source: str) -> SeedRegistry:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{source}: nests too deeply to parse") from None
     if not isinstance(payload, list):
         raise ParseError("seed file must be a JSON list of records")
     registry = SeedRegistry()

@@ -309,10 +309,10 @@ def involute(a: Tensor) -> Tensor:
     return Tensor(a.re[rev], -a.im[rev])
 
 
-def _needs_object(a: Tensor, b: Tensor) -> bool:
-    if a.re.dtype == object or b.re.dtype == object:
+def _needs_object(*tensors: Tensor) -> bool:
+    if any(t.re.dtype == object for t in tensors):
         return True
-    return a.max_component() >= _SAFE_COMPONENT or b.max_component() >= _SAFE_COMPONENT
+    return any(t.max_component() >= _SAFE_COMPONENT for t in tensors)
 
 
 def convolve(a: Tensor, b: Tensor) -> Tensor:

@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     Trivial,
 )
-from .tensor import GaussInt, Tensor, add, convolve, involute
+from .tensor import GaussInt, Tensor, _needs_object, add, convolve, involute
 
 __all__ = [
     "AutocorrResult",
@@ -80,7 +80,7 @@ def autocorrelation(a: Tensor) -> AutocorrResult:
     Exact integers throughout; the inner axis runs through C-level
     integer correlation, outer shifts are accumulated per index pair.
     """
-    if a.re.dtype == object or a.max_component() >= 1 << 20:
+    if _needs_object(a):
         return _autocorrelation_bigint(a)
     shape = a.shape
     out_shape = tuple(2 * s - 1 for s in shape)
@@ -122,7 +122,7 @@ def _autocorrelation_bigint(a: Tensor) -> AutocorrResult:
 
 def weight(a: Tensor) -> int:
     """Sum of squared entry magnitudes."""
-    if a.re.dtype == object or a.max_component() >= 1 << 20:
+    if _needs_object(a):
         return sum(int(r) * int(r) + int(i) * int(i)
                    for r, i in zip(a.re.flat, a.im.flat))
     return int(np.sum(a.re * a.re) + np.sum(a.im * a.im))

@@ -12,7 +12,7 @@ from golaykit import cli, planner
 from golaykit.construct import GcaSet
 from golaykit.tensor import Alphabet, Tensor
 
-from .test_planner import MALFORMED_RECIPES
+from .test_planner import MALFORMED_RECIPES, _chain_text
 
 
 def run(capsys, *argv):
@@ -110,6 +110,25 @@ class TestGenerateVerifyRoundTrip:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "generate", "--recipe", str(bad))
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("levels", [600, 2000])
+    def test_deep_recipe_exit_65(self, capsys, tmp_path, levels):
+        deep = tmp_path / "deep.json"
+        deep.write_text(_chain_text(levels))
+        code, out, err = run(capsys, "generate", "--recipe", str(deep))
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_deep_seed_file_exit_65(self, capsys, tmp_path):
+        deep = tmp_path / "seeds.json"
+        deep.write_text("[" * 3000 + "]" * 3000)
+        code, out, err = run(capsys, "plan", "--alphabet", "binary",
+                             "--role", "quad", "--shape", "3x3",
+                             "--seeds", str(deep))
         assert code == 65
         assert out == ""
         assert "Traceback" not in err

@@ -1,6 +1,9 @@
 """Feasibility arithmetic, recipe planning and execution."""
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from golaykit.planner import (
 )
 from golaykit.seeds import SeedRegistry, load_bundled
 from golaykit.tensor import Alphabet, Tensor
+from golaykit.verify import gca_check_polynomial, is_gca_set
 
 B, Q = Alphabet.BINARY, Alphabet.QUATERNARY
 
@@ -74,7 +78,18 @@ MALFORMED_RECIPES = [
     pytest.param(_doc("disjoint_mask_pair", [_leaf()]),
                  id="disjoint-mask-pair"),
     pytest.param(_doc("reshape", [_leaf(rank=2)]), id="reshape"),
+    pytest.param({"format": "gca-recipe/1", **_leaf(rank=100)},
+                 id="rank-over-numpy-limit"),
 ]
+
+
+def _chain_text(levels: int) -> str:
+    """A gca-recipe/1 document of `levels` nested nodes, built as text:
+    json.dumps itself recurses out at the depths this is used for."""
+    text = json.dumps(_leaf())
+    for _ in range(levels - 1):
+        text = f'{{"op": "disjoint_from_pair", "children": [{text}]}}'
+    return '{"format": "gca-recipe/1", ' + text[1:]
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +269,9 @@ class TestPlanQuad:
         assert "missing seeds" in rep.reason
 
 
-class TestSpecial959:
+class TestTileConcat:
+    """A tile times a zero-concatenated planned quad."""
+
     @pytest.mark.slow
     def test_12x959_executes(self, registry):
         rep = plan_quad(Q, (12, 959), registry)
@@ -263,10 +280,61 @@ class TestSpecial959:
         assert gs.shape == (12, 959)
         assert gs.total_weight() == 4 * 12 * 959
 
+    def test_12x959_recipe(self, registry):
+        # tile 7 from base sequences m=3 times the 3x137 sum-extension
+        # quad, zero-concatenated to 12x137
+        rec = plan_quad(Q, (12, 959), registry).recipe
+        tile, wide = rec.children
+        assert (rec.op, tile.op, wide.op) == (
+            "lagrange_quad", "interleave_quad", "concat_zero_quad")
+        assert tile.params == {"dim": 1, "shape": [1, 7]}
+        (base,) = tile.children
+        assert base.seed == SeedRegistry.base_key(3)
+        assert wide.params == {"dim": 0, "shape": [12, 137]}
+        (inner,) = wide.children
+        assert inner.op == "compromise_quad"
+        assert inner.params["shape"] == [3, 137]
+
     def test_plan_shape_only(self, registry):
         # planning is cheap even when execution is not
         rep = plan_quad(Q, (4, 959), registry)
         assert rep.feasible
+        assert rep.witness["strategy"] == "tile-zero-concat"
+
+    def test_spends_one_level_of_depth(self, registry):
+        assert plan_quad(Q, (12, 959), registry, _depth=1).feasible
+        rep = plan_quad(Q, (12, 959), registry, _depth=0)
+        assert not rep.feasible
+        assert "tile-times-zero-concatenation" in rep.reason
+
+    def test_binary_12x33_builds(self, registry):
+        rep = plan_quad(B, (12, 33), registry)
+        assert rep.feasible, rep.reason
+        assert rep.witness["strategy"] == "tile-zero-concat"
+        gs = execute(rep.recipe, registry)
+        assert gs.shape == (12, 33) and gs.alphabet is B
+        assert is_gca_set(gs.arrays).is_complementary
+        assert gca_check_polynomial(gs.arrays)
+
+
+# sha256 prefixes of the sorted-key recipe_to_obj JSON of the plans the
+# benchmark ladder builds, frozen when the 959 pipeline became a rule
+PINNED_PLANS = [
+    (plan_pair, Q, (9, 10), "cdfb5702cc4a10fb"),
+    (plan_pair, B, (16384,), "3cf1a575c497f14a"),
+    (plan_quad, Q, (36, 87), "07e84d17bf2bc505"),
+    (plan_quad, Q, (12, 959), "22f7f5ef432bb76a"),
+    (plan_quad, Q, (300, 12), "792fbee29681b103"),
+    (plan_quad, Q, (12, 300), "c7084f79242131e6"),
+    (plan_quad, Q, (4, 959), "ae5a98d008bd3f58"),
+]
+
+
+@pytest.mark.parametrize("plan, alphabet, shape, digest", PINNED_PLANS)
+def test_benchmark_plans_pinned(plan, alphabet, shape, digest):
+    text = json.dumps(recipe_to_obj(plan(alphabet, shape).recipe),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestSizeCap:
@@ -300,6 +368,15 @@ class TestRecipeSerialization:
                              "params": {}})
         with pytest.raises(ParseError):
             recipe_from_obj("nope")
+
+    def test_nesting_bounded(self):
+        assert recipe_from_obj(json.loads(_chain_text(100))).op == (
+            "disjoint_from_pair")
+        with pytest.raises(ParseError, match="deeper than 100"):
+            recipe_from_obj(json.loads(_chain_text(101)))
+        # the deepest plan under the product cap parses back
+        deep = plan_pair(B, (2 ** 23,)).recipe
+        assert recipe_from_obj(recipe_to_obj(deep)) == deep
 
     def test_unknown_op_rejected_at_build(self):
         with pytest.raises(ParseError):
