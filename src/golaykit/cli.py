@@ -6,7 +6,8 @@ standard error, and the exit code is a stable contract:
     0  success                 3  seed missing from the registry
     1  search exhausted        4  verification failed
     2  shape infeasible        5  node budget exceeded
-    64 usage error             65 input parse error
+    64 usage error             65 input rejected (bad document, or a
+                                  construction refusing its inputs)
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import construct, planner, seeds, verify
-from .errors import GolayKitError, MissingSeed, ParseError
+from .errors import (GolayKitError, MissingSeed, NotComplementary, ParseError,
+                     VerificationFailed)
 from .search import SearchStatus
 from .tensor import Alphabet
 
@@ -309,9 +311,12 @@ def main(argv=None) -> int:
     except MissingSeed as e:
         _say(str(e))
         return EXIT_MISSING_SEED
-    except GolayKitError as e:
+    except (VerificationFailed, NotComplementary) as e:
         _say(f"verification error: {e}")
         return EXIT_VERIFY_FAILED
+    except GolayKitError as e:
+        _say(f"input rejected: {e}")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

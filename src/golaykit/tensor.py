@@ -13,6 +13,7 @@ Python-object (big-int) fallback keeps results exact otherwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -234,11 +235,9 @@ class Tensor:
         return (self.re != 0) | (self.im != 0)
 
     def max_component(self) -> int:
-        m = 0
-        for plane in (self.re, self.im):
-            if plane.size:
-                m = max(m, int(np.max(np.abs(plane.astype(object)))))
-        return m
+        """Largest absolute value of any real or imaginary part, exactly."""
+        re, im = self.re, self.im
+        return max(int(re.max()), -int(re.min()), int(im.max()), -int(im.min()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -310,47 +309,70 @@ def involute(a: Tensor) -> Tensor:
 
 
 def _needs_object(*tensors: Tensor) -> bool:
-    if any(t.re.dtype == object for t in tensors):
-        return True
     return any(t.max_component() >= _SAFE_COMPONENT for t in tensors)
+
+
+def _digits(parts: np.ndarray, width: int) -> list[int]:
+    """Each row of nonnegative `parts` as the integer whose little-endian
+    `width`-byte digits it holds: byte views of int64, or int.to_bytes."""
+    if width <= 8:
+        raw = parts.view(np.uint8).reshape(len(parts), -1, 8)[..., :width]
+        return [int.from_bytes(r.tobytes(), "little") for r in raw]
+    return [int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in r),
+                           "little") for r in parts]
+
+
+def _signed_digits(values: list[int], n: int, width: int) -> np.ndarray:
+    """Row k: the `n` digits of values[k] in base 2**(8*width), each in
+    [-2**(8*width-1), 2**(8*width-1)), lowest first."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = b"".join((v + offset).to_bytes(n * width, "little") for v in values)
+    if width > 8:
+        return np.array([int.from_bytes(raw[k:k + width], "little") - half
+                         for k in range(0, len(raw), width)],
+                        dtype=object).reshape(len(values), n)
+    digits = np.zeros((len(values) * n, 8), dtype=np.uint8)
+    digits[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    return (digits.view("<u8") - np.uint64(half)).view(np.int64).reshape(len(values), n)
 
 
 def convolve(a: Tensor, b: Tensor) -> Tensor:
     """Full aperiodic convolution; output dims are s_k + t_k - 1.
 
-    Direct shift-and-add over the nonzero entries of the smaller
-    operand: exact integer arithmetic, no transforms.
+    Exact Kronecker substitution: each plane, every axis but the first
+    padded to its output width so that index sums never carry, becomes
+    the digits of one integer (positive and negative parts apart), and
+    big-integer products hold the output entries as digits.  The digit
+    width comes from an exact bound on the output.
     """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    if b.size < a.size:
-        a, b = b, a
     out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    dtype = object if _needs_object(a, b) else np.int64
-    out_re = np.zeros(out_shape, dtype=dtype)
-    out_im = np.zeros(out_shape, dtype=dtype)
-    a_re = a.re.astype(dtype) if dtype == object else a.re
-    a_im = a.im.astype(dtype) if dtype == object else a.im
-    b_re = b.re.astype(dtype) if dtype == object else b.re
-    b_im = b.im.astype(dtype) if dtype == object else b.im
-    for idx in np.argwhere((a.re != 0) | (a.im != 0)):
-        window = tuple(slice(int(i), int(i) + t) for i, t in zip(idx, b.shape))
-        ar = a_re[tuple(idx)]
-        ai = a_im[tuple(idx)]
-        out_re[window] += ar * b_re - ai * b_im
-        out_im[window] += ar * b_im + ai * b_re
-    return Tensor(out_re, out_im)
+    ma, mb = a.max_component(), b.max_component()
+    # every output entry, and every input entry, fits in a signed digit
+    width = (max(2 * min(a.size, b.size) * ma * mb, ma, mb).bit_length() + 8) // 8
+    packed = []
+    for t in (a, b):
+        parts = np.zeros((4, t.shape[0]) + out_shape[1:],
+                         dtype="<i8" if width <= 8 else object)
+        parts[(slice(2),) + tuple(map(slice, t.shape))] = t.re, t.im
+        np.negative(parts[:2], out=parts[2:])
+        np.maximum(parts, 0, out=parts)
+        pos_re, pos_im, neg_re, neg_im = _digits(parts.reshape(4, -1), width)
+        packed.append((pos_re - neg_re, pos_im - neg_im))
+    (ar, ai), (br, bi) = packed
+    re, im = _signed_digits([ar * br - ai * bi, ar * bi + ai * br],
+                            math.prod(out_shape), width)
+    return Tensor(re.reshape(out_shape), im.reshape(out_shape))
 
 
 def kron(a: Tensor, b: Tensor) -> Tensor:
     """Kronecker product; index k_l = i_l * t_l + j_l, dims multiply."""
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    if _needs_object(a, b):
-        a_re, a_im = a.re.astype(object), a.im.astype(object)
-        b_re, b_im = b.re.astype(object), b.im.astype(object)
-    else:
-        a_re, a_im, b_re, b_im = a.re, a.im, b.re, b.im
+    dtype = object if _needs_object(a, b) else np.int64
+    a_re, a_im, b_re, b_im = (p.astype(dtype) for p in (a.re, a.im, b.re, b.im))
     return Tensor(
         np.kron(a_re, b_re) - np.kron(a_im, b_im),
         np.kron(a_re, b_im) + np.kron(a_im, b_re),

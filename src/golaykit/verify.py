@@ -3,9 +3,13 @@
 Three routes are implemented and kept deliberately independent:
 
 * `is_gca_set` sums exact aperiodic autocorrelations computed straight
-  from the defining double sum and demands a delta at the center.
+  from the defining double sum and demands a delta at the center.  Its
+  kernel, `autocorrelation`, correlates every pair of rows along the
+  longest axis with integer `np.correlate`.
 * `gca_check_polynomial` multiplies each array by its conjugate-flip
-  under exact convolution and demands the constant total.
+  under exact convolution and demands the constant total.  Its kernel,
+  `tensor.convolve`, is a Kronecker substitution: one big-integer
+  product per term, no numpy correlation.
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
   in floating point; it is a diagnostic, never the source of truth.
 
@@ -14,6 +18,7 @@ exact routes, so a formula transcription error cannot ship a bad array.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,65 +72,39 @@ class GcaVerdict:
     max_sidelobe_norm: int
 
 
-def _corr1d(xr, xi, yr, yi):
-    """Full cross-correlation sum_i x[i] * conj(y[i-d]), complex parts."""
-    re = np.correlate(xr, yr, "full") + np.correlate(xi, yi, "full")
-    im = np.correlate(xi, yr, "full") - np.correlate(xr, yi, "full")
-    return re, im
-
-
 def autocorrelation(a: Tensor) -> AutocorrResult:
     """R(delta) = sum_i a[i] * conj(a[i - delta]) for all shifts.
 
-    Exact integers throughout; the inner axis runs through C-level
-    integer correlation, outer shifts are accumulated per index pair.
+    Exact integers throughout (int64, or Python ints for big entries).
+    Rows run along the longest axis: each pair of rows is one C-level
+    integer correlation added at its shift of the other axes, so the
+    cost does not depend on the orientation of the array.
     """
-    if _needs_object(a):
-        return _autocorrelation_bigint(a)
-    shape = a.shape
-    out_shape = tuple(2 * s - 1 for s in shape)
-    out_re = np.zeros(out_shape, dtype=np.int64)
-    out_im = np.zeros(out_shape, dtype=np.int64)
-    lead = shape[:-1]
-    re = a.re.reshape(-1, shape[-1])
-    im = a.im.reshape(-1, shape[-1])
-    centers = tuple(s - 1 for s in lead)
-    lead_idx = list(np.ndindex(*lead)) if lead else [()]
-    for p, ip in enumerate(lead_idx):
-        for q, iq in enumerate(lead_idx):
-            d = tuple(x - y + c for x, y, c in zip(ip, iq, centers))
-            r, i = _corr1d(re[p], im[p], re[q], im[q])
-            out_re[d] += r
-            out_im[d] += i
-    values = Tensor(out_re, out_im)
-    return AutocorrResult(values, tuple(s - 1 for s in shape))
-
-
-def _autocorrelation_bigint(a: Tensor) -> AutocorrResult:
-    # big-entry fallback: the same double sum with Python integers
-    shape = a.shape
-    out_shape = tuple(2 * s - 1 for s in shape)
-    out_re = np.zeros(out_shape, dtype=object)
-    out_im = np.zeros(out_shape, dtype=object)
-    entries = {
-        idx: (int(a.re[idx]), int(a.im[idx]))
-        for idx in np.ndindex(*shape)
-        if a.re[idx] != 0 or a.im[idx] != 0
-    }
-    for i, (xr, xi) in entries.items():
-        for j, (yr, yi) in entries.items():
-            d = tuple(ii - jj + s - 1 for ii, jj, s in zip(i, j, shape))
-            out_re[d] += xr * yr + xi * yi
-            out_im[d] += xi * yr - xr * yi
-    return AutocorrResult(Tensor(out_re, out_im), tuple(s - 1 for s in shape))
+    dtype = object if _needs_object(a) else np.int64
+    axis = a.rank - 1 - a.shape[::-1].index(max(a.shape))
+    out_re = np.zeros(tuple(2 * s - 1 for s in a.shape), dtype=dtype)
+    out_im = np.zeros_like(out_re)
+    acc_re, acc_im = (x.swapaxes(axis, -1) for x in (out_re, out_im))
+    re, im = (x.astype(dtype).swapaxes(axis, -1) for x in (a.re, a.im))
+    rows = re.shape[:-1]
+    lead = list(itertools.product(*map(range, rows)))
+    re, im = (x.reshape(len(lead), -1) for x in (re, im))
+    for p, ip in enumerate(lead):
+        for q, iq in enumerate(lead):
+            # row p times conj(row q), full cross-correlation
+            d = tuple(x - y + s - 1 for x, y, s in zip(ip, iq, rows))
+            acc_re[d] += (np.correlate(re[p], re[q], "full")
+                          + np.correlate(im[p], im[q], "full"))
+            acc_im[d] += (np.correlate(im[p], re[q], "full")
+                          - np.correlate(re[p], im[q], "full"))
+    return AutocorrResult(Tensor(out_re, out_im), tuple(s - 1 for s in a.shape))
 
 
 def weight(a: Tensor) -> int:
     """Sum of squared entry magnitudes."""
-    if _needs_object(a):
-        return sum(int(r) * int(r) + int(i) * int(i)
-                   for r, i in zip(a.re.flat, a.im.flat))
-    return int(np.sum(a.re * a.re) + np.sum(a.im * a.im))
+    dtype = object if _needs_object(a) else np.int64
+    re, im = a.re.astype(dtype), a.im.astype(dtype)
+    return int(np.sum(re * re) + np.sum(im * im))
 
 
 def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -141,11 +120,9 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     return Tensor(np.pad(a.re, widths), np.pad(a.im, widths))
 
 
-def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
-    """Definition check: autocorrelations must sum to weight * delta.
-
-    All arrays must share one shape; ShapeMismatch otherwise.
-    """
+def _verdict(arrays: Sequence[Tensor], kernel) -> GcaVerdict:
+    """Sum kernel(a) over one-shape arrays, compare with weight * delta.
+    Sidelobe norms (big ints) are computed only if a sidelobe is nonzero."""
     arrays = list(arrays)
     if not arrays:
         raise EmptySet("no arrays given")
@@ -153,20 +130,28 @@ def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
     for a in arrays[1:]:
         if a.shape != shape:
             raise ShapeMismatch(f"mixed shapes in set: {shape} vs {a.shape}")
-    total = autocorrelation(arrays[0]).values
+    total = kernel(arrays[0])
     for a in arrays[1:]:
-        total = add(total, autocorrelation(a).values)
+        total = add(total, kernel(a))
     w = sum(weight(a) for a in arrays)
     center = tuple(s - 1 for s in shape)
-    ok = total[center] == GaussInt(w, 0)
-    side_re = total.re.copy()
-    side_im = total.im.copy()
+    side_re, side_im = total.re.copy(), total.im.copy()
     side_re[center] = 0
     side_im[center] = 0
-    norms = side_re.astype(object) ** 2 + side_im.astype(object) ** 2
-    max_side = int(np.max(norms)) if norms.size else 0
-    ok = ok and max_side == 0
-    return GcaVerdict(bool(ok), w, max_side)
+    max_side = 0
+    if np.any(side_re) or np.any(side_im):
+        max_side = int(np.max(side_re.astype(object) ** 2
+                              + side_im.astype(object) ** 2))
+    ok = total[center] == GaussInt(w, 0) and max_side == 0
+    return GcaVerdict(ok, w, max_side)
+
+
+def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
+    """Definition check: autocorrelations must sum to weight * delta.
+
+    All arrays must share one shape; ShapeMismatch otherwise.
+    """
+    return _verdict(arrays, lambda a: autocorrelation(a).values)
 
 
 def jointly_complementary(arrays: Sequence[Tensor]) -> GcaVerdict:
@@ -191,23 +176,7 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     An independent route from `is_gca_set`: this one goes through the
     exact convolution of each array with its conjugate flip.
     """
-    arrays = list(arrays)
-    if not arrays:
-        raise EmptySet("no arrays given")
-    shape = arrays[0].shape
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise ShapeMismatch(f"mixed shapes in set: {shape} vs {a.shape}")
-    total = convolve(arrays[0], involute(arrays[0]))
-    for a in arrays[1:]:
-        total = add(total, convolve(a, involute(a)))
-    w = sum(weight(a) for a in arrays)
-    center = tuple(s - 1 for s in shape)
-    if total[center] != GaussInt(w, 0):
-        return False
-    mask = np.ones(total.shape, dtype=bool)
-    mask[center] = False
-    return not (np.any(total.re[mask]) or np.any(total.im[mask]))
+    return _verdict(arrays, lambda a: convolve(a, involute(a))).is_complementary
 
 
 def spectrum_flatness(arrays: Sequence[Tensor], grid: int = 16) -> float:

@@ -133,6 +133,17 @@ class TestGenerateVerifyRoundTrip:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_construction_refusing_input_exit_65(self, capsys, tmp_path):
+        # a disjoint_from_pair over a disjoint_from_pair: the outer op
+        # refuses a non-binary input before anything is verified
+        bad = tmp_path / "bad.json"
+        bad.write_text(_chain_text(3))
+        code, out, err = run(capsys, "generate", "--recipe", str(bad))
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+        assert "must be binary" in err
+
     @pytest.mark.parametrize("role", ["pair", "quad"])
     def test_over_cap_exit_2(self, capsys, role):
         code, obj, _ = run_json(

@@ -187,6 +187,76 @@ class TestRingOps:
         assert kron(a, b).entries()[0] == GaussInt(big * big)
 
 
+@st.composite
+def same_rank_pairs(draw, max_component=2):
+    """Two tensors of one rank, 1 to 3, whose shapes may differ."""
+    rank = draw(st.integers(1, 3))
+    dims = st.lists(st.integers(1, 4), min_size=rank, max_size=rank).map(tuple)
+    return tuple(draw(tensors(shape=draw(dims), max_component=max_component))
+                 for _ in range(2))
+
+
+class TestConvolveKernel:
+    """The Kronecker-substitution convolution against the double sum,
+    on int64 entries and on entries that need Python integers."""
+
+    @given(same_rank_pairs())
+    @settings(max_examples=80)
+    def test_int64_matches_reference(self, ab):
+        a, b = ab
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
+
+    @given(same_rank_pairs(max_component=2**70))
+    @settings(max_examples=40)
+    def test_bigint_matches_reference(self, ab):
+        a, b = ab
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
+
+    @pytest.mark.parametrize("y", [2**30 - 1, 2**30])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_digit_width_boundary(self, y, sign):
+        # bound = 2 * min size * max|a| * max|b| = 4xy, which is 2**63 -
+        # 2**33 (8-byte digits) or 2**63 (9-byte digits); the middle
+        # output entry reaches it with either sign
+        x = 2**31
+        a = seq((x, x), (sign * x, sign * x))
+        b = seq((y, y), (sign * y, sign * y))
+        c = convolve(a, b)
+        assert c == oracles.naive_convolve(a, b)
+        assert c.entries()[1] == GaussInt(0, sign * 4 * x * y)
+
+    def test_int64_extremes(self):
+        a = Tensor(np.array([-2**63, 2**63 - 1]), np.array([0, -2**63]))
+        b = seq(1, (0, 1), -1)
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
+
+    def test_zero_operand(self):
+        a = seq(10**30, 3)
+        assert convolve(a, Tensor.zeros((3,))) == Tensor.zeros((4,))
+
+
+class TestMaxComponent:
+    def test_int64_extremes(self):
+        t = Tensor(np.array([-2**63, 5]), np.array([0, 2**63 - 1]))
+        assert t.re.dtype == np.int64
+        assert t.max_component() == 2**63
+        t = Tensor(np.array([2**63 - 1]), np.array([-(2**63 - 1)]))
+        assert t.max_component() == 2**63 - 1
+
+    def test_signs_and_zeros(self):
+        assert seq(-3, -5).max_component() == 5
+        assert seq((0, 4), (0, -7)).max_component() == 7
+        assert Tensor.zeros((2, 3)).max_component() == 0
+
+    def test_object_planes(self):
+        t = seq((-2**80, 3), (7, 2**70))
+        assert t.re.dtype == object and t.im.dtype == object
+        assert t.max_component() == 2**80
+        t = seq((1, -2**90))
+        assert t.re.dtype == np.int64 and t.im.dtype == object
+        assert t.max_component() == 2**90
+
+
 class TestAssemblyOps:
     def test_concat_example(self):
         assert concat(seq(1, 1), seq(-1), 0) == seq(1, 1, -1)

@@ -1,9 +1,12 @@
 """Autocorrelation and complementarity verdicts."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from golaykit import verify
 from golaykit.errors import (
     EmptySet,
     NotBinary,
@@ -11,7 +14,8 @@ from golaykit.errors import (
     ShapeMismatch,
     Trivial,
 )
-from golaykit.tensor import GaussInt, Tensor
+from golaykit.seeds import load_bundled
+from golaykit.tensor import Alphabet, GaussInt, Tensor
 from golaykit.verify import (
     autocorrelation,
     binary_pair_symmetry,
@@ -25,6 +29,8 @@ from golaykit.verify import (
 
 from . import oracles
 from .oracles import tensors
+
+TALL_SHAPES = [(7, 2), (6, 1, 3), (5, 1), (4, 2, 1), (3, 1, 1)]
 
 
 def seq(*vals):
@@ -88,6 +94,28 @@ class TestAutocorrelation:
         r = autocorrelation(t)
         assert r.at((0,)) == GaussInt(2 * big * big)
         assert r.at((1,)) == GaussInt(-big * big)
+
+    @pytest.mark.parametrize("shape", TALL_SHAPES)
+    @given(data=st.data())
+    @settings(max_examples=15)
+    def test_tall_shapes_match_reference(self, shape, data):
+        t = data.draw(tensors(shape=shape))
+        assert autocorrelation(t).values == oracles.naive_autocorr(t)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 1), (2, 1, 3)])
+    @given(data=st.data())
+    @settings(max_examples=15)
+    def test_bigint_entries_match_reference(self, shape, data):
+        t = data.draw(tensors(shape=shape, max_component=2**70))
+        assert autocorrelation(t).values == oracles.naive_autocorr(t)
+
+    @given(tensors(max_component=3))
+    @settings(max_examples=40)
+    def test_transpose_commutes(self, t):
+        r = autocorrelation(Tensor(t.re.T, t.im.T))
+        want = autocorrelation(t)
+        assert r.values == Tensor(want.values.re.T, want.values.im.T)
+        assert r.center == want.center[::-1]
 
 
 class TestWeight:
@@ -159,6 +187,34 @@ class TestPolynomialRoute:
         if a.shape != b.shape:
             return
         assert gca_check_polynomial([a, b]) == is_gca_set([a, b]).is_complementary
+
+
+class TestRouteIndependence:
+    """Each exact route gives its verdict with the other's kernel gone."""
+
+    @pytest.fixture
+    def pairs(self):
+        good = load_bundled().get_golay_pair(Alphabet.QUATERNARY, 13).tensors
+        re, im = good[0].re.copy(), good[0].im.copy()
+        re[0], im[0] = -re[0], -im[0]
+        return list(good), [Tensor(re, im), good[1]]
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("kernel of the other route was called")
+
+    def test_product_route_without_correlation(self, pairs, monkeypatch):
+        good, bad = pairs
+        monkeypatch.setattr(np, "correlate", self._refuse)
+        monkeypatch.setattr(np, "convolve", self._refuse)
+        assert gca_check_polynomial(good)
+        assert not gca_check_polynomial(bad)
+
+    def test_direct_route_without_convolve(self, pairs, monkeypatch):
+        good, bad = pairs
+        monkeypatch.setattr(verify, "convolve", self._refuse)
+        assert is_gca_set(good).is_complementary
+        assert not is_gca_set(bad).is_complementary
 
 
 class TestSpectrum:
