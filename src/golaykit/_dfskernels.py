@@ -11,45 +11,80 @@ evaluation within an L1 ball of matching parity, which bounds the
 reachable values on both sides.  Entry codes are 0..3 for 1, -1, i,
 -i; arithmetic runs on (re, im) int tables.
 
-Written against plain int64 numpy arrays so numba can compile the hot
-loops when available; the pure-Python fallback is identical but slow.
+Plain Python over lists and ints: the state is a handful of short
+lists, so numpy scalars would only add overhead to every node.
 """
 from __future__ import annotations
 
 import numpy as np
 
-try:  # pragma: no cover - exercised via the compiled path when present
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-CODE_RE = np.array([1, -1, 0, 0], dtype=np.int64)
-CODE_IM = np.array([0, 0, 1, -1], dtype=np.int64)
+# entry codes 0..3 stand for 1, -1, i, -i
+CODE_RE = (1, -1, 0, 0)
+CODE_IM = (0, 0, 1, -1)
 # conjugation as a code permutation: 1->1, -1->-1, i->-i, -i->i
-CODE_CONJ = np.array([0, 1, 3, 2], dtype=np.int64)
+CODE_CONJ = (0, 1, 3, 2)
 # unit multiplication as a code table
-CODE_MUL = np.array(
-    [[0, 1, 2, 3],
-     [1, 0, 3, 2],
-     [2, 3, 1, 0],
-     [3, 2, 0, 1]], dtype=np.int64)
+CODE_MUL = ((0, 1, 2, 3),
+            (1, 0, 3, 2),
+            (2, 3, 1, 0),
+            (3, 2, 0, 1))
+# code of z**j at the unit points z = 1, -1, i, -i, indexed by j % 4
+_UNIT_POWER = ((0, 0, 0, 0),
+               (0, 1, 0, 1),
+               (0, 2, 1, 3),
+               (0, 3, 1, 2))
 
 # number of nearly-complete shifts bounded at every node
 _WINDOW = 3
 
 
-@njit(cache=True)
-def _min_reach_sq(s_re, s_im, k):
+def _unit_terms(code: int, r: int) -> tuple[int, ...]:
+    """(re, im) of the unit `code` times z**r at each unit point, flat."""
+    out = []
+    for powers in _UNIT_POWER:
+        u = CODE_MUL[code][powers[r]]
+        out += (CODE_RE[u], CODE_IM[u])
+    return tuple(out)
+
+
+# _TERMS[code][j % 4]: what an entry at position j adds to the four
+# unit-point evaluations of its sequence
+_TERMS = tuple(tuple(_unit_terms(c, r) for r in range(4)) for c in range(4))
+
+
+def _slot_image(codes: list[int], last: int, rev: int, conj: int) -> int:
+    """Packed image of one member's level slots (lo first) under
+    reverse-conjugation renormalized by its last entry, then
+    conjugation; base-4 digits, most significant first."""
+    if rev:
+        codes = [CODE_MUL[last][CODE_CONJ[x]] for x in reversed(codes)]
+    if conj:
+        codes = [CODE_CONJ[x] for x in codes]
+    packed = 0
+    for x in codes:
+        packed = packed * 4 + x
+    return packed
+
+
+# _IMAGE[wide][last][rev][conj][packed slots] -> packed image, where
+# `wide` marks a level with two slots per member
+_IMAGE = tuple(
+    tuple(
+        tuple(
+            tuple(
+                tuple(_slot_image([v // 4, v % 4] if width == 2 else [v],
+                                  last, rev, conj)
+                      for v in range(4 ** width))
+                for conj in (0, 1))
+            for rev in (0, 1))
+        for last in range(4))
+    for width in (1, 2))
+
+# group element g as (conj both, rev-conj A, rev-conj B, swap) bits
+_GROUP = tuple((g & 1, g >> 1 & 1, g >> 2 & 1, g >> 3) for g in range(16))
+
+
+def _min_reach_sq(s_re: int, s_im: int, k: int) -> int:
     """Smallest |S + g|^2 over g with |g|_1 <= k and parity of k.
 
     The unknown part of an evaluation is a sum of k units, whose
@@ -60,46 +95,46 @@ def _min_reach_sq(s_re, s_im, k):
     if d > 0:
         half = d // 2
         return half * half + (d - half) * (d - half)
-    if (l1 + k) % 2 == 1:
-        return 1
-    return 0
+    return (l1 + k) % 2
 
 
-@njit(cache=True)
-def _max_reach_sq(s_re, s_im, k):
+def _max_reach_sq(s_re: int, s_im: int, k: int) -> int:
     """Largest |S + g|^2 over the same reachable set."""
-    a = abs(s_re)
-    b = abs(s_im)
-    hi = (a if a > b else b) + k
-    lo = b if a > b else a
-    return hi * hi + lo * lo
+    a, b = abs(s_re), abs(s_im)
+    return (max(a, b) + k) ** 2 + min(a, b) ** 2
 
 
-@njit(cache=True)
-def _pair_shift_sum(a_re, a_im, b_re, b_im, filled, n, delta):
+def _joint_product(pi: int, pj: int, part: tuple[int, ...]) -> int:
+    """`part` (CODE_RE or CODE_IM) of a_i conj(a_j) + b_i conj(b_j) for
+    positions with joint codes pi = 4 a_i + b_i and pj = 4 a_j + b_j."""
+    return (part[CODE_MUL[pi // 4][CODE_CONJ[pj // 4]]]
+            + part[CODE_MUL[pi % 4][CODE_CONJ[pj % 4]]])
+
+
+_JOINT_RE = tuple(tuple(_joint_product(i, j, CODE_RE) for j in range(16))
+                  for i in range(16))
+_JOINT_IM = tuple(tuple(_joint_product(i, j, CODE_IM) for j in range(16))
+                  for i in range(16))
+
+
+def _pair_shift_sum(joint, filled, n, delta):
     """Partial joint autocorrelation at `delta` over the known terms.
 
     Returns (re, im, unknown_term_count); a term at index i needs
     positions i and i+delta of the same sequence.
     """
-    s_re = 0
-    s_im = 0
-    unknown = 0
+    s_re = s_im = unknown = 0
     for i in range(n - delta):
         j = i + delta
-        if filled[i] == 1 and filled[j] == 1:
-            s_re += a_re[i] * a_re[j] + a_im[i] * a_im[j]
-            s_im += a_im[i] * a_re[j] - a_re[i] * a_im[j]
-            s_re += b_re[i] * b_re[j] + b_im[i] * b_im[j]
-            s_im += b_im[i] * b_re[j] - b_re[i] * b_im[j]
+        if filled[i] and filled[j]:
+            s_re += _JOINT_RE[joint[i]][joint[j]]
+            s_im += _JOINT_IM[joint[i]][joint[j]]
         else:
             unknown += 2
     return s_re, s_im, unknown
 
 
-@njit(cache=True)
-def _pair_dfs_kernel(n, phases, budget, code_re, code_im, code_conj,
-                     code_mul):
+def _pair_dfs_kernel(n: int, phases: int, budget: int):
     """Ends-inward DFS for a normalized complementary pair.
 
     Solutions come in orbits under four commuting-up-to-swap unit maps:
@@ -114,92 +149,59 @@ def _pair_dfs_kernel(n, phases, budget, code_re, code_im, code_conj,
     1 exhausted, 2 budget exceeded.
     """
     h = (n + 1) // 2
-    a = np.zeros(n, dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
-    a_re = np.zeros(n, dtype=np.int64)
-    a_im = np.zeros(n, dtype=np.int64)
-    b_re = np.zeros(n, dtype=np.int64)
-    b_im = np.zeros(n, dtype=np.int64)
-    filled = np.zeros(n, dtype=np.uint8)
+    a, b = [0] * n, [0] * n
+    joint = [0] * n  # 4 a[i] + b[i]
+    filled = [0] * n
+    # level t places position t-1 (position 0 is fixed, so not at t = 1)
+    # and position n-t (unless that is the same position)
+    slots = [()]
+    for t in range(1, h + 1):
+        lo, hi = t - 1, n - t
+        slots.append(((lo,) if t > 1 else ()) + ((hi,) if hi != lo else ()))
+    combo = [0] * (h + 2)
+    # per level, the group elements whose image prefix still equals the
+    # node prefix; the others are strictly greater and can no longer cut
+    tied: list = [()] * (h + 2)
+    tied[1] = range(1, 16)
 
-    combo = np.zeros(h + 2, dtype=np.int64)
-    # orbit comparison state per (level, group element): 0 while the
-    # image prefix still equals the node prefix, 1 once strictly greater
-    st = np.zeros((h + 2, 16), dtype=np.uint8)
-    st_next = np.zeros(16, dtype=np.uint8)
+    # partial evaluations at the unit points, (re, im) per point, per
+    # member; position 0 of both sequences contributes +1 everywhere
+    ev_a = [1, 0] * 4
+    ev_b = [1, 0] * 4
 
-    # code of z^j for the four unit points z (rows: 1, -1, i, -i)
-    pw = np.zeros((4, n), dtype=np.int64)
-    for j in range(n):
-        pw[1, j] = j % 2
-        r = j % 4
-        if r == 0:
-            pw[2, j] = 0
-            pw[3, j] = 0
-        elif r == 1:
-            pw[2, j] = 2
-            pw[3, j] = 3
-        elif r == 2:
-            pw[2, j] = 1
-            pw[3, j] = 1
-        else:
-            pw[2, j] = 3
-            pw[3, j] = 2
+    def move(pos, sign):
+        ta, tb = _TERMS[a[pos]][pos % 4], _TERMS[b[pos]][pos % 4]
+        for k in range(8):
+            ev_a[k] += sign * ta[k]
+            ev_b[k] += sign * tb[k]
 
-    # partial evaluations per (sequence, unit point), re and im planes;
-    # position 0 of both sequences contributes +1 everywhere
-    ev_re = np.zeros((2, 4), dtype=np.int64)
-    ev_im = np.zeros((2, 4), dtype=np.int64)
-    for e in range(4):
-        ev_re[0, e] = 1
-        ev_re[1, e] = 1
+    def place(pos, ca, cb):
+        a[pos], b[pos] = ca, cb
+        joint[pos] = 4 * ca + cb
+        filled[pos] = 1
+        move(pos, 1)
+
+    def undo(pos):
+        # the codes stay behind; only the fill and the evaluations go
+        filled[pos] = 0
+        move(pos, -1)
 
     # normalized first entries
-    a_re[0] = 1
-    b_re[0] = 1
     filled[0] = 1
 
     two_n = 2 * n
     nodes = 0
     t = 1
-    combo[1] = 0
     while t >= 1:
-        lo = t - 1
-        hi = n - t
-        middle = lo == hi
-        if middle or t == 1:
-            width = 2
-        else:
-            width = 4
-        n_combos = 1
-        for _ in range(width):
-            n_combos *= phases
-
-        if combo[t] >= n_combos:
+        level = slots[t]
+        wide = len(level) == 2
+        if combo[t] >= phases ** (4 if wide else 2):
             # this level is spent; the parent's placement (left in
             # place when it descended) is undone exactly once here
             t -= 1
             if t >= 1:
-                p_lo = t - 1
-                p_hi = n - t
-                if t > 1:
-                    filled[p_lo] = 0
-                    for e in range(4):
-                        pa = code_mul[a[p_lo], pw[e, p_lo]]
-                        pb = code_mul[b[p_lo], pw[e, p_lo]]
-                        ev_re[0, e] -= code_re[pa]
-                        ev_im[0, e] -= code_im[pa]
-                        ev_re[1, e] -= code_re[pb]
-                        ev_im[1, e] -= code_im[pb]
-                if p_lo != p_hi:
-                    filled[p_hi] = 0
-                    for e in range(4):
-                        pa = code_mul[a[p_hi], pw[e, p_hi]]
-                        pb = code_mul[b[p_hi], pw[e, p_hi]]
-                        ev_re[0, e] -= code_re[pa]
-                        ev_im[0, e] -= code_im[pa]
-                        ev_re[1, e] -= code_re[pb]
-                        ev_im[1, e] -= code_im[pb]
+                for pos in slots[t]:
+                    undo(pos)
                 combo[t] += 1
             continue
 
@@ -208,157 +210,64 @@ def _pair_dfs_kernel(n, phases, budget, code_re, code_im, code_conj,
         if budget >= 0 and nodes > budget:
             return 2, a, b, nodes
 
-        # decode most significant first, visit order a then b
-        if middle:
-            ca_lo = c // phases
-            cb_lo = c % phases
-            ca_hi = ca_lo
-            cb_hi = cb_lo
-        elif t == 1:
-            ca_lo = 0
-            cb_lo = 0
-            ca_hi = c // phases
-            cb_hi = c % phases
+        # decode most significant first: one (a, b) slot, or
+        # (a_lo, a_hi, b_lo, b_hi) on levels with two slots
+        if wide:
+            ca = (c // phases ** 3 % phases, c // phases ** 2 % phases)
+            cb = (c // phases % phases, c % phases)
+            pa, pb = ca[0] * 4 + ca[1], cb[0] * 4 + cb[1]
         else:
-            ca_lo = (c // (phases * phases * phases)) % phases
-            ca_hi = (c // (phases * phases)) % phases
-            cb_lo = (c // phases) % phases
-            cb_hi = c % phases
+            ca, cb = (c // phases,), (c % phases,)
+            pa, pb = ca[0], cb[0]
 
-        # orbit prefix cuts; width-2 levels expose one a-slot and one
-        # b-slot, width-4 levels expose (a_lo, a_hi, b_lo, b_hi).
-        # Group element bits: 0 conj-both, 1 rev-conj A, 2 rev-conj B,
-        # 3 swap.  Rev-conj renormalizes by the assigned last entry, so
-        # every image coordinate is level-local.
-        ok = True
-        a_last = a[n - 1] if t > 1 else ca_hi
-        b_last = b[n - 1] if t > 1 else cb_hi
-        if width == 2:
-            va = ca_hi if t == 1 else ca_lo
-            vb = cb_hi if t == 1 else cb_lo
-            packed = va * 4 + vb
-            for g in range(1, 16):
-                if st[t, g] != 0:
-                    st_next[g] = 1
-                    continue
-                if (g >> 1) & 1 and t > 1:
-                    ia = code_mul[a_last, code_conj[va]]
-                else:
-                    ia = va
-                if (g >> 2) & 1 and t > 1:
-                    ib = code_mul[b_last, code_conj[vb]]
-                else:
-                    ib = vb
-                if g & 1:
-                    ia = code_conj[ia]
-                    ib = code_conj[ib]
-                if (g >> 3) & 1:
-                    q = ib * 4 + ia
-                else:
-                    q = ia * 4 + ib
-                if q < packed:
-                    ok = False
-                    break
-                st_next[g] = 1 if q > packed else 0
-        else:
-            packed = ((ca_lo * 4 + ca_hi) * 4 + cb_lo) * 4 + cb_hi
-            for g in range(1, 16):
-                if st[t, g] != 0:
-                    st_next[g] = 1
-                    continue
-                if (g >> 1) & 1:
-                    ia_lo = code_mul[a_last, code_conj[ca_hi]]
-                    ia_hi = code_mul[a_last, code_conj[ca_lo]]
-                else:
-                    ia_lo = ca_lo
-                    ia_hi = ca_hi
-                if (g >> 2) & 1:
-                    ib_lo = code_mul[b_last, code_conj[cb_hi]]
-                    ib_hi = code_mul[b_last, code_conj[cb_lo]]
-                else:
-                    ib_lo = cb_lo
-                    ib_hi = cb_hi
-                if g & 1:
-                    ia_lo = code_conj[ia_lo]
-                    ia_hi = code_conj[ia_hi]
-                    ib_lo = code_conj[ib_lo]
-                    ib_hi = code_conj[ib_hi]
-                if (g >> 3) & 1:
-                    q = ((ib_lo * 4 + ib_hi) * 4 + ia_lo) * 4 + ia_hi
-                else:
-                    q = ((ia_lo * 4 + ia_hi) * 4 + ib_lo) * 4 + ib_hi
-                if q < packed:
-                    ok = False
-                    break
-                st_next[g] = 1 if q > packed else 0
-        if not ok:
+        # orbit prefix cuts.  Rev-conj renormalizes by the member's
+        # assigned last entry, so every image coordinate is level-local;
+        # on level 1 it maps that last entry to itself and is skipped.
+        digits = 16 if wide else 4
+        packed = pa * digits + pb
+        rev = t > 1
+        img_a = _IMAGE[wide][a[n - 1]]
+        img_b = _IMAGE[wide][b[n - 1]]
+        still, cut = [], False
+        for g in tied[t]:
+            conj, rev_a, rev_b, swap = _GROUP[g]
+            ia = img_a[rev and rev_a][conj][pa]
+            ib = img_b[rev and rev_b][conj][pb]
+            q = ib * digits + ia if swap else ia * digits + ib
+            if q < packed:
+                cut = True
+                break
+            if q == packed:
+                still.append(g)
+        if cut:
             combo[t] += 1
             continue
 
         # place this level, updating the four-point evaluations
-        if t > 1:
-            a[lo] = ca_lo
-            b[lo] = cb_lo
-            a_re[lo] = code_re[ca_lo]
-            a_im[lo] = code_im[ca_lo]
-            b_re[lo] = code_re[cb_lo]
-            b_im[lo] = code_im[cb_lo]
-            filled[lo] = 1
-            for e in range(4):
-                pa = code_mul[ca_lo, pw[e, lo]]
-                pb = code_mul[cb_lo, pw[e, lo]]
-                ev_re[0, e] += code_re[pa]
-                ev_im[0, e] += code_im[pa]
-                ev_re[1, e] += code_re[pb]
-                ev_im[1, e] += code_im[pb]
-        if not middle:
-            a[hi] = ca_hi
-            b[hi] = cb_hi
-            a_re[hi] = code_re[ca_hi]
-            a_im[hi] = code_im[ca_hi]
-            b_re[hi] = code_re[cb_hi]
-            b_im[hi] = code_im[cb_hi]
-            filled[hi] = 1
-            for e in range(4):
-                pa = code_mul[ca_hi, pw[e, hi]]
-                pb = code_mul[cb_hi, pw[e, hi]]
-                ev_re[0, e] += code_re[pa]
-                ev_im[0, e] += code_im[pa]
-                ev_re[1, e] += code_re[pb]
-                ev_im[1, e] += code_im[pb]
+        for pos, x, y in zip(level, ca, cb):
+            place(pos, x, y)
 
         # the newly completed shift must vanish exactly
         delta = n - t
-        s_re, s_im, unknown = _pair_shift_sum(a_re, a_im, b_re, b_im,
-                                              filled, n, delta)
+        s_re, s_im, unknown = _pair_shift_sum(joint, filled, n, delta)
         good = unknown == 0 and s_re == 0 and s_im == 0
 
-        if good:
-            # each unit-point evaluation pair must be able to reach
-            # |A|^2 + |B|^2 = 2n with the remaining unknown entries
-            k = n - (2 * t) if not middle else 0
-            if k > 0:
-                for e in range(4):
-                    lo_sum = (_min_reach_sq(ev_re[0, e], ev_im[0, e], k)
-                              + _min_reach_sq(ev_re[1, e], ev_im[1, e], k))
-                    if lo_sum > two_n:
-                        good = False
-                        break
-                    hi_sum = (_max_reach_sq(ev_re[0, e], ev_im[0, e], k)
-                              + _max_reach_sq(ev_re[1, e], ev_im[1, e], k))
-                    if hi_sum < two_n:
-                        good = False
-                        break
+        # each unit-point evaluation pair must be able to reach
+        # |A|^2 + |B|^2 = 2n with the k entries each member still lacks
+        k = n - 2 * t
+        if good and k > 0:
+            for e in range(0, 8, 2):
+                ra, ia, rb, ib = ev_a[e], ev_a[e + 1], ev_b[e], ev_b[e + 1]
+                if (_min_reach_sq(ra, ia, k) + _min_reach_sq(rb, ib, k) > two_n
+                        or _max_reach_sq(ra, ia, k)
+                        + _max_reach_sq(rb, ib, k) < two_n):
+                    good = False
+                    break
 
         if good:
             # magnitude and parity bounds on the nearly complete shifts
-            for w in range(1, _WINDOW + 1):
-                dw = delta - w
-                if dw < 1:
-                    break
-                s_re, s_im, unknown = _pair_shift_sum(
-                    a_re, a_im, b_re, b_im, filled, n, dw
-                )
+            for dw in range(delta - 1, max(delta - 1 - _WINDOW, 0), -1):
+                s_re, s_im, unknown = _pair_shift_sum(joint, filled, n, dw)
                 mag = abs(s_re) + abs(s_im)
                 if mag > unknown or (mag + unknown) % 2 == 1:
                     good = False
@@ -366,43 +275,19 @@ def _pair_dfs_kernel(n, phases, budget, code_re, code_im, code_conj,
 
         if good and t == h:
             # complete assignment: recheck every shift exactly
-            complete = True
-            for d in range(1, n):
-                s_re, s_im, unknown = _pair_shift_sum(
-                    a_re, a_im, b_re, b_im, filled, n, d
-                )
-                if unknown != 0 or s_re != 0 or s_im != 0:
-                    complete = False
-                    break
-            if complete:
+            if all(_pair_shift_sum(joint, filled, n, d) == (0, 0, 0)
+                   for d in range(1, n)):
                 return 0, a, b, nodes
 
         if good and t < h:
-            for g in range(1, 16):
-                st[t + 1, g] = st_next[g]
             t += 1
+            tied[t] = still
             combo[t] = 0
             continue
 
         # undo the evaluations and fills, then advance
-        if t > 1:
-            filled[lo] = 0
-            for e in range(4):
-                pa = code_mul[ca_lo, pw[e, lo]]
-                pb = code_mul[cb_lo, pw[e, lo]]
-                ev_re[0, e] -= code_re[pa]
-                ev_im[0, e] -= code_im[pa]
-                ev_re[1, e] -= code_re[pb]
-                ev_im[1, e] -= code_im[pb]
-        if not middle:
-            filled[hi] = 0
-            for e in range(4):
-                pa = code_mul[ca_hi, pw[e, hi]]
-                pb = code_mul[cb_hi, pw[e, hi]]
-                ev_re[0, e] -= code_re[pa]
-                ev_im[0, e] -= code_im[pa]
-                ev_re[1, e] -= code_re[pb]
-                ev_im[1, e] -= code_im[pb]
+        for pos in level:
+            undo(pos)
         combo[t] += 1
 
     return 1, a, b, nodes
@@ -410,31 +295,35 @@ def _pair_dfs_kernel(n, phases, budget, code_re, code_im, code_conj,
 
 def run_pair_dfs(n: int, phases: int, budget: int):
     """Status, code arrays and node count for the pair search."""
-    status, a, b, nodes = _pair_dfs_kernel(
-        int(n), int(phases), int(budget), CODE_RE, CODE_IM, CODE_CONJ,
-        CODE_MUL,
-    )
-    return int(status), np.asarray(a), np.asarray(b), int(nodes)
+    status, a, b, nodes = _pair_dfs_kernel(int(n), int(phases), int(budget))
+    return status, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), nodes
 
 
-@njit(cache=True)
 def _base_shift_sum(re, filled, seq_len, start, delta):
     """Partial joint autocorrelation at `delta` over all four sequences."""
-    s = 0
-    unknown = 0
-    for k in range(4):
-        ln = seq_len[k]
-        base = start[k]
-        for i in range(ln - delta):
-            if filled[base + i] == 1 and filled[base + i + delta] == 1:
-                s += re[base + i] * re[base + i + delta]
+    s = unknown = 0
+    for ln, base in zip(seq_len, start):
+        for i in range(base, base + ln - delta):
+            if filled[i] and filled[i + delta]:
+                s += re[i] * re[i + delta]
             else:
                 unknown += 1
     return s, unknown
 
 
-@njit(cache=True)
-def _base_dfs_kernel(m, budget, code_re):
+def _reaches(ev, unk, target: int) -> bool:
+    """Whether four partial entry sums, each still free to move by its
+    count of unknown +-1 entries, can reach sum-of-squares `target`."""
+    lo_sum = hi_sum = 0
+    for e, u in zip(ev, unk):
+        d = abs(e) - u
+        if d > 0:
+            lo_sum += d * d
+        hi_sum += (abs(e) + u) ** 2
+    return lo_sum <= target <= hi_sum
+
+
+def _base_dfs_kernel(m: int, budget: int):
     """Ends-inward DFS for four base sequences of index m.
 
     The two long sequences have length m+1 and the two short ones
@@ -445,84 +334,67 @@ def _base_dfs_kernel(m, budget, code_re):
     (status, flat_codes, nodes) with flat_codes = A|B|C|D.
     """
     p = m + 1
-    total = 2 * p + 2 * m
     target = 4 * m + 2
-    seq_len = np.empty(4, dtype=np.int64)
-    start = np.empty(4, dtype=np.int64)
-    seq_len[0] = p
-    seq_len[1] = p
-    seq_len[2] = m
-    seq_len[3] = m
-    start[0] = 0
-    start[1] = p
-    start[2] = 2 * p
-    start[3] = 2 * p + m
+    seq_len = (p, p, m, m)
+    start = (0, p, 2 * p, 2 * p + m)
+    total = 2 * p + 2 * m
 
-    codes = np.zeros(total, dtype=np.int64)
-    re = np.zeros(total, dtype=np.int64)
-    filled = np.zeros(total, dtype=np.uint8)
-    for k in range(4):
-        re[start[k]] = 1
-        filled[start[k]] = 1
+    codes = [0] * total
+    re = [0] * total
+    filled = [0] * total
+    for s in start:
+        re[s] = filled[s] = 1
 
     levels = (p + 1) // 2
-    # per-level slot positions, fixed by geometry alone
-    slot_tab = np.zeros((levels + 2, 8), dtype=np.int64)
-    slot_seq = np.zeros((levels + 2, 8), dtype=np.int64)
-    slot_cnt = np.zeros(levels + 2, dtype=np.int64)
+    # per-level slots (position, sequence, sign at z = -1), fixed by
+    # geometry alone; first entries are fixed, so never a slot
+    slots = [()]
     for t in range(1, levels + 1):
-        cnt = 0
+        level = []
         for k in range(4):
-            ln = seq_len[k]
-            lo = t - 1
-            hi = ln - t
+            lo, hi = t - 1, seq_len[k] - t
             if lo > hi:
                 continue
-            if lo == hi:
-                if lo > 0:
-                    slot_tab[t, cnt] = start[k] + lo
-                    slot_seq[t, cnt] = k
-                    cnt += 1
-            else:
-                if lo > 0:
-                    slot_tab[t, cnt] = start[k] + lo
-                    slot_seq[t, cnt] = k
-                    cnt += 1
-                slot_tab[t, cnt] = start[k] + hi
-                slot_seq[t, cnt] = k
-                cnt += 1
-        slot_cnt[t] = cnt
+            for i in sorted({lo, hi}):
+                if i > 0:
+                    level.append((start[k] + i, k, -1 if i % 2 else 1))
+        slots.append(tuple(level))
 
-    combo = np.zeros(levels + 2, dtype=np.int64)
+    combo = [0] * (levels + 2)
 
     # per-sequence partial sums at z=1 and z=-1 plus unknown counts
-    ev_p = np.empty(4, dtype=np.int64)
-    ev_m = np.empty(4, dtype=np.int64)
-    unk = np.empty(4, dtype=np.int64)
-    for k in range(4):
-        ev_p[k] = 1
-        ev_m[k] = 1
-        unk[k] = seq_len[k] - 1
+    ev_p = [1] * 4
+    ev_m = [1] * 4
+    unk = [ln - 1 for ln in seq_len]
+
+    def place(slot, bit):
+        pos, sq, alt = slot
+        codes[pos] = bit
+        re[pos] = CODE_RE[bit]
+        filled[pos] = 1
+        ev_p[sq] += re[pos]
+        ev_m[sq] += alt * re[pos]
+        unk[sq] -= 1
+
+    def undo(slot):
+        pos, sq, alt = slot
+        filled[pos] = 0
+        ev_p[sq] -= re[pos]
+        ev_m[sq] -= alt * re[pos]
+        unk[sq] += 1
 
     nodes = 0
     t = 1
-    combo[1] = 0
     while t >= 1:
-        n_slots = slot_cnt[t]
-        n_combos = 1 << n_slots
-        if combo[t] >= n_combos:
+        level = slots[t]
+        n_slots = len(level)
+        if combo[t] >= 1 << n_slots:
             # this level is spent; undo the parent's placement, which
             # was left in place when it descended
             t -= 1
             if t >= 1:
-                for k in range(slot_cnt[t]):
-                    pos = slot_tab[t, k]
-                    sq = slot_seq[t, k]
-                    filled[pos] = 0
-                    ev_p[sq] -= re[pos]
-                    ev_m[sq] -= (re[pos] if (pos - start[sq]) % 2 == 0
-                                 else -re[pos])
-                    unk[sq] += 1
+                for slot in slots[t]:
+                    undo(slot)
                 combo[t] += 1
             continue
 
@@ -531,16 +403,8 @@ def _base_dfs_kernel(m, budget, code_re):
         if budget >= 0 and nodes > budget:
             return 2, codes, nodes
 
-        for k in range(n_slots):
-            pos = slot_tab[t, k]
-            sq = slot_seq[t, k]
-            bit = (c >> (n_slots - 1 - k)) & 1
-            codes[pos] = bit
-            re[pos] = code_re[bit]
-            filled[pos] = 1
-            ev_p[sq] += re[pos]
-            ev_m[sq] += re[pos] if (pos - start[sq]) % 2 == 0 else -re[pos]
-            unk[sq] -= 1
+        for k, slot in enumerate(level):
+            place(slot, (c >> (n_slots - 1 - k)) & 1)
 
         # the newly completed shift must vanish exactly
         delta = p - t
@@ -549,51 +413,21 @@ def _base_dfs_kernel(m, budget, code_re):
             s, unknown = _base_shift_sum(re, filled, seq_len, start, delta)
             good = unknown == 0 and s == 0
 
-        if good:
-            # two-sided reachability of the sum-of-squares target at
-            # the evaluation points z = 1 and z = -1
-            lo_sum = 0
-            hi_sum = 0
-            for k in range(4):
-                d = abs(ev_p[k]) - unk[k]
-                if d > 0:
-                    lo_sum += d * d
-                s = abs(ev_p[k]) + unk[k]
-                hi_sum += s * s
-            if lo_sum > target or hi_sum < target:
-                good = False
-            if good:
-                lo_sum = 0
-                hi_sum = 0
-                for k in range(4):
-                    d = abs(ev_m[k]) - unk[k]
-                    if d > 0:
-                        lo_sum += d * d
-                    s = abs(ev_m[k]) + unk[k]
-                    hi_sum += s * s
-                if lo_sum > target or hi_sum < target:
-                    good = False
+        # two-sided reachability of the sum-of-squares target at the
+        # evaluation points z = 1 and z = -1
+        good = (good and _reaches(ev_p, unk, target)
+                and _reaches(ev_m, unk, target))
 
-        if good and delta >= 1:
-            for w in range(1, _WINDOW + 1):
-                dw = delta - w
-                if dw < 1:
-                    break
-                s, unknown = _base_shift_sum(
-                    re, filled, seq_len, start, dw
-                )
+        if good:
+            for dw in range(delta - 1, max(delta - 1 - _WINDOW, 0), -1):
+                s, unknown = _base_shift_sum(re, filled, seq_len, start, dw)
                 if abs(s) > unknown or (abs(s) + unknown) % 2 == 1:
                     good = False
                     break
 
         if good and t == levels:
-            complete = True
-            for d in range(1, p):
-                s, unknown = _base_shift_sum(re, filled, seq_len, start, d)
-                if unknown != 0 or s != 0:
-                    complete = False
-                    break
-            if complete:
+            if all(_base_shift_sum(re, filled, seq_len, start, d) == (0, 0)
+                   for d in range(1, p)):
                 return 0, codes, nodes
 
         if good and t < levels:
@@ -601,13 +435,8 @@ def _base_dfs_kernel(m, budget, code_re):
             combo[t] = 0
             continue
 
-        for k in range(n_slots):
-            pos = slot_tab[t, k]
-            sq = slot_seq[t, k]
-            filled[pos] = 0
-            ev_p[sq] -= re[pos]
-            ev_m[sq] -= re[pos] if (pos - start[sq]) % 2 == 0 else -re[pos]
-            unk[sq] += 1
+        for slot in level:
+            undo(slot)
         combo[t] += 1
 
     return 1, codes, nodes
@@ -615,13 +444,9 @@ def _base_dfs_kernel(m, budget, code_re):
 
 def run_base_dfs(m: int, budget: int):
     """Status, the four code arrays and node count for the base search."""
-    status, flat, nodes = _base_dfs_kernel(int(m), int(budget), CODE_RE)
+    status, flat, nodes = _base_dfs_kernel(int(m), int(budget))
     p = m + 1
-    flat = np.asarray(flat)
-    seqs = (
-        flat[:p].copy(),
-        flat[p: 2 * p].copy(),
-        flat[2 * p: 2 * p + m].copy(),
-        flat[2 * p + m:].copy(),
-    )
-    return int(status), seqs, int(nodes)
+    cuts = (0, p, 2 * p, 2 * p + m, len(flat))
+    seqs = tuple(np.array(flat[lo:hi], dtype=np.int64)
+                 for lo, hi in zip(cuts, cuts[1:]))
+    return status, seqs, nodes

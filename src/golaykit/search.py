@@ -7,7 +7,7 @@ Two engines share the work:
   partner exists iff the negated tail is in the table.  Exhaustive and
   returns the lexicographically smallest solution.
 * a depth-first ends-inward assignment search with partial-sum pruning
-  for larger lengths, optionally compiled with numba.
+  for larger lengths, written as plain Python (`_dfskernels`).
 
 Normalization fixes the first entry of each sequence to 1 (a global
 phase per member, losing no solutions up to equivalence).  Entry order
@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _dfskernels
 from .tensor import Alphabet, Tensor
 
 __all__ = [
@@ -34,8 +35,9 @@ __all__ = [
 # meet-in-the-middle pass; beyond this the DFS engine takes over
 _MITM_CAP = 1 << 21
 
-_CODE_RE = np.array([1, -1, 0, 0], dtype=np.int16)
-_CODE_IM = np.array([0, 0, 1, -1], dtype=np.int16)
+# (re, im) planes of the entry codes, shared with the depth-first kernels
+_CODE_PLANES = np.array([_dfskernels.CODE_RE, _dfskernels.CODE_IM],
+                        dtype=np.int16)
 
 
 class SearchStatus(Enum):
@@ -76,7 +78,7 @@ def _codes_to_planes(codes: np.ndarray, fix_first: bool):
     if fix_first:
         lead = np.zeros((codes.shape[0], 1), dtype=np.int8)
         codes = np.concatenate([lead, codes], axis=1)
-    return _CODE_RE[codes], _CODE_IM[codes]
+    return tuple(_CODE_PLANES[:, codes])
 
 
 def _shift_list(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -118,8 +120,7 @@ def _batch_autocorr_tail(re: np.ndarray, im: np.ndarray,
 
 
 def _codes_to_tensor(codes: np.ndarray, shape: tuple[int, ...]) -> Tensor:
-    re = _CODE_RE[codes].astype(np.int64).reshape(shape)
-    im = _CODE_IM[codes].astype(np.int64).reshape(shape)
+    re, im = _CODE_PLANES[:, codes].reshape((2,) + shape)
     return Tensor(re, im)
 
 
@@ -231,8 +232,6 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     if len(shape) != 1:
         # multidimensional spaces beyond the table cap are out of reach
         return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, 0)
-    from . import _dfskernels
-
     status, a_codes, b_codes, nodes = _dfskernels.run_pair_dfs(
         n, phases, -1 if budget is None else int(budget)
     )
@@ -253,8 +252,6 @@ def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
     projected = 2 ** (2 * p - 2) + 2 ** (2 * m - 2)
     if 2 ** (2 * p - 2) > _MITM_CAP or (budget is not None
                                         and budget < projected):
-        from . import _dfskernels
-
         status, seqs, nodes = _dfskernels.run_base_dfs(
             m, -1 if budget is None else int(budget)
         )

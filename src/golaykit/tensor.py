@@ -55,10 +55,6 @@ __all__ = [
     "tensor_from_obj",
 ]
 
-# Beyond this magnitude int64 products with desk-scale entry counts can
-# no longer be bounded inside 2**63, so ops switch to object dtype.
-_SAFE_COMPONENT = 1 << 20
-
 
 @dataclass(frozen=True)
 class GaussInt:
@@ -308,8 +304,10 @@ def involute(a: Tensor) -> Tensor:
     return Tensor(a.re[rev], -a.im[rev])
 
 
-def _needs_object(*tensors: Tensor) -> bool:
-    return any(t.max_component() >= _SAFE_COMPONENT for t in tensors)
+def _exact_dtype(bound: int):
+    """int64 when `bound`, a bound on the absolute value of every number a
+    computation makes, fits in int64; object dtype (Python ints) else."""
+    return np.int64 if bound < 1 << 63 else object
 
 
 def _digits(parts: np.ndarray, width: int) -> list[int]:
@@ -371,7 +369,8 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     """Kronecker product; index k_l = i_l * t_l + j_l, dims multiply."""
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    dtype = object if _needs_object(a, b) else np.int64
+    # an output entry is a sum of two products of entries
+    dtype = _exact_dtype(2 * a.max_component() * b.max_component())
     a_re, a_im, b_re, b_im = (p.astype(dtype) for p in (a.re, a.im, b.re, b.im))
     return Tensor(
         np.kron(a_re, b_re) - np.kron(a_im, b_im),

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     Trivial,
 )
-from .tensor import GaussInt, Tensor, _needs_object, add, convolve, involute
+from .tensor import GaussInt, Tensor, _exact_dtype, convolve, involute
 
 __all__ = [
     "AutocorrResult",
@@ -72,15 +72,24 @@ class GcaVerdict:
     max_sidelobe_norm: int
 
 
+def _autocorr_bound(a: Tensor) -> int:
+    """Bound on every autocorrelation component of `a`, and on its
+    weight: a sum of at most `size` terms, each at most 2 * max**2."""
+    return 2 * a.size * a.max_component() ** 2
+
+
 def autocorrelation(a: Tensor) -> AutocorrResult:
     """R(delta) = sum_i a[i] * conj(a[i - delta]) for all shifts.
 
-    Exact integers throughout (int64, or Python ints for big entries).
-    Rows run along the longest axis: each pair of rows is one C-level
-    integer correlation added at its shift of the other axes, so the
-    cost does not depend on the orientation of the array.
+    Exact integers throughout (int64 when the output provably fits, else
+    Python ints).  Rows run along the longest axis: each pair of rows is
+    one C-level integer correlation added at its shift of the other
+    axes, so the cost does not depend on the orientation of the array.
+    A real array (all imaginary parts zero) needs one correlation per
+    row pair instead of four.
     """
-    dtype = object if _needs_object(a) else np.int64
+    dtype = _exact_dtype(_autocorr_bound(a))
+    real = not np.any(a.im)
     axis = a.rank - 1 - a.shape[::-1].index(max(a.shape))
     out_re = np.zeros(tuple(2 * s - 1 for s in a.shape), dtype=dtype)
     out_im = np.zeros_like(out_re)
@@ -93,18 +102,22 @@ def autocorrelation(a: Tensor) -> AutocorrResult:
         for q, iq in enumerate(lead):
             # row p times conj(row q), full cross-correlation
             d = tuple(x - y + s - 1 for x, y, s in zip(ip, iq, rows))
-            acc_re[d] += (np.correlate(re[p], re[q], "full")
-                          + np.correlate(im[p], im[q], "full"))
-            acc_im[d] += (np.correlate(im[p], re[q], "full")
-                          - np.correlate(re[p], im[q], "full"))
+            acc_re[d] += np.correlate(re[p], re[q], "full")
+            if not real:
+                acc_re[d] += np.correlate(im[p], im[q], "full")
+                acc_im[d] += (np.correlate(im[p], re[q], "full")
+                              - np.correlate(re[p], im[q], "full"))
     return AutocorrResult(Tensor(out_re, out_im), tuple(s - 1 for s in a.shape))
 
 
 def weight(a: Tensor) -> int:
     """Sum of squared entry magnitudes."""
-    dtype = object if _needs_object(a) else np.int64
-    re, im = a.re.astype(dtype), a.im.astype(dtype)
-    return int(np.sum(re * re) + np.sum(im * im))
+    dtype = _exact_dtype(_autocorr_bound(a))
+    total = 0
+    for x in (a.re, a.im):
+        x = x.astype(dtype).ravel()
+        total += int(np.dot(x, x))
+    return total
 
 
 def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -122,7 +135,9 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def _verdict(arrays: Sequence[Tensor], kernel) -> GcaVerdict:
     """Sum kernel(a) over one-shape arrays, compare with weight * delta.
-    Sidelobe norms (big ints) are computed only if a sidelobe is nonzero."""
+    The sum is in int64 only when the members' bounds add up to a value
+    that fits.  Sidelobe norms (big ints) are computed only if a
+    sidelobe is nonzero."""
     arrays = list(arrays)
     if not arrays:
         raise EmptySet("no arrays given")
@@ -130,19 +145,24 @@ def _verdict(arrays: Sequence[Tensor], kernel) -> GcaVerdict:
     for a in arrays[1:]:
         if a.shape != shape:
             raise ShapeMismatch(f"mixed shapes in set: {shape} vs {a.shape}")
-    total = kernel(arrays[0])
-    for a in arrays[1:]:
-        total = add(total, kernel(a))
+    dtype = _exact_dtype(sum(_autocorr_bound(a) for a in arrays))
+    total_re = np.zeros(tuple(2 * s - 1 for s in shape), dtype=dtype)
+    total_im = np.zeros_like(total_re)
+    for a in arrays:
+        r = kernel(a)
+        total_re += r.re
+        total_im += r.im
+        del r  # freed before the next member's output is made
     w = sum(weight(a) for a in arrays)
     center = tuple(s - 1 for s in shape)
-    side_re, side_im = total.re.copy(), total.im.copy()
-    side_re[center] = 0
-    side_im[center] = 0
+    at_center = (int(total_re[center]), int(total_im[center]))
+    # what is left once the center is cleared are the sidelobes
+    total_re[center] = total_im[center] = 0
     max_side = 0
-    if np.any(side_re) or np.any(side_im):
-        max_side = int(np.max(side_re.astype(object) ** 2
-                              + side_im.astype(object) ** 2))
-    ok = total[center] == GaussInt(w, 0) and max_side == 0
+    if np.any(total_re) or np.any(total_im):
+        max_side = int(np.max(total_re.astype(object) ** 2
+                              + total_im.astype(object) ** 2))
+    ok = at_center == (w, 0) and max_side == 0
     return GcaVerdict(ok, w, max_side)
 
 

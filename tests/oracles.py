@@ -87,12 +87,9 @@ def naive_weight(a: Tensor) -> int:
 
 # hypothesis strategies ----------------------------------------------------
 
-def gauss_entries(max_component: int = 2):
-    return st.builds(
-        GaussInt,
-        st.integers(-max_component, max_component),
-        st.integers(-max_component, max_component),
-    )
+def gauss_entries(max_component: int = 2, real: bool = False):
+    parts = st.integers(-max_component, max_component)
+    return st.builds(GaussInt, parts, st.just(0) if real else parts)
 
 
 def shapes(max_rank: int = 3, max_dim: int = 4):
@@ -103,14 +100,14 @@ def shapes(max_rank: int = 3, max_dim: int = 4):
 
 @st.composite
 def tensors(draw, shape=None, max_component: int = 2, max_rank: int = 3,
-            max_dim: int = 4):
+            max_dim: int = 4, real: bool = False):
     if shape is None:
         shape = draw(shapes(max_rank, max_dim))
     n = 1
     for s in shape:
         n *= s
     entries = draw(
-        st.lists(gauss_entries(max_component), min_size=n, max_size=n)
+        st.lists(gauss_entries(max_component, real), min_size=n, max_size=n)
     )
     return Tensor.from_entries(shape, entries)
 

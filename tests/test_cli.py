@@ -2,14 +2,20 @@
 summaries on stderr."""
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
 from golaykit import cli, planner
 from golaykit.construct import GcaSet
+from golaykit.seeds import load_bundled
 from golaykit.tensor import Alphabet, Tensor
 
 from .test_planner import MALFORMED_RECIPES, _chain_text
@@ -279,3 +285,76 @@ class TestUsageErrors:
                              "--role", "pair", "--shape", "18x5")
         json.loads(out)
         assert err.strip()
+
+
+# small valid gca-recipe/1 documents, one per role and alphabet, as
+# starting points for the mutations below
+def _valid_recipes():
+    registry = load_bundled()
+    reports = [planner.plan_pair(Alphabet.BINARY, (2, 10)),
+               planner.plan_pair(Alphabet.QUATERNARY, (3, 10)),
+               planner.plan_quad(Alphabet.BINARY, (1, 6), registry),
+               planner.plan_quad(Alphabet.QUATERNARY, (3, 3), registry)]
+    return [planner.recipe_to_obj(r.recipe) for r in reports]
+
+
+_VALID_RECIPES = _valid_recipes()
+_BAD_VALUES = st.one_of(
+    st.integers(-2, 40), st.booleans(), st.none(), st.text(max_size=2),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(-1, 12), max_size=3))
+_SEED_KEYS = ["golay-pair/binary/10;10", "golay-pair/quaternary/3;3",
+              "base-sequences/binary/3;3;2;2", "golay-pair/binary/7;7", ""]
+
+
+def _paths(node, path=()):
+    yield path
+    for i, child in enumerate(node.get("children", [])):
+        yield from _paths(child, path + (i,))
+
+
+def _node_at(doc, path):
+    for i in path:
+        doc = doc["children"][i]
+    return doc
+
+
+@st.composite
+def mutated_recipes(draw):
+    """A valid recipe after one to three mutations: another op, a child
+    dropped or added, a bad dim/axis/shape/rank, or another seed key."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_RECIPES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        node = _node_at(doc, draw(st.sampled_from(paths)))
+        kind = draw(st.sampled_from(["op", "drop", "add", "param", "seed"]))
+        if kind == "op":
+            node["op"] = draw(st.sampled_from(sorted(planner._OPS) + ["bogus"]))
+        elif kind == "drop" and node.get("children"):
+            del node["children"][draw(
+                st.integers(0, len(node["children"]) - 1))]
+        elif kind == "add":
+            donor = _node_at(doc, draw(st.sampled_from(paths)))
+            node.setdefault("children", []).append(copy.deepcopy(donor))
+        elif kind == "param":
+            name = draw(st.sampled_from(["dim", "axis", "shape", "rank"]))
+            node.setdefault("params", {})[name] = draw(_BAD_VALUES)
+        elif kind == "seed":
+            node["seed"] = draw(st.sampled_from(_SEED_KEYS))
+    return doc
+
+
+class TestRecipeFuzz:
+    @given(doc=mutated_recipes())
+    # each example loads and re-verifies the bundled registry
+    @settings(max_examples=100, deadline=None)
+    def test_documented_exit_code(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "recipe.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["generate", "--recipe", str(path)])
+        assert code in (0, 3, 4, 65), err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()

@@ -142,6 +142,52 @@ class TestEngineAgreement:
         assert is_gca_set(out.arrays).is_complementary
 
 
+# (n, phases, budget, status, a codes, b codes, nodes) and
+# (m, budget, status, A|B|C|D codes, nodes): whole results of the
+# depth-first kernels, codes left behind at a budget stop included.  A
+# change of node order or of any prune shows up here.
+_PINNED_PAIR = [
+    (2, 2, -1, 0, "00", "01", 2),
+    (10, 2, -1, 0, "0010101100", "0010000011", 177),
+    (13, 2, -1, 1, "0111111111111", "0111111000001", 5684),
+    (20, 2, 1000, 2, "00000011011010100000", "00000001011000011111", 1001),
+    (5, 4, -1, 0, "00032", "02103", 455),
+    (7, 4, -1, 1, "0333312", "0213113", 5888),
+    (13, 4, 15000, 2, "0000033312000", "0000203133111", 15001),
+]
+_PINNED_BASE = [
+    (1, -1, 0, "00|01|0|0", 2),
+    (3, -1, 0, "0010|0011|000|010", 27),
+    (5, -1, 0, "001010|000111|00100|00100", 126),
+    (7, -1, 0, "00001010|00001011|0001100|0100110", 11062),
+    (6, 10, 2, "0000000|0000001|000010|000000", 11),
+    (13, 15000, 2,
+     "00001010111110|00001110111111|0000010110000|0000110010000", 15001),
+]
+
+
+def _digits(codes) -> str:
+    return "".join(str(int(c)) for c in codes)
+
+
+class TestPinnedKernels:
+    @pytest.mark.parametrize(
+        "n,phases,budget,status,a,b,nodes", _PINNED_PAIR,
+        ids=[f"{'bq'[p // 4]}{n}-budget{b}" for n, p, b, *_ in _PINNED_PAIR])
+    def test_pair(self, n, phases, budget, status, a, b, nodes):
+        got = _dfskernels.run_pair_dfs(n, phases, budget)
+        assert (got[0], _digits(got[1]), _digits(got[2]), got[3]) == (
+            status, a, b, nodes)
+
+    @pytest.mark.parametrize(
+        "m,budget,status,codes,nodes", _PINNED_BASE,
+        ids=[f"m{m}-budget{b}" for m, b, *_ in _PINNED_BASE])
+    def test_base(self, m, budget, status, codes, nodes):
+        got_status, seqs, got_nodes = _dfskernels.run_base_dfs(m, budget)
+        assert (got_status, "|".join(map(_digits, seqs)), got_nodes) == (
+            status, codes, nodes)
+
+
 class TestBudget:
     def test_pair_budget_exceeded(self):
         out = search_pair_arrays((10,), Alphabet.BINARY, budget=100)

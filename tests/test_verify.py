@@ -109,6 +109,16 @@ class TestAutocorrelation:
         t = data.draw(tensors(shape=shape, max_component=2**70))
         assert autocorrelation(t).values == oracles.naive_autocorr(t)
 
+    @pytest.mark.parametrize("max_component", [3, 2**31, 2**70])
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_real_entries_match_reference(self, max_component, data):
+        # real arrays take the one-correlation shortcut: on int64 planes,
+        # on int64 planes whose products need Python ints, and on
+        # object-dtype planes
+        t = data.draw(tensors(max_component=max_component, real=True))
+        assert autocorrelation(t).values == oracles.naive_autocorr(t)
+
     @given(tensors(max_component=3))
     @settings(max_examples=40)
     def test_transpose_commutes(self, t):
@@ -128,6 +138,13 @@ class TestWeight:
     @settings(max_examples=40)
     def test_matches_reference(self, t):
         assert weight(t) == oracles.naive_weight(t)
+
+    def test_many_entries_below_old_int64_cutoff(self):
+        # every component is below 2**20, but the sum of squares is past
+        # 2**63: only a bound that counts the entries keeps it exact
+        n = 2**22 + 16
+        v = np.full(n, 2**20 - 1, dtype=np.int64)
+        assert weight(Tensor(v, v)) == 2 * n * (2**20 - 1) ** 2
 
 
 class TestIsGcaSet:
@@ -154,6 +171,14 @@ class TestIsGcaSet:
     def test_single_array_trivial(self):
         assert is_gca_set([seq(1)]).is_complementary
         assert not is_gca_set([seq(1, 1)]).is_complementary
+
+    def test_member_sum_past_int64(self):
+        # each autocorrelation fits in int64, their sum does not
+        big = 2**31 - 1
+        v = is_gca_set([seq(big)] * 4)
+        assert v.is_complementary
+        assert v.total_weight == 4 * big * big
+        assert gca_check_polynomial([seq(big)] * 4)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
