@@ -1,9 +1,10 @@
 """Recursive constructions of Golay complementary arrays.
 
-Every operation here consumes verified complementary sets and re-checks
-its own output through both exact verification routes before returning,
-so a transcription slip in any formula raises VerificationFailed
-instead of propagating a bad array.
+Each set is checked once: `assemble` checks each set it makes by both
+exact verification routes and marks it, and every operation returns
+through it, so a slip in any formula raises VerificationFailed instead
+of propagating a bad array.  Only unmarked sets (a GcaSet built
+directly, or parsed with verify=False) are checked again.
 
 Array sets are value objects (GcaSet).  Quads built by the interleaving
 and concat-with-zeros constructions carry support-structure tags; the
@@ -86,9 +87,11 @@ def _combined_alphabet(arrays: Sequence[Tensor]) -> Alphabet:
 
 @dataclass(frozen=True)
 class GcaSet:
-    """A verified complementary set of Gaussian-integer arrays.
+    """A complementary set of Gaussian-integer arrays.
 
-    `structure` carries optional support-relation claims:
+    Only `assemble` sets `verified`, once both exact routes pass; the
+    constructor and `dataclasses.replace` give an unmarked set, which
+    consumers check again.  `structure` carries optional support claims:
     index pairs under "disjoint"/"conjoint", a "quasi_symmetric" flag,
     a "mask" flag for exactly-one-of-four pairs.  Claims are advisory;
     consumers that rely on them re-validate.
@@ -99,6 +102,8 @@ class GcaSet:
     role: str
     lineage: str = ""
     structure: dict = field(default_factory=dict)
+    verified: bool = field(default=False, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arrays", tuple(self.arrays))
@@ -124,38 +129,37 @@ def _role_for(n: int) -> str:
     return {2: "pair", 4: "quad"}.get(n, f"set-{n}")
 
 
-def _verify(arrays: Sequence[Tensor], lineage: str) -> None:
-    """Both exact complementarity routes must pass."""
-    rank = arrays[0].rank
-    if any(a.rank != rank for a in arrays):
-        raise RankMismatch(f"{lineage}: mixed ranks in output")
-    bound = tuple(max(a.shape[k] for a in arrays) for k in range(rank))
-    padded = [pad_to(a, bound) for a in arrays]
-    verdict = is_gca_set(padded)
-    if not verdict.is_complementary:
-        raise VerificationFailed(
-            f"{lineage}: autocorrelation check failed "
-            f"(max sidelobe norm {verdict.max_sidelobe_norm})"
-        )
-    if not gca_check_polynomial(padded):
-        raise VerificationFailed(f"{lineage}: polynomial product check failed")
-
-
 def assemble(
     arrays: Sequence[Tensor],
     lineage: str,
     structure: dict | None = None,
 ) -> GcaSet:
-    """Verify a set of arrays and wrap it."""
+    """Check a set of arrays, zero-padded to one shape, by both exact
+    routes, and wrap it as a set marked verified."""
     arrays = tuple(arrays)
-    _verify(arrays, lineage or "assemble")
-    return GcaSet(
+    where = lineage or "assemble"
+    rank = arrays[0].rank
+    if any(a.rank != rank for a in arrays):
+        raise RankMismatch(f"{where}: mixed ranks in output")
+    bound = tuple(max(a.shape[k] for a in arrays) for k in range(rank))
+    padded = [pad_to(a, bound) for a in arrays]
+    verdict = is_gca_set(padded)
+    if not verdict.is_complementary:
+        raise VerificationFailed(
+            f"{where}: autocorrelation check failed "
+            f"(max sidelobe norm {verdict.max_sidelobe_norm})"
+        )
+    if not gca_check_polynomial(padded):
+        raise VerificationFailed(f"{where}: polynomial product check failed")
+    out = GcaSet(
         arrays=arrays,
         alphabet=_combined_alphabet(arrays),
         role=_role_for(len(arrays)),
         lineage=lineage,
         structure=dict(structure or {}),
     )
+    object.__setattr__(out, "verified", True)
+    return out
 
 
 def pair(a: Tensor, b: Tensor, lineage: str = "pair") -> GcaSet:
@@ -339,9 +343,9 @@ def cross_set(first: GcaSet, second: GcaSet) -> GcaSet:
 
 def _split_quad_input(first: GcaSet, second: GcaSet | None, op: str,
                       dim: int):
-    """Two pairs, or one jointly-complementary quad split 2 + 2, to be
-    laid side by side along `dim`: each pair has one shape, and the two
-    pairs agree off `dim`."""
+    """Two pairs, or one quad split 2 + 2, to be laid side by side along
+    `dim`: each pair has one shape, the two agree off `dim`, and the four
+    arrays are jointly complementary (checked if an input is unmarked)."""
     if second is None:
         _require_role(first, "quad", f"{op} single input")
         a, b, c, d = first.arrays
@@ -357,11 +361,10 @@ def _split_quad_input(first: GcaSet, second: GcaSet | None, op: str,
         raise ShapeMismatch("each input pair must have uniform shape")
     if any(k != dim and a.shape[k] != c.shape[k] for k in range(rank)):
         raise ShapeMismatch(f"{op}: input sizes differ off dim {dim}")
-    if second is not None:
-        if not jointly_complementary([a, b, c, d]).is_complementary:
-            raise NotComplementary(
-                "the four input arrays are not jointly complementary"
-            )
+    marked = first.verified and (second is None or second.verified)
+    if not marked and not jointly_complementary([a, b, c, d]).is_complementary:
+        raise NotComplementary(
+            "the four input arrays are not jointly complementary")
     return (a, b), (c, d)
 
 
@@ -390,11 +393,6 @@ def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
             f"sizes along dim {dim} must differ by one: "
             f"{a.shape[dim]} vs {c.shape[dim]}"
         )
-    # unlike the other quad ops, interleaving re-checks a whole quad too
-    if second is None and not jointly_complementary(
-            [a, b, c, d]).is_complementary:
-        raise NotComplementary(
-            "the four input arrays are not jointly complementary")
     za = Tensor.zeros(a.shape)
     zc = Tensor.zeros(c.shape)
     e = interleave(a, zc, dim)
@@ -560,14 +558,14 @@ def set_to_obj(gs: GcaSet) -> dict:
         "format": "gca-set/1",
         "role": gs.role,
         "alphabet": gs.alphabet.value,
-        "arrays": [tensor_to_obj(a, alphabet_of(a)) for a in gs.arrays],
+        "arrays": [tensor_to_obj(a) for a in gs.arrays],
         "lineage": gs.lineage,
         "structure": gs.structure,
     }
 
 
 def set_from_obj(obj: dict, verify: bool = True) -> GcaSet:
-    """Parse gca-set/1; with verify=True the set must be complementary."""
+    """Parse gca-set/1; with verify=True it returns through `assemble`."""
     if not isinstance(obj, dict):
         raise ParseError("set document must be an object")
     if obj.get("format") != "gca-set/1":
@@ -580,8 +578,10 @@ def set_from_obj(obj: dict, verify: bool = True) -> GcaSet:
         raise ParseError("set document has no arrays")
     lineage = obj.get("lineage", "")
     structure = obj.get("structure") or {}
+    if not isinstance(lineage, str) or not isinstance(structure, dict):
+        raise ParseError("set lineage must be a string, structure an object")
     if verify:
-        _verify(arrays, lineage or "loaded set")
+        return assemble(arrays, lineage, structure)
     return GcaSet(
         arrays=arrays,
         alphabet=_combined_alphabet(arrays),

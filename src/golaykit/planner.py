@@ -20,8 +20,9 @@ expansion of a smaller planned quad by a disjoint binary pair, and a
 tile times a smaller planned quad zero-concatenated along the other
 axis; the last two recurse on a depth budget.  Every recipe this
 module returns has been checked against the registry for seed
-availability, and `execute` re-verifies each intermediate through the
-construction layer.
+availability.  `execute` builds every node through `assemble`, which
+checks each set it makes by both exact routes and marks it; only an
+unmarked root is checked again.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from .errors import (
     VerificationFailed,
 )
 from .seeds import SeedRegistry, load_bundled
-from .tensor import Alphabet, embed
+from .tensor import _MAX_RANK, Alphabet, _is_shape, embed
 from .verify import is_gca_set
 
 __all__ = [
@@ -82,7 +83,6 @@ _BLOCK_ORDER = _BINARY_BLOCKS + _QUATERNARY_BLOCKS
 _BLOCK_SCORE = {2: 1, 10: 1, 26: 1, 3: -1, 5: -1, 11: -1, 13: -1}
 
 _PRODUCT_CAP = 10 ** 7
-_MAX_RANK = 32  # numpy 1.x's limit on array axes
 _MAX_NESTING = 100  # the deepest plan (binary pair 2^23) has 23 levels
 
 
@@ -242,16 +242,6 @@ _OPS = {
     "disjoint_from_pair": _Op(lambda kids, dim: disjoint_from_pair(*kids),
                               (1,), _SHAPE_ONLY),
 }
-
-
-def _is_shape(shape, rank: int) -> bool:
-    """True for a list of `rank` positive integers (booleans excluded)."""
-    if type(shape) is not list or len(shape) != rank:
-        return False
-    for size in shape:
-        if type(size) is not int or size < 1:
-            return False
-    return True
 
 
 @dataclass
@@ -888,18 +878,20 @@ def _exec_node(recipe: Recipe, registry: SeedRegistry, path: str) -> GcaSet:
 def execute(recipe: Recipe, registry: SeedRegistry | None = None) -> GcaSet:
     """Run a recipe bottom-up against a seed registry.
 
-    Every intermediate passes through the self-verifying construction
-    layer, and the final set is checked once more here, so a bad seed
-    or a corrupted recipe cannot slip through.  Execution is
-    deterministic: the same recipe and registry give identical arrays.
+    Every node is built through `assemble`, which checks each set it
+    makes by both exact routes and marks it; only an unmarked root (a
+    rebound construction can return one) is checked again here.
+    Execution is deterministic: the same recipe and registry give
+    identical arrays.
     """
     if registry is None:
         registry = load_bundled()
     out = _exec_node(recipe, registry, path=recipe.op)
-    verdict = is_gca_set(out.arrays)
-    if not verdict.is_complementary:
-        raise VerificationFailed(
-            f"executed recipe failed final verification: {verdict}")
+    if not out.verified:
+        verdict = is_gca_set(out.arrays)
+        if not verdict.is_complementary:
+            raise VerificationFailed(
+                f"executed recipe failed final verification: {verdict}")
     return out
 
 

@@ -123,6 +123,17 @@ class Alphabet(Enum):
 _ALPHABET_ORDER = {member: k for k, member in enumerate(Alphabet)}
 
 
+_MAX_RANK = 32  # numpy 1.x's limit on array axes
+
+
+def _is_shape(shape, rank: int | None = None) -> bool:
+    """True for a list of positive integers (booleans excluded): `rank`
+    of them, or 1 to _MAX_RANK when `rank` is None."""
+    ranks = range(1, _MAX_RANK + 1) if rank is None else (rank,)
+    return (type(shape) is list and len(shape) in ranks
+            and all(type(size) is int and size >= 1 for size in shape))
+
+
 def _validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0:
@@ -560,13 +571,18 @@ def tensor_to_obj(a: Tensor, alphabet: Alphabet | None = None) -> dict:
         "format": "gca-tensor/1",
         "shape": list(a.shape),
         "order": "row-major-last-fastest",
-        "entries": [[g.re, g.im] for g in a.entries()],
+        "entries": np.stack([a.re, a.im], axis=-1).reshape(-1, 2).tolist(),
         "alphabet": alphabet.value,
     }
 
 
 def tensor_from_obj(obj: dict) -> Tensor:
-    """Parse the gca-tensor/1 wire format; ParseError on any mismatch."""
+    """Parse the gca-tensor/1 wire format; ParseError on any mismatch.
+
+    `shape` is a list of 1 to _MAX_RANK positive ints and `entries` a
+    list of [re, im] pairs of ints, one per position: no booleans, no
+    floats, no strings.
+    """
     if not isinstance(obj, dict):
         raise ParseError("tensor document must be an object")
     if obj.get("format") != "gca-tensor/1":
@@ -574,12 +590,27 @@ def tensor_from_obj(obj: dict) -> Tensor:
     order = obj.get("order", "row-major-last-fastest")
     if order != "row-major-last-fastest":
         raise ParseError(f"unsupported entry order: {order!r}")
-    try:
-        shape = _validate_shape(obj["shape"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"malformed tensor document: {e}") from None
-    t = Tensor.from_entries(shape, [tuple(e) for e in entries])
+    shape, entries = obj.get("shape"), obj.get("entries")
+    if not _is_shape(shape):
+        raise ParseError(f"shape must be a list of 1 to {_MAX_RANK} "
+                         f"positive integers, got {shape!r}")
+    n = math.prod(shape)
+    if type(entries) is not list or len(entries) != n:
+        raise ParseError(f"shape {shape} needs a list of {n} entries")
+    for e in entries:
+        if (type(e) is not list or len(e) != 2
+                or type(e[0]) is not int or type(e[1]) is not int):
+            raise ParseError(f"an entry must be [re, im], two integers; "
+                             f"got {e!r}")
+    planes = []
+    for part in (0, 1):
+        values = [e[part] for e in entries]
+        try:
+            plane = np.array(values, dtype=np.int64)
+        except OverflowError:
+            plane = np.array(values, dtype=object)
+        planes.append(plane.reshape(shape))
+    t = Tensor(*planes)
     tag = obj.get("alphabet")
     if tag is not None:
         declared = Alphabet.from_tag(tag)

@@ -13,12 +13,13 @@ Three routes are implemented and kept deliberately independent:
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
   in floating point; it is a diagnostic, never the source of truth.
 
-Constructions in this package re-verify their outputs through the two
+`construct.assemble` checks every set a construction makes by the two
 exact routes, so a formula transcription error cannot ship a bad array.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import (
     EmptySet,
+    GolayKitError,
     NotBinary,
     NotComplementary,
     ShapeMismatch,
@@ -199,6 +201,9 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     return _verdict(arrays, lambda a: convolve(a, involute(a))).is_complementary
 
 
+_SPECTRUM_CAP = 10 ** 7  # complex samples held at once
+
+
 def spectrum_flatness(arrays: Sequence[Tensor], grid: int = 16) -> float:
     """Worst relative deviation of the summed power spectrum from flat.
 
@@ -214,8 +219,17 @@ def spectrum_flatness(arrays: Sequence[Tensor], grid: int = 16) -> float:
     w = sum(weight(a) for a in arrays)
     if w == 0:
         raise EmptySet("zero total weight")
+    # |A(z)|^2 <= size * weight, so below this bound nothing overflows
+    if w * max(a.size for a in arrays) > 10 ** 300:
+        raise GolayKitError("entries too large for a float64 spectrum")
     power = None
     for a in arrays:
+        # the largest arrays made: the samples after k axes, one axis' matrix
+        peak = max(grid ** k * math.prod(a.shape[k:])
+                   for k in range(1, a.rank + 1))
+        if max(peak, grid * max(a.shape)) > _SPECTRUM_CAP:
+            raise ShapeMismatch(f"a {grid}-point grid on shape {a.shape} "
+                                f"needs over {_SPECTRUM_CAP} samples")
         vals = a.re.astype(np.complex128) + 1j * a.im.astype(np.complex128)
         for axis in range(a.rank):
             s = vals.shape[0]

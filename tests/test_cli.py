@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from golaykit import cli, planner
+from golaykit import cli, construct, planner
 from golaykit.construct import GcaSet
-from golaykit.seeds import load_bundled
+from golaykit.seeds import load_bundled, registry_to_obj
 from golaykit.tensor import Alphabet, Tensor
 
 from .test_planner import MALFORMED_RECIPES, _chain_text
@@ -200,6 +200,44 @@ class TestVerifyFailures:
             {"format": "gca-set/1", "alphabet": "binary", "arrays": []}))
         assert run(capsys, "verify", str(empty))[0] == 65
 
+    @pytest.mark.parametrize("path, value", [
+        (("entries", 0), [1.5, 0]),
+        (("entries", 0), [True, 0]),
+        (("shape",), "10"),
+        (("shape",), [True, 10]),
+        (("shape",), [1] * 98 + [10]),
+    ], ids=["float-entry", "bool-entry", "string-shape", "bool-shape",
+            "99-axis-shape"])
+    def test_malformed_member_exit_65(self, capsys, tmp_path, path, value):
+        set_path = self._write_set(capsys, tmp_path)
+        doc = json.loads(set_path.read_text())
+        node = doc["arrays"][0]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        set_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(set_path))
+        assert code == 65
+        assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("shape, entry, grid", [
+        ([1] * 12 + [10], [1, 0], "16"),
+        ([10], [10 ** 200, 0], "16"),
+        ([10], [1, 0], "100000000"),
+    ], ids=["rank-13", "huge-entry", "huge-grid"])
+    def test_spectrum_refuses_before_allocating(self, capsys, tmp_path,
+                                                shape, entry, grid):
+        set_path = self._write_set(capsys, tmp_path)
+        doc = json.loads(set_path.read_text())
+        for member in doc["arrays"]:
+            member["shape"] = shape
+            del member["alphabet"]
+        doc["arrays"][0]["entries"][0] = entry
+        set_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(set_path), "--grid", grid)
+        assert code == 65
+        assert out == "" and "Traceback" not in err
+
     def test_spectrum_diagnostic(self, capsys, tmp_path):
         path = self._write_set(capsys, tmp_path)
         code, obj, _ = run_json(capsys, "spectrum", str(path), "--grid", "8")
@@ -358,3 +396,138 @@ class TestRecipeFuzz:
         if code != 0:
             assert out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
+
+
+# gca-set/1 and gca-seeds/1 documents ---------------------------------------
+
+def _valid_sets():
+    registry = load_bundled()
+    reports = [planner.plan_pair(Alphabet.BINARY, (2,)),
+               planner.plan_pair(Alphabet.QUATERNARY, (3,)),
+               planner.plan_quad(Alphabet.BINARY, (3,), registry)]
+    return [construct.set_to_obj(planner.execute(r.recipe, registry))
+            for r in reports]
+
+
+def _valid_seeds():
+    registry = load_bundled()
+    keep = ["golay-pair/binary/1;1", "golay-pair/binary/2;2",
+            "golay-pair/quaternary/3;3", "base-sequences/binary/2;2;1;1"]
+    registry.records = {k: registry.records[k] for k in keep}
+    return registry_to_obj(registry)
+
+
+_VALID_SETS = _valid_sets()
+_VALID_SEEDS = _valid_seeds()
+_BAD_ENTRIES = st.one_of(
+    st.sampled_from([[-1, 0], [0, 1]]),
+    st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+    st.tuples(st.floats(allow_nan=False), st.integers(-1, 1)).map(list),
+    st.tuples(st.booleans(), st.booleans()).map(list),
+    st.tuples(st.integers(2 ** 63, 2 ** 1100), st.integers(-1, 1)).map(list),
+    st.lists(st.integers(-1, 1), min_size=3, max_size=3),
+    st.integers(-1, 1), st.text(max_size=2), st.none())
+_BAD_SHAPES = st.one_of(
+    st.text(max_size=3), st.booleans(), st.integers(-1, 3),
+    st.just([0]), st.just([1] * 40), st.lists(st.booleans(), max_size=3),
+    st.lists(st.integers(0, 4), max_size=3))
+
+
+def _objects_in(value) -> list:
+    """The dicts held by `value` when it is a list, which mutations edit."""
+    if not isinstance(value, list):
+        return []
+    return [t for t in value if isinstance(t, dict)]
+
+
+@st.composite
+def mutated_members(draw, tensors):
+    """Mutate tensor documents in place: a bad entry, a bad shape, the
+    same entries under another rank, or a dropped field."""
+    tensor = draw(st.sampled_from(tensors))
+    kind = draw(st.sampled_from(["entry", "shape", "rank", "drop"]))
+    if kind == "entry" and isinstance(tensor.get("entries"), list):
+        entries = tensor["entries"]
+        if entries:
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(_BAD_ENTRIES)
+    elif kind == "shape":
+        tensor["shape"] = draw(_BAD_SHAPES)
+    elif kind == "rank" and isinstance(tensor.get("entries"), list):
+        ones = draw(st.integers(0, 32))
+        tensor["shape"] = [1] * ones + [max(len(tensor["entries"]), 1)]
+    elif kind == "drop" and tensor:
+        del tensor[draw(st.sampled_from(sorted(tensor)))]
+
+
+@st.composite
+def mutated_sets(draw):
+    """A valid gca-set/1 document after one to three mutations of a
+    member, a dropped top-level field, or a bad lineage or structure."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_SETS)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["member", "drop", "field"]))
+        members = _objects_in(doc.get("arrays"))
+        if kind == "member" and members:
+            draw(mutated_members(members))
+        elif kind == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif kind == "field":
+            name = draw(st.sampled_from(["lineage", "structure", "arrays"]))
+            doc[name] = draw(_BAD_VALUES)
+    return doc
+
+
+@st.composite
+def mutated_seeds(draw):
+    """A valid gca-seeds/1 list after one to three mutations of a record's
+    tensor, a dropped record field, or a bad record field."""
+    doc = copy.deepcopy(_VALID_SEEDS)
+    for _ in range(draw(st.integers(1, 3))):
+        record = draw(st.sampled_from(doc))
+        kind = draw(st.sampled_from(["member", "drop", "field"]))
+        tensors = _objects_in(record.get("tensors"))
+        if kind == "member" and tensors:
+            draw(mutated_members(tensors))
+        elif kind == "drop" and record:
+            del record[draw(st.sampled_from(sorted(record)))]
+        elif kind == "field":
+            name = draw(st.sampled_from(
+                ["kind", "alphabet", "tensors", "provenance"]))
+            record[name] = draw(_BAD_VALUES)
+    return doc
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDocumentFuzz:
+    @given(doc=mutated_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_verify_documented_exit_code(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "set.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run_quietly(["verify", str(path)])
+        assert code in (0, 4, 65), err
+        if code == 65:
+            assert out == ""
+        else:
+            json.loads(out)
+        assert "Traceback" not in err
+
+    @given(doc=mutated_seeds())
+    @settings(max_examples=100, deadline=None)
+    def test_plan_with_seeds_documented_exit_code(self, tmp_path_factory,
+                                                  doc):
+        path = tmp_path_factory.mktemp("fuzz") / "seeds.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run_quietly(
+            ["plan", "--alphabet", "binary", "--role", "quad",
+             "--shape", "3x3", "--seeds", str(path)])
+        assert code in (0, 2, 65), err
+        if code != 65:
+            json.loads(out)
+        assert "Traceback" not in err

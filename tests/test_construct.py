@@ -1,6 +1,8 @@
 """Construction operators: frozen examples, closure and error cases."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from golaykit.errors import (
@@ -14,6 +16,7 @@ from golaykit.errors import (
     StructureFailed,
     VerificationFailed,
 )
+from golaykit import construct
 from golaykit.construct import (
     GcaSet,
     assemble,
@@ -78,6 +81,52 @@ class TestGcaSetBasics:
     def test_alphabet_lub(self, p2, q2_quaternary):
         assert p2.alphabet is Alphabet.BINARY
         assert q2_quaternary.alphabet is Alphabet.QUATERNARY
+
+
+class TestVerifiedMark:
+    """Only `assemble` marks a set; consumers skip checks on marked sets."""
+
+    def test_only_assemble_marks(self, p2):
+        assert p2.verified
+        bare = GcaSet(p2.arrays, p2.alphabet, p2.role, p2.lineage)
+        assert not bare.verified
+        assert bare == p2  # the mark takes no part in equality
+        with pytest.raises(TypeError):
+            GcaSet(p2.arrays, p2.alphabet, p2.role, verified=True)
+        assert not dataclasses.replace(p2).verified
+        assert not dataclasses.replace(p2, lineage="copy").verified
+
+    def test_set_from_obj_marks_only_when_verifying(self, p2):
+        obj = set_to_obj(p2)
+        loaded = set_from_obj(obj)
+        assert loaded.verified
+        assert loaded.lineage == p2.lineage
+        assert not set_from_obj(obj, verify=False).verified
+
+    @pytest.mark.parametrize("op", [
+        lambda q: concat_zero_quad(q, dim=0),
+        lambda q: compromise_quad(q, None, 0, pair(seq(1, 1), seq(1, -1))),
+    ], ids=["concat_zero_quad", "compromise_quad"])
+    def test_unmarked_quad_checked_jointly(self, op):
+        bad = GcaSet((seq(1, 1), seq(1, 1), seq(1), seq(1)),
+                     Alphabet.BINARY, "quad")
+        with pytest.raises(NotComplementary):
+            op(bad)
+
+    def test_joint_check_only_for_unmarked_inputs(self, p2, monkeypatch):
+        calls = []
+        joint = construct.jointly_complementary
+        monkeypatch.setattr(construct, "jointly_complementary",
+                            lambda arrays: calls.append(1) or joint(arrays))
+        t = pair(seq(1), seq(1))
+        q = cross_set(p2, p2)
+        interleave_quad(p2, t, dim=0)
+        concat_zero_quad(q, dim=0)
+        compromise_quad(q, None, 0, disjoint_from_pair(p2))
+        assert calls == []
+        interleave_quad(p2, GcaSet(t.arrays, t.alphabet, t.role), dim=0)
+        concat_zero_quad(dataclasses.replace(q), dim=0)
+        assert len(calls) == 2
 
 
 class TestBinaryTurynPair:

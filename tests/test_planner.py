@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golaykit import planner
+from golaykit import construct, planner, verify
 from golaykit.construct import GcaSet
 from golaykit.errors import (
     GolayKitError,
@@ -440,6 +441,50 @@ class TestRecipeSerialization:
             execute(rec, SeedRegistry())
         assert exc.value.key == "golay-pair/binary/10;10"
         assert "glue_pair/seed[0]" in str(exc.value)
+
+
+def _digest(arrays) -> str:
+    """Content digest of an array set, as the benchmark's tracer takes it."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        for plane in (a.re, a.im):
+            h.update(repr(plane.tolist()).encode())
+    return h.hexdigest()
+
+
+class TestOneCheckPerSet:
+    """`is_gca_set` sees exactly the sets that `assemble` makes, once per
+    set made: no consumer and no final check goes over a marked set again.
+    A seed leaf or subtree that a recipe holds twice is made twice, so
+    its content is counted once per copy on both sides."""
+
+    @pytest.mark.parametrize("role, shape", [("pair", (9, 10)),
+                                             ("quad", (36, 87))])
+    def test_execute_checks_each_set_once(self, registry, monkeypatch,
+                                          role, shape):
+        report = (plan_pair(Q, shape) if role == "pair"
+                  else plan_quad(Q, shape, registry))
+        checked, made = Counter(), Counter()
+        check, assemble = verify.is_gca_set, construct.assemble
+
+        def counted_check(arrays):
+            checked[_digest(arrays)] += 1
+            return check(arrays)
+
+        def counted_assemble(arrays, *args, **kwargs):
+            out = assemble(arrays, *args, **kwargs)
+            bound = tuple(map(max, zip(*(a.shape for a in out.arrays))))
+            made[_digest([verify.pad_to(a, bound) for a in out.arrays])] += 1
+            return out
+
+        for module in (verify, construct, planner):
+            monkeypatch.setattr(module, "is_gca_set", counted_check)
+        monkeypatch.setattr(construct, "assemble", counted_assemble)
+        out = execute(report.recipe, registry)
+        assert out.verified
+        assert checked == made
+        assert len(made) > 1
 
 
 class TestCoverage:

@@ -368,3 +368,45 @@ class TestTensorJson:
     @settings(max_examples=40)
     def test_round_trip_property(self, t):
         assert tensor_from_obj(tensor_to_obj(t)) == t
+
+    @given(tensors(max_component=2 ** 70))
+    @settings(max_examples=40)
+    def test_entries_written_as_exact_int_pairs(self, t):
+        entries = tensor_to_obj(t)["entries"]
+        assert entries == [[g.re, g.im] for g in t.entries()]
+        assert all(type(v) is int for e in entries for v in e)
+        assert tensor_from_obj(tensor_to_obj(t)) == t
+
+    @pytest.mark.parametrize("field, value", [
+        ("entries", [[1.5, 0], [1, 0]]),
+        ("entries", [[True, 0], [1, 0]]),
+        ("entries", [[1.0, 0], [1, 0]]),
+        ("entries", [["1", 0], [1, 0]]),
+        ("entries", [[1, 0, 0], [1, 0]]),
+        ("entries", [[1], [1, 0]]),
+        ("entries", [(1, 0), (1, 0)]),
+        ("entries", [1, 1]),
+        ("entries", [[1, 0]]),
+        ("entries", "ab"),
+        ("shape", "2"),
+        ("shape", 2),
+        ("shape", [True, 2]),
+        ("shape", [2.0]),
+        ("shape", [0]),
+        ("shape", []),
+        ("shape", (2,)),
+        ("shape", [1] * 33),
+        ("shape", [1] * 99),
+    ])
+    def test_strict_parse(self, field, value):
+        obj = {"format": "gca-tensor/1", "shape": [2],
+               "entries": [[1, 0], [1, 0]]}
+        obj[field] = value
+        with pytest.raises(ParseError):
+            tensor_from_obj(obj)
+
+    def test_rank_up_to_32(self):
+        obj = {"format": "gca-tensor/1", "shape": [1] * 32,
+               "entries": [[2 ** 64, -1]]}
+        t = tensor_from_obj(obj)
+        assert t.rank == 32 and t[(0,) * 32] == GaussInt(2 ** 64, -1)
