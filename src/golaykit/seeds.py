@@ -183,9 +183,14 @@ def record_from_obj(obj: dict) -> SeedRecord:
     try:
         kind = obj["kind"]
         alphabet = Alphabet.from_tag(obj["alphabet"])
-        tensors = tuple(tensor_from_obj(t) for t in obj["tensors"])
+        tensors = obj["tensors"]
     except KeyError as exc:
         raise ParseError(f"seed record missing field {exc}") from exc
+    if type(kind) is not str:
+        raise ParseError("seed kind must be a string")
+    if type(tensors) is not list:
+        raise ParseError("seed tensors must be a list of gca-tensor/1 objects")
+    tensors = tuple(tensor_from_obj(t) for t in tensors)
     provenance = obj.get("provenance", "")
     if not isinstance(provenance, str):
         raise ParseError("provenance must be a string")

@@ -2,14 +2,28 @@
 
 Three routes are implemented and kept deliberately independent:
 
-* `is_gca_set` sums exact aperiodic autocorrelations computed straight
-  from the defining double sum and demands a delta at the center.  Its
-  kernel, `autocorrelation`, correlates every pair of rows along the
-  longest axis with integer `np.correlate`.
+* `is_gca_set` tests the paper's flat-spectrum identity exactly: the
+  summed power spectrum sum_i A_i(z) * conj(A_i)(1/z) must equal the
+  total weight W at every point.  Its kernel is a number-theoretic
+  transform (NTT) modulo primes p < 2**31 with p = 1 (mod n), n the
+  power of two at or above prod(2*s_k - 1).  Each member is laid out
+  in the row-major strides of the output shape 2*s - 1, so index sums
+  never wrap; u = re + iota*im and the flip of v = re - iota*im
+  (iota**2 = -1 mod p) of every member go through one stacked forward
+  transform per set (a real set needs only u; a set of over 2**17
+  residues is transformed a group of members at a time), and the set
+  is accepted when sum U*V = W mod p at all n points for every prime.
+  The primes are taken until their product P exceeds twice the bound
+  B = sum 2*size*max**2 on every summed autocorrelation component;
+  then a residue of zero at every shift makes re and im zero modulo P,
+  hence exactly zero.  Only a rejection (and `autocorrelation`) pays
+  for the inverse transform, the split of re and im from c(d) and
+  c(-d), and a CRT lift of the residues to the exact integers in
+  (-P/2, P/2).
 * `gca_check_polynomial` multiplies each array by its conjugate-flip
   under exact convolution and demands the constant total.  Its kernel,
   `tensor.convolve`, is a Kronecker substitution: one big-integer
-  product per term, no numpy correlation.
+  product per term, no modular arithmetic.
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
   in floating point; it is a diagnostic, never the source of truth.
 
@@ -18,7 +32,7 @@ exact routes, so a formula transcription error cannot ship a bad array.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -80,44 +94,245 @@ def _autocorr_bound(a: Tensor) -> int:
     return 2 * a.size * a.max_component() ** 2
 
 
+# the direct route's kernel: an exact number-theoretic transform ---------
+
+_PRIME_LIMIT = 1 << 31  # so that 2p * p, a butterfly's product, fits int64
+_KEPT_TABLES = 1 << 12  # transform lengths whose tables are kept
+_GROUP = 1 << 17  # residues in one forward transform at most (1 MB)
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin to bases 2, 7 and 61, exact for odd 3 < p < 2**32."""
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, p)
+        if a % p == 0 or x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _primes(step: int, count: int) -> tuple[int, ...]:
+    """The `count` largest primes p < 2**31 with p = 1 (mod step), or
+    all of them when there are fewer."""
+    if count == 0:
+        return ()
+    found = _primes(step, count - 1)
+    if len(found) < count - 1:
+        return found
+    c = ((found[-1] if found else _PRIME_LIMIT) - 2) // step
+    while c > 0 and not _is_prime(c * step + 1):
+        c -= 1
+    return found + (c * step + 1,) if c > 0 else found
+
+
+class _Moduli:
+    """The primes for a transform of length n, each with an element of
+    order n (`root`), its inverse, iota (order 4), and the constants
+    1/(2n) and 1/(2n*iota) that split n*c(d) and n*c(-d) into re and
+    im.  Every table is a (primes, 1) int64 column."""
+
+    def __init__(self, n: int, primes: tuple[int, ...]):
+        self.n, self.primes = n, primes
+        rows = []
+        for p in primes:
+            x = 2
+            while pow(x, (p - 1) // 2, p) != p - 1:  # a non-residue
+                x += 1
+            w, iota = pow(x, (p - 1) // n, p), pow(x, (p - 1) // 4, p)
+            rows.append((p, w, pow(w, -1, p), iota, pow(2 * n, -1, p),
+                         pow(2 * n * iota, -1, p)))
+        (self.p, self.root, self.inverse_root, self.iota, self.split_re,
+         self.split_im) = (np.array(c, dtype=np.int64)[:, None] for c in zip(*rows))
+
+
+_moduli_of = functools.lru_cache(maxsize=None)(_Moduli)
+
+
+def _moduli(shape: tuple[int, ...], bound: int) -> _Moduli:
+    """Transform length and primes for a set of `shape` whose summed
+    autocorrelation components are at most `bound`, checked before
+    anything is allocated."""
+    n = 1 << (math.prod(2 * s - 1 for s in shape) - 1).bit_length()
+    count = 1
+    while True:
+        primes = _primes(max(n, 4), count)
+        if len(primes) < count:
+            if not primes:
+                raise ShapeMismatch(
+                    f"shape {shape} needs a transform of length {n}, and no "
+                    f"prime below 2**31 supports one")
+            raise GolayKitError(
+                f"entries too large: shape {shape} needs a transform of "
+                f"length {n}, and the {len(primes)} primes below 2**31 that "
+                f"support one cannot hold a bound of {bound}")
+        if math.prod(primes) > 2 * bound:
+            return _moduli_of(n, primes)
+        count += 1
+
+
+def _kept_when_small(fn):
+    """fn(n, ...), with its tables kept for transform lengths n up to
+    _KEPT_TABLES (a few KB each) and rebuilt on every call above."""
+    kept = functools.lru_cache(maxsize=None)(fn)
+    return functools.wraps(fn)(
+        lambda n, *rest: (kept if n <= _KEPT_TABLES else fn)(n, *rest))
+
+
+@_kept_when_small
+def _twiddles(n: int, primes: tuple[int, ...],
+              roots: tuple[int, ...]) -> np.ndarray:
+    """Row k: roots[k]**j mod primes[k] for j < n/2, by doubling."""
+    p = np.array(primes, dtype=np.int64)[:, None]
+    t = np.ones((len(primes), 1), dtype=np.int64)
+    while t.shape[1] < n // 2:
+        step = [pow(w, t.shape[1], q) for w, q in zip(roots, primes)]
+        t = np.concatenate((t, t * np.array(step)[:, None] % p), axis=1)
+    return t
+
+
+@_kept_when_small
+def _negation(n: int) -> np.ndarray:
+    """For each position of the forward transform's bit-reversed
+    output, the position that holds the negated frequency."""
+    bits = n.bit_length() - 1
+    k, rev = np.arange(n), np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((k >> b) & 1) << (bits - 1 - b)
+    return rev[-rev % n]
+
+
+def _ntt(x: np.ndarray, mod: _Moduli, inverse: bool = False) -> None:
+    """Transform x, shape (primes, rows, n) with entries in [0, p), in
+    place along its last axis, modulo mod.primes[k] in x[k].  Forward:
+    natural order in, bit-reversed order out (Gentleman-Sande).  Inverse:
+    bit-reversed in, n times the inverse transform out in natural order
+    (Cooley-Tukey).  The butterflies run in uint64, where a wrapped
+    y - p is large, so min(y, y - p) reduces any y < 2p."""
+    n = x.shape[-1]
+    roots = tuple((mod.inverse_root if inverse else mod.root)[:, 0].tolist())
+    table = _twiddles(n, mod.primes, roots).view(np.uint64)[:, None, None, :]
+    p = mod.p.view(np.uint64)[:, :, None, None]
+    x = x.view(np.uint64)
+    spare = np.empty(x.shape[:2] + (n // 2,), dtype=np.uint64)
+    h = 1 if inverse else n // 2
+    while 1 <= h < n:
+        y = x.reshape(x.shape[:2] + (-1, 2, h))
+        a, b, t = y[..., 0, :], y[..., 1, :], spare.reshape(y.shape[:3] + (h,))
+        w = table[..., ::n // (2 * h)]
+        if inverse:
+            b *= w
+            b %= p
+        np.add(a, b, out=t)
+        np.subtract(p, b, out=b)
+        b += a  # a - b + p, in (0, 2p)
+        np.subtract(t, p, out=a)
+        np.minimum(a, t, out=a)
+        if inverse:
+            np.subtract(b, p, out=t)
+            np.minimum(b, t, out=b)
+        else:
+            b *= w
+            b %= p
+        h = 2 * h if inverse else h // 2
+
+
+def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
+    """sum_i U_i * V_i mod each prime, shape (primes, n), bit-reversed:
+    the transform of the summed autocorrelation under i -> iota.  The
+    members go through one stacked transform or, past _GROUP residues,
+    a group of members at a time.  A real set transforms only its
+    members (u = v): V is U at the negated frequency."""
+    shape, n, m = arrays[0].shape, mod.n, len(arrays)
+    out = tuple(2 * s - 1 for s in shape)
+    pos = np.ravel_multi_index(np.indices(shape).reshape(len(shape), -1), out)
+    p = mod.p[:, :, None]
+    re, im = (np.stack([plane.ravel() for plane in planes])
+              for planes in zip(*((a.re, a.im) for a in arrays)))
+    re, im = ((z % p.astype(z.dtype)).astype(np.int64) for z in (re, im))
+    real = not im.any()
+    if not real:
+        im *= mod.iota[:, :, None]
+    rows = 1 if real else 2
+    group = max(1, _GROUP // (rows * n))
+    total = 0
+    for g in range(0, m, group):
+        r, i = re[:, g:g + group], im[:, g:g + group]
+        k = r.shape[1]
+        x = np.zeros((len(mod.primes), rows * k, n), dtype=np.int64)
+        if real:
+            x[:, :, pos] = r
+        else:
+            x[:, :k, pos] = (r + i) % p
+            x[:, k:, -pos % n] = (r - i) % p
+        _ntt(x, mod)
+        u, v = (x, x[..., _negation(n)]) if real else (x[:, :k], x[:, k:])
+        u *= v
+        u %= p
+        total = total + u.sum(axis=1)
+    return total % mod.p
+
+
+def _lift(residues: np.ndarray, primes: tuple[int, ...], dtype) -> np.ndarray:
+    """The integers in (-P/2, P/2), P = prod(primes), whose residues
+    modulo primes[k] are residues[k] (Chinese remainder theorem, in
+    Python ints when there are several primes)."""
+    big = math.prod(primes)
+    x = residues[0] if len(primes) == 1 else sum(
+        r.astype(object) * (big // p * pow(big // p, -1, p))
+        for r, p in zip(residues, primes)) % big
+    return np.where(x > big // 2, x - big, x).astype(dtype)
+
+
+def _correlations(spectrum: np.ndarray, mod: _Moduli, shape: tuple[int, ...],
+                  bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact re and im planes of the autocorrelation sum whose
+    transform is `spectrum`, on the output shape 2*s - 1."""
+    out = tuple(2 * s - 1 for s in shape)
+    half = (math.prod(out) - 1) // 2
+    c = spectrum.reshape(len(mod.primes), 1, -1)
+    _ntt(c, mod, inverse=True)
+    p = mod.p
+    at = c[:, 0, np.arange(-half, half + 1) % mod.n]  # n * c(d), d = -half..half
+    flip = at[:, ::-1]  # n * c(-d)
+    re = (at + flip) % p * mod.split_re % p
+    im = (at - flip) % p * mod.split_im % p
+    dtype = _exact_dtype(bound)
+    return tuple(_lift(x, mod.primes, dtype).reshape(out) for x in (re, im))
+
+
 def autocorrelation(a: Tensor) -> AutocorrResult:
     """R(delta) = sum_i a[i] * conj(a[i - delta]) for all shifts.
 
     Exact integers throughout (int64 when the output provably fits, else
-    Python ints).  Rows run along the longest axis: each pair of rows is
-    one C-level integer correlation added at its shift of the other
-    axes, so the cost does not depend on the orientation of the array.
-    A real array (all imaginary parts zero) needs one correlation per
-    row pair instead of four.
+    Python ints): the direct route's transform, its inverse and a CRT
+    lift over enough primes that their product exceeds twice the bound
+    2 * size * max**2.
     """
-    dtype = _exact_dtype(_autocorr_bound(a))
-    real = not np.any(a.im)
-    axis = a.rank - 1 - a.shape[::-1].index(max(a.shape))
-    out_re = np.zeros(tuple(2 * s - 1 for s in a.shape), dtype=dtype)
-    out_im = np.zeros_like(out_re)
-    acc_re, acc_im = (x.swapaxes(axis, -1) for x in (out_re, out_im))
-    re, im = (x.astype(dtype).swapaxes(axis, -1) for x in (a.re, a.im))
-    rows = re.shape[:-1]
-    lead = list(itertools.product(*map(range, rows)))
-    re, im = (x.reshape(len(lead), -1) for x in (re, im))
-    for p, ip in enumerate(lead):
-        for q, iq in enumerate(lead):
-            # row p times conj(row q), full cross-correlation
-            d = tuple(x - y + s - 1 for x, y, s in zip(ip, iq, rows))
-            acc_re[d] += np.correlate(re[p], re[q], "full")
-            if not real:
-                acc_re[d] += np.correlate(im[p], im[q], "full")
-                acc_im[d] += (np.correlate(im[p], re[q], "full")
-                              - np.correlate(re[p], im[q], "full"))
-    return AutocorrResult(Tensor(out_re, out_im), tuple(s - 1 for s in a.shape))
+    bound = _autocorr_bound(a)
+    mod = _moduli(a.shape, bound)
+    re, im = _correlations(_spectrum([a], mod), mod, a.shape, bound)
+    return AutocorrResult(Tensor(re, im), tuple(s - 1 for s in a.shape))
 
 
 def weight(a: Tensor) -> int:
     """Sum of squared entry magnitudes."""
-    dtype = _exact_dtype(_autocorr_bound(a))
+    return _weight(a, _autocorr_bound(a))
+
+
+def _weight(a: Tensor, bound: int) -> int:
+    """weight(a), summed in int64 when `bound`, at least the weight, fits."""
     total = 0
     for x in (a.re, a.im):
-        x = x.astype(dtype).ravel()
+        x = x.astype(_exact_dtype(bound), copy=False).ravel()
         total += int(np.dot(x, x))
     return total
 
@@ -135,11 +350,7 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     return Tensor(np.pad(a.re, widths), np.pad(a.im, widths))
 
 
-def _verdict(arrays: Sequence[Tensor], kernel) -> GcaVerdict:
-    """Sum kernel(a) over one-shape arrays, compare with weight * delta.
-    The sum is in int64 only when the members' bounds add up to a value
-    that fits.  Sidelobe norms (big ints) are computed only if a
-    sidelobe is nonzero."""
+def _one_shape(arrays: Sequence[Tensor]) -> list[Tensor]:
     arrays = list(arrays)
     if not arrays:
         raise EmptySet("no arrays given")
@@ -147,16 +358,13 @@ def _verdict(arrays: Sequence[Tensor], kernel) -> GcaVerdict:
     for a in arrays[1:]:
         if a.shape != shape:
             raise ShapeMismatch(f"mixed shapes in set: {shape} vs {a.shape}")
-    dtype = _exact_dtype(sum(_autocorr_bound(a) for a in arrays))
-    total_re = np.zeros(tuple(2 * s - 1 for s in shape), dtype=dtype)
-    total_im = np.zeros_like(total_re)
-    for a in arrays:
-        r = kernel(a)
-        total_re += r.re
-        total_im += r.im
-        del r  # freed before the next member's output is made
-    w = sum(weight(a) for a in arrays)
-    center = tuple(s - 1 for s in shape)
+    return arrays
+
+
+def _judge(total_re: np.ndarray, total_im: np.ndarray, w: int) -> GcaVerdict:
+    """Compare a summed autocorrelation with w * delta.  Sidelobe norms
+    (big ints) are computed only if a sidelobe is nonzero."""
+    center = tuple(s // 2 for s in total_re.shape)
     at_center = (int(total_re[center]), int(total_im[center]))
     # what is left once the center is cleared are the sidelobes
     total_re[center] = total_im[center] = 0
@@ -164,16 +372,33 @@ def _verdict(arrays: Sequence[Tensor], kernel) -> GcaVerdict:
     if np.any(total_re) or np.any(total_im):
         max_side = int(np.max(total_re.astype(object) ** 2
                               + total_im.astype(object) ** 2))
-    ok = at_center == (w, 0) and max_side == 0
-    return GcaVerdict(ok, w, max_side)
+    return GcaVerdict(at_center == (w, 0) and max_side == 0, w, max_side)
 
 
 def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
     """Definition check: autocorrelations must sum to weight * delta.
 
-    All arrays must share one shape; ShapeMismatch otherwise.
+    Decided by the flat-spectrum identity in F_p: the set is accepted
+    when its summed spectrum sum_i U_i * V_i is W mod p at every point
+    of the transform, for every prime taken (see the module docstring:
+    their product exceeds twice the bound on every summed component,
+    which makes the test exact).  A rejection pays for the inverse
+    transform and the CRT lift that give the exact max sidelobe norm.
+
+    All arrays must share one shape; ShapeMismatch otherwise.  A shape
+    or entry size that no set of primes below 2**31 can serve is
+    refused (ShapeMismatch, GolayKitError) before anything is allocated.
     """
-    return _verdict(arrays, lambda a: autocorrelation(a).values)
+    arrays = _one_shape(arrays)
+    shape = arrays[0].shape
+    bounds = [_autocorr_bound(a) for a in arrays]
+    bound = sum(bounds)
+    mod = _moduli(shape, bound)
+    w = sum(map(_weight, arrays, bounds))
+    spectrum = _spectrum(arrays, mod)
+    if all(np.all(s == w % p) for s, p in zip(spectrum, mod.primes)):
+        return GcaVerdict(True, w, 0)
+    return _judge(*_correlations(spectrum, mod, shape, bound), w)
 
 
 def jointly_complementary(arrays: Sequence[Tensor]) -> GcaVerdict:
@@ -196,9 +421,21 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     """Product check: sum of a * involute(a) must be weight * delta.
 
     An independent route from `is_gca_set`: this one goes through the
-    exact convolution of each array with its conjugate flip.
+    exact convolution of each array with its conjugate flip, summed in
+    int64 only when the members' bounds add up to a value that fits.
     """
-    return _verdict(arrays, lambda a: convolve(a, involute(a))).is_complementary
+    arrays = _one_shape(arrays)
+    bounds = [_autocorr_bound(a) for a in arrays]
+    dtype = _exact_dtype(sum(bounds))
+    total_re = np.zeros(tuple(2 * s - 1 for s in arrays[0].shape), dtype=dtype)
+    total_im = np.zeros_like(total_re)
+    for a in arrays:
+        r = convolve(a, involute(a))
+        total_re += r.re
+        total_im += r.im
+        del r  # freed before the next member's output is made
+    w = sum(map(_weight, arrays, bounds))
+    return _judge(total_re, total_im, w).is_complementary
 
 
 _SPECTRUM_CAP = 10 ** 7  # complex samples held at once

@@ -81,6 +81,16 @@ class TestSeedRecord:
         with pytest.raises(ParseError):
             record_from_obj({"kind": PAIR_KIND})
 
+    @pytest.mark.parametrize("tensors", [5, None, "ab", {"0": 1}])
+    def test_record_tensors_not_a_list(self, tensors):
+        with pytest.raises(ParseError):
+            record_from_obj({"kind": PAIR_KIND, "alphabet": "binary",
+                             "tensors": tensors})
+
+    def test_record_kind_not_a_string(self, pair2):
+        with pytest.raises(ParseError):
+            record_from_obj({**record_to_obj(pair2), "kind": 5})
+
 
 class TestRegistryLookup:
     def test_add_verifies(self):

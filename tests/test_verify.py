@@ -1,6 +1,9 @@
 """Autocorrelation and complementarity verdicts."""
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from golaykit import verify
 from golaykit.errors import (
     EmptySet,
+    GolayKitError,
     NotBinary,
     NotComplementary,
     ShapeMismatch,
@@ -200,6 +204,165 @@ class TestIsGcaSet:
             pad_to(seq(1, 1, 1), (2,))
 
 
+def oracle_verdict(arrays):
+    """(complementary, weight, max sidelobe norm) from the defining
+    double sums of tests/oracles.py."""
+    total = {}
+    for a in arrays:
+        for idx, g in zip(np.ndindex(*(2 * s - 1 for s in a.shape)),
+                          oracles.naive_autocorr(a).entries()):
+            re, im = total.get(idx, (0, 0))
+            total[idx] = (re + g.re, im + g.im)
+    center = tuple(s - 1 for s in arrays[0].shape)
+    w = sum(oracles.naive_weight(a) for a in arrays)
+    side = max([re * re + im * im for idx, (re, im) in total.items()
+                if idx != center], default=0)
+    return total[center] == (w, 0) and side == 0, w, side
+
+
+@st.composite
+def sets_of(draw, shape=None, max_component=2, real=False, max_members=4):
+    """Two to `max_members` same-shape tensors."""
+    shape = shape or draw(oracles.shapes())
+    m = draw(st.integers(2, max_members))
+    return [draw(tensors(shape=shape, max_component=max_component, real=real))
+            for _ in range(m)]
+
+
+def one_prime_edge(shape, above):
+    """A one-member set of `shape` with entries (M, M) whose bound
+    2 * size * M**2 sits just below (or just above) half the largest
+    prime that serves its transform, and whose center reaches it."""
+    size = math.prod(shape)
+    n = verify._moduli(shape, 0).n
+    p = verify._primes(max(n, 4), 1)[0]
+    m = math.isqrt((p - 1) // (4 * size)) + above
+    full = np.full(shape, m, dtype=np.int64)
+    return Tensor(full, full)
+
+
+class TestTransformKernel:
+    """The direct route's number-theoretic transform, cross-checked
+    against the defining double sum."""
+
+    @given(sets_of())
+    @settings(max_examples=60)
+    def test_random_sets_match_oracle(self, arrays):
+        v = is_gca_set(arrays)
+        assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) \
+            == oracle_verdict(arrays)
+
+    @pytest.mark.parametrize("shape", TALL_SHAPES + [(1,), (1, 1), (1, 1, 1)])
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_tall_and_single_entry_sets(self, shape, data):
+        arrays = data.draw(sets_of(shape=shape))
+        v = is_gca_set(arrays)
+        assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) \
+            == oracle_verdict(arrays)
+
+    @pytest.mark.parametrize("max_component,real", [
+        (2**31, False), (2**31, True), (2**70, False), (2**70, True),
+        (2**200, False)])
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_big_entries_match_oracle(self, max_component, real, data):
+        # int64 planes whose products need several primes, and object
+        # planes that need several primes and a CRT lift
+        arrays = data.draw(sets_of(max_component=max_component, real=real,
+                                   max_members=2))
+        v = is_gca_set(arrays)
+        assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) \
+            == oracle_verdict(arrays)
+        for a in arrays:
+            assert autocorrelation(a).values == oracles.naive_autocorr(a)
+
+    def test_big_entries_take_several_primes(self):
+        t = seq(2**200, (3, -2**199), -1)
+        bound = verify._autocorr_bound(t)
+        assert len(verify._moduli(t.shape, bound).primes) > 10
+        assert autocorrelation(t).values == oracles.naive_autocorr(t)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)])
+    def test_one_prime_lift_edge(self, shape):
+        for above, primes in ((0, 1), (1, 2)):
+            t = one_prime_edge(shape, above)
+            bound = verify._autocorr_bound(t)
+            assert len(verify._moduli(t.shape, bound).primes) == primes
+            r = autocorrelation(t)
+            assert r.at((0,) * t.rank) == GaussInt(bound)
+            assert r.values == oracles.naive_autocorr(t)
+            v = is_gca_set([t])
+            assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) \
+                == oracle_verdict([t])
+
+    def test_every_prime_must_see_a_flat_spectrum(self):
+        # the sidelobe is the largest prime taken: zero modulo that prime
+        # alone, so the first prime sees a flat spectrum and the others
+        # do not
+        p = verify._primes(4, 1)[0]
+        t = seq(1, p)
+        assert verify._moduli(t.shape, verify._autocorr_bound(t)).primes[0] == p
+        v = is_gca_set([t])
+        assert not v.is_complementary
+        assert v.max_sidelobe_norm == p * p == oracle_verdict([t])[2]
+
+    def test_rejection_reports_oracle_sidelobe(self):
+        good = list(load_bundled().get_golay_pair(Alphabet.QUATERNARY, 13).tensors)
+        for k in range(13):
+            re, im = good[1].re.copy(), good[1].im.copy()
+            re[k], im[k] = -re[k], -im[k]
+            bad = [good[0], Tensor(re, im)]
+            v = is_gca_set(bad)
+            assert not v.is_complementary
+            assert v.max_sidelobe_norm == oracle_verdict(bad)[2] > 0
+
+    def test_flat_spectrum_decides_without_inverse(self, monkeypatch):
+        # an accepted set never pays for the inverse transform and lift
+        good = list(load_bundled().get_golay_pair(Alphabet.QUATERNARY, 13).tensors)
+        monkeypatch.setattr(verify, "_correlations", TestRouteIndependence._refuse)
+        assert is_gca_set(good).is_complementary
+
+
+class TestSizeBoundary:
+    """Sets no prime below 2**31 can serve are refused up front."""
+
+    @staticmethod
+    def _peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GolayKitError) as info:
+                fn(*args)
+            return info, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_transform_too_long(self):
+        # 2**18 entries, 3**18 ~ 3.9e8 output positions: no prime p < 2**31
+        # has p = 1 mod 2**29
+        t = Tensor.unit((2,) * 18)
+        for fn, arg in ((is_gca_set, [t, t]), (autocorrelation, t)):
+            info, peak = self._peak_bytes(fn, arg)
+            assert isinstance(info.value, ShapeMismatch)
+            assert "no prime" in str(info.value)
+            assert peak < 1 << 20
+
+    def test_bound_needs_more_primes_than_exist(self):
+        # 3**16 output positions need n = 2**26, which three primes serve:
+        # about 2**91, less than twice this set's bound
+        re = np.zeros((2,) * 16, dtype=object)
+        re[(0,) * 16] = 2**60
+        t = Tensor(re, np.zeros((2,) * 16, dtype=np.int64))
+        assert len(verify._primes(2**26, 4)) == 3
+        info, peak = self._peak_bytes(is_gca_set, [t])
+        assert "entries too large" in str(info.value)
+        assert peak < 1 << 20
+
+    def test_largest_transforms_have_their_primes(self):
+        assert verify._primes(2**27, 2) == (15 * 2**27 + 1,)
+        assert verify._primes(2**28, 1) == ()
+
+
 class TestPolynomialRoute:
     def test_agrees_on_examples(self):
         assert gca_check_polynomial([seq(1, 1), seq(1, -1)])
@@ -240,6 +403,19 @@ class TestRouteIndependence:
         monkeypatch.setattr(verify, "convolve", self._refuse)
         assert is_gca_set(good).is_complementary
         assert not is_gca_set(bad).is_complementary
+
+    def test_direct_route_without_correlation(self, pairs, monkeypatch):
+        good, bad = pairs
+        monkeypatch.setattr(np, "correlate", self._refuse)
+        monkeypatch.setattr(np, "convolve", self._refuse)
+        assert is_gca_set(good).is_complementary
+        assert not is_gca_set(bad).is_complementary
+
+    def test_product_route_without_transform(self, pairs, monkeypatch):
+        good, bad = pairs
+        monkeypatch.setattr(verify, "_ntt", self._refuse)
+        assert gca_check_polynomial(good)
+        assert not gca_check_polynomial(bad)
 
 
 class TestSpectrum:
