@@ -2,12 +2,18 @@
 
 Two engines share the work:
 
-* a vectorized meet-in-the-middle pass for small entry counts: every
-  normalized candidate's autocorrelation tail is tabulated, and a
-  partner exists iff the negated tail is in the table.  Exhaustive and
-  returns the lexicographically smallest solution.
+* a meet-in-the-middle table for small entry counts.  One routine,
+  `_table`, enumerates every normalized tuple of members in
+  lexicographic order and tabulates their summed autocorrelation tails
+  (each member laid out in the strides of 2s - 1, so a positive shift
+  is a flat offset); one sorted-key match, `_match`, finds or counts
+  the rows whose negated tails are in a table.  A pair search matches
+  one table against its own negation, a base-sequence search the
+  (A, B) table against the (C, D) table, and `count_pairs_1d` counts
+  the matches.  Exhaustive, and returns the lexicographically smallest
+  solution.
 * a depth-first ends-inward assignment search with partial-sum pruning
-  for larger lengths, written as plain Python (`_dfskernels`).
+  for larger 1-D instances, written as plain Python (`_dfskernels`).
 
 Normalization fixes the first entry of each sequence to 1 (a global
 phase per member, losing no solutions up to equivalence).  Entry order
@@ -15,13 +21,15 @@ everywhere is 1, -1, i, -i.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import _dfskernels
-from .tensor import Alphabet, Tensor
+from .errors import ShapeMismatch
+from .tensor import Alphabet, Tensor, _layout
 
 __all__ = [
     "SearchStatus",
@@ -61,62 +69,58 @@ def _phase_count(alphabet: Alphabet) -> int:
     raise ValueError(f"search supports binary or quaternary, not {alphabet}")
 
 
-def _enumerate_codes(n_free: int, phases: int) -> np.ndarray:
-    """All code rows of length n_free in lexicographic order."""
-    count = phases**n_free
-    v = np.arange(count, dtype=np.int64)
-    cols = []
-    for p in range(n_free):
-        cols.append((v // phases ** (n_free - 1 - p)) % phases)
-    if cols:
-        return np.stack(cols, axis=1).astype(np.int8)
-    return np.zeros((1, 0), dtype=np.int8)
+def _enumerate_codes(n: int, phases: int, fix_first: bool) -> np.ndarray:
+    """All code rows of length n in lexicographic order; with
+    fix_first, only those whose first code is 0."""
+    free = n - fix_first
+    codes = np.zeros((phases**free, n), dtype=np.int8)
+    grid = codes.reshape((phases,) * free + (n,))
+    digits = np.arange(phases, dtype=np.int8)
+    for k in range(free):
+        grid[..., n - free + k] = digits.reshape((phases,) + (1,) * (free - 1 - k))
+    return codes
 
 
-def _codes_to_planes(codes: np.ndarray, fix_first: bool):
-    """Entry planes (N, n) from code rows, optionally prepending code 0."""
-    if fix_first:
-        lead = np.zeros((codes.shape[0], 1), dtype=np.int8)
-        codes = np.concatenate([lead, codes], axis=1)
-    return tuple(_CODE_PLANES[:, codes])
+def _tails(codes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """R(delta) = sum_i a[i + delta] * conj(a[i]) of every code row over
+    `shape`, for the strictly positive shifts: (rows, 2*shifts) int16,
+    re and im interleaved per shift.  Laid out in the strides of 2s - 1,
+    shift delta is the flat offset d = 1..(prod(2s - 1) - 1)/2, and
+    ascending d is lexicographic order of delta."""
+    out = tuple(2 * s - 1 for s in shape)
+    re, im = (_layout(z.reshape((-1,) + shape), out)
+              for z in _CODE_PLANES[:, codes])
+    n, shifts = re.shape[1], (math.prod(out) - 1) // 2
+    tails = np.empty((len(codes), 2 * shifts), dtype=np.int16)
+    for d in range(1, shifts + 1):
+        rh, ih, rl, il = re[:, d:], im[:, d:], re[:, :n - d], im[:, :n - d]
+        tails[:, 2 * d - 2] = (rh * rl + ih * il).sum(axis=1)
+        tails[:, 2 * d - 1] = (ih * rl - rh * il).sum(axis=1)
+    return tails
 
 
-def _shift_list(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Strictly positive half of the shift lattice, lexicographic order."""
-    out = []
-    for d in np.ndindex(*[2 * s - 1 for s in shape]):
-        delta = tuple(int(x) - (s - 1) for x, s in zip(d, shape))
-        if any(delta) and delta > tuple([0] * len(shape)):
-            out.append(delta)
-    return out
+def _table(shapes, phases: int, fix_first: bool = True, width: int | None = None):
+    """One row per tuple of code rows, one member of each shape in
+    `shapes`, in lexicographic order (first member major): (tails,
+    members).  tails holds the members' summed autocorrelation tails,
+    zero-padded to `width` columns (default: the widest member's), and
+    members(r) gives row r's members as Tensors."""
+    codes = [_enumerate_codes(math.prod(s), phases, fix_first) for s in shapes]
+    singles = [_tails(c, s) for c, s in zip(codes, shapes)]
+    counts = [len(c) for c in codes]
+    width = max(t.shape[1] for t in singles) if width is None else width
+    tails = np.zeros(counts + [width], dtype=np.int16)
+    for k, t in enumerate(singles):
+        axes = [1] * len(counts) + [t.shape[1]]
+        axes[k] = counts[k]
+        tails[..., :t.shape[1]] += t.reshape(axes)
 
+    def members(r: int) -> tuple[Tensor, ...]:
+        rows = np.unravel_index(r, counts)
+        return tuple(_codes_to_tensor(c[i], s)
+                     for c, i, s in zip(codes, rows, shapes))
 
-def _batch_autocorr_tail(re: np.ndarray, im: np.ndarray,
-                         shape: tuple[int, ...]) -> np.ndarray:
-    """Stacked R(delta) components over the positive shifts, per row.
-
-    Input planes are (N, prod(shape)); output is (N, 2*len(shifts))
-    int16 with re/im interleaved per shift.
-    """
-    n_rows = re.shape[0]
-    full = (n_rows,) + shape
-    re_nd = re.reshape(full)
-    im_nd = im.reshape(full)
-    shifts = _shift_list(shape)
-    out = np.empty((n_rows, 2 * len(shifts)), dtype=np.int16)
-    for k, delta in enumerate(shifts):
-        sl_hi = [slice(None)]
-        sl_lo = [slice(None)]
-        for d, s in zip(delta, shape):
-            sl_hi.append(slice(max(0, d), s + min(0, d)))
-            sl_lo.append(slice(max(0, -d), s + min(0, -d)))
-        sl_hi, sl_lo = tuple(sl_hi), tuple(sl_lo)
-        rh, ih = re_nd[sl_hi], im_nd[sl_hi]
-        rl, il = re_nd[sl_lo], im_nd[sl_lo]
-        axes = tuple(range(1, len(shape) + 1))
-        out[:, 2 * k] = (rh * rl + ih * il).sum(axis=axes)
-        out[:, 2 * k + 1] = (ih * rl - rh * il).sum(axis=axes)
-    return out
+    return tails.reshape(-1, width), members
 
 
 def _codes_to_tensor(codes: np.ndarray, shape: tuple[int, ...]) -> Tensor:
@@ -132,23 +136,29 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     ).ravel()
 
 
-def _first_match(table: np.ndarray, queries: np.ndarray):
-    """(query index, table index) for the first query row that equals
-    some table row, paired with the smallest such table row; None when
-    no query row matches."""
-    keyed = _row_keys(table)
-    order = np.argsort(keyed, kind="stable")
-    sorted_keys = keyed[order]
+def _match(table: np.ndarray, queries: np.ndarray):
+    """(count, first) per query row: how many table rows equal it, and
+    the smallest index of one (meaningless where count is 0)."""
+    # return_index gives each key's first, so smallest, table index
+    keys, smallest, runs = np.unique(_row_keys(table), return_index=True,
+                                     return_counts=True)
     targets = _row_keys(queries)
-    pos = np.searchsorted(sorted_keys, targets)
-    pos_clip = np.minimum(pos, len(sorted_keys) - 1)
-    hit = sorted_keys[pos_clip] == targets
-    if not np.any(hit):
-        return None
-    q = int(np.flatnonzero(hit)[0])
-    # equal keys form one run from pos[q]; the stable sort keeps the
-    # smallest table index first in it
-    return q, int(order[pos[q]])
+    at = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
+    return np.where(keys[at] == targets, runs[at], 0), smallest[at]
+
+
+def _found(queries, query_members, table, table_members,
+           nodes: int) -> SearchOutcome:
+    """FOUND with the members of the first query row that equals a
+    table row and of the smallest such table row; EXHAUSTED when no
+    query row equals one."""
+    count, first = _match(table, queries)
+    hits = np.flatnonzero(count)
+    if not len(hits):
+        return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes)
+    q = hits[0]
+    arrays = query_members(q) + table_members(first[q])
+    return SearchOutcome(SearchStatus.FOUND, arrays, nodes)
 
 
 def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
@@ -162,45 +172,11 @@ def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
     return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, nodes)
 
 
-def _mitm_pair(shape: tuple[int, ...], phases: int):
-    """Exhaustive pair search over one shape; both members normalized.
-
-    Returns (found_codes_a, found_codes_b, enumerated) with None codes
-    when no pair exists.
-    """
-    n = int(np.prod(shape))
-    codes = _enumerate_codes(n - 1, phases)
-    re, im = _codes_to_planes(codes, fix_first=True)
-    tails = _batch_autocorr_tail(re, im, shape)
-    enumerated = 2 * codes.shape[0]
-    match = _first_match(tails, -tails)
-    if match is None:
-        return None, None, enumerated
-    a_idx, b_idx = match
-    lead = np.zeros(1, dtype=np.int8)
-    code_a = np.concatenate([lead, codes[a_idx]])
-    code_b = np.concatenate([lead, codes[b_idx]])
-    return code_a, code_b, enumerated
-
-
-def _mitm_count(shape: tuple[int, ...], phases: int, fix_first: bool) -> int:
-    """Number of (A, B) pair solutions under the chosen normalization."""
-    n = int(np.prod(shape))
-    codes = _enumerate_codes(n - (1 if fix_first else 0), phases)
-    re, im = _codes_to_planes(codes, fix_first)
-    tails = _batch_autocorr_tail(re, im, shape)
-    uniq, counts = np.unique(_row_keys(tails), return_counts=True)
-    targets = _row_keys(-tails)
-    pos = np.searchsorted(uniq, targets)
-    pos_clip = np.minimum(pos, len(uniq) - 1)
-    hit = uniq[pos_clip] == targets
-    return int(np.sum(counts[pos_clip[hit]]))
-
-
 def count_pairs_1d(n: int, alphabet: Alphabet, fix_first: bool = True) -> int:
     """Count complementary pair solutions of length n, for small n."""
-    phases = _phase_count(alphabet)
-    return _mitm_count((n,), phases, fix_first)
+    tails, _ = _table(((n,),), _phase_count(alphabet), fix_first)
+    count, _ = _match(tails, -tails)
+    return int(count.sum())
 
 
 def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
@@ -210,27 +186,26 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     Small instances run the exhaustive meet-in-the-middle pass (result
     is the lexicographically smallest normalized pair); larger 1-D
     instances run the pruned depth-first search, which returns its
-    first find in a deterministic order.
+    first find in a deterministic order.  A multidimensional space
+    beyond the table cap is out of reach: ShapeMismatch, unless a
+    budget below its size stops it first.
     """
     phases = _phase_count(alphabet)
-    n = int(np.prod(shape))
+    shape = tuple(shape)
+    n = math.prod(shape)
     if n == 1:
-        one = Tensor.unit(tuple(shape))
+        one = Tensor.unit(shape)
         return SearchOutcome(SearchStatus.FOUND, (one, one), 1)
     space = phases ** (n - 1)
     limit = _MITM_CAP if budget is None else min(_MITM_CAP, budget)
     if space <= limit:
-        code_a, code_b, enumerated = _mitm_pair(tuple(shape), phases)
-        if code_a is None:
-            return SearchOutcome(SearchStatus.EXHAUSTED, None, enumerated)
-        return SearchOutcome(
-            SearchStatus.FOUND,
-            (_codes_to_tensor(code_a, tuple(shape)),
-             _codes_to_tensor(code_b, tuple(shape))),
-            enumerated,
-        )
+        tails, members = _table((shape,), phases)
+        return _found(-tails, members, tails, members, 2 * len(tails))
     if len(shape) != 1:
-        # multidimensional spaces beyond the table cap are out of reach
+        if budget is None or budget >= space:
+            raise ShapeMismatch(
+                f"a pair search over {shape} tabulates {space} rows, over "
+                f"the cap of {_MITM_CAP}, and the depth-first search is 1-D only")
         return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, 0)
     status, a_codes, b_codes, nodes = _dfskernels.run_pair_dfs(
         n, phases, -1 if budget is None else int(budget)
@@ -258,48 +233,8 @@ def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
         return _dfs_outcome(status, seqs, nodes)
 
     # tails cover shifts 1..m (the longer pair's range); the shorter
-    # pair's rows are zero beyond their own range
-    ab_codes, ab_tails = _joint_tails(p, m)
-    cd_codes, cd_tails = _joint_tails(m, m)
-    enumerated = ab_codes.shape[0] + cd_codes.shape[0]
-    match = _first_match(cd_tails, -ab_tails)
-    if match is None:
-        return SearchOutcome(SearchStatus.EXHAUSTED, None, enumerated)
-    ab_idx, cd_idx = match
-    a_code, b_code = ab_codes[ab_idx, :p], ab_codes[ab_idx, p:]
-    c_code, d_code = cd_codes[cd_idx, :m], cd_codes[cd_idx, m:]
-    return SearchOutcome(
-        SearchStatus.FOUND,
-        (
-            _codes_to_tensor(a_code, (p,)),
-            _codes_to_tensor(b_code, (p,)),
-            _codes_to_tensor(c_code, (m,)),
-            _codes_to_tensor(d_code, (m,)),
-        ),
-        enumerated,
-    )
-
-
-def _joint_tails(length: int, tail_shifts: int):
-    """Codes and summed-autocorrelation tails for all normalized
-    binary (X, Y) pairs of one length.
-
-    Returns codes (N, 2*length) and tails (N, 2*tail_shifts).
-    """
-    single = _enumerate_codes(length - 1, 2)
-    re, im = _codes_to_planes(single, fix_first=True)
-    tails = _batch_autocorr_tail(re, im, (length,))
-    n_single = single.shape[0]
-    # joint (X, Y) rows in lexicographic order: X-major
-    xi = np.repeat(np.arange(n_single), n_single)
-    yi = np.tile(np.arange(n_single), n_single)
-    joint_tails_full = (tails[xi].astype(np.int16) + tails[yi].astype(np.int16))
-    lead = np.zeros((n_single, 1), dtype=np.int8)
-    full_codes = np.concatenate([lead, single], axis=1)
-    joint_codes = np.concatenate([full_codes[xi], full_codes[yi]], axis=1)
-    k = tail_shifts
-    width = 2 * k
-    out = np.zeros((joint_tails_full.shape[0], width), dtype=np.int16)
-    take = min(width, joint_tails_full.shape[1])
-    out[:, :take] = joint_tails_full[:, :take]
-    return joint_codes, out
+    # pair's rows are zero at shift m
+    ab_tails, ab_members = _table(((p,), (p,)), 2)
+    cd_tails, cd_members = _table(((m,), (m,)), 2, width=ab_tails.shape[1])
+    return _found(-ab_tails, ab_members, cd_tails, cd_members,
+                  len(ab_tails) + len(cd_tails))

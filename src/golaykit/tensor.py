@@ -274,18 +274,26 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+def _part(x) -> int:
+    """An int or numpy integer as int; booleans, floats, strings and the
+    rest are refused, as in gca-tensor/1."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ParseError(f"entry parts must be integers, got {x!r}")
+
+
 def _coerce_entry(e) -> GaussInt:
-    if isinstance(e, GaussInt):
-        return e
-    if isinstance(e, (int, np.integer)):
-        return GaussInt(int(e), 0)
     if isinstance(e, complex):
-        if e.real != int(e.real) or e.imag != int(e.imag):
+        if not (e.real.is_integer() and e.imag.is_integer()):
             raise ParseError(f"non-integer entry: {e}")
         return GaussInt(int(e.real), int(e.imag))
-    if isinstance(e, (tuple, list)) and len(e) == 2:
-        return GaussInt(int(e[0]), int(e[1]))
-    raise ParseError(f"cannot interpret entry: {e!r}")
+    if isinstance(e, GaussInt):
+        re, im = e.re, e.im
+    elif isinstance(e, (tuple, list)) and len(e) == 2:
+        re, im = e
+    else:
+        re, im = e, 0
+    return GaussInt(_part(re), _part(im))
 
 
 def _same_shape(a: Tensor, b: Tensor) -> None:
@@ -319,6 +327,23 @@ def _exact_dtype(bound: int):
     """int64 when `bound`, a bound on the absolute value of every number a
     computation makes, fits in int64; object dtype (Python ints) else."""
     return np.int64 if bound < 1 << 63 else object
+
+
+def _layout(planes, out_shape: Sequence[int], dtype=None) -> np.ndarray:
+    """Same-shape `planes` (a sequence, or one array stacked on axis 0)
+    laid out in the row-major strides of the larger `out_shape`, as
+    (rows, L): every axis but the first is zero-padded to its width in
+    `out_shape`.  Where out >= 2s - 1 on those axes, sums and differences
+    of flat offsets never carry between axes.  The dtype is promoted
+    over all planes unless given; a stacked array that needs no padding
+    comes back as a view."""
+    planes = np.asarray(planes, dtype=dtype)
+    rows, shape = planes.shape[0], planes.shape[1:]
+    if shape[1:] == tuple(out_shape[1:]):
+        return planes.reshape(rows, -1)
+    out = np.zeros((rows, shape[0]) + tuple(out_shape[1:]), dtype=planes.dtype)
+    out[(slice(None),) + tuple(map(slice, shape))] = planes
+    return out.reshape(rows, -1)
 
 
 def _digits(parts: np.ndarray, width: int) -> list[int]:
@@ -363,12 +388,11 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     width = (max(2 * min(a.size, b.size) * ma * mb, ma, mb).bit_length() + 8) // 8
     packed = []
     for t in (a, b):
-        parts = np.zeros((4, t.shape[0]) + out_shape[1:],
-                         dtype="<i8" if width <= 8 else object)
-        parts[(slice(2),) + tuple(map(slice, t.shape))] = t.re, t.im
-        np.negative(parts[:2], out=parts[2:])
+        parts = _layout((t.re, t.im, t.re, t.im), out_shape,
+                        "<i8" if width <= 8 else object)
+        np.negative(parts[2:], out=parts[2:])
         np.maximum(parts, 0, out=parts)
-        pos_re, pos_im, neg_re, neg_im = _digits(parts.reshape(4, -1), width)
+        pos_re, pos_im, neg_re, neg_im = _digits(parts, width)
         packed.append((pos_re - neg_re, pos_im - neg_im))
     (ar, ai), (br, bi) = packed
     re, im = _signed_digits([ar * br - ai * bi, ar * bi + ai * br],

@@ -25,7 +25,8 @@ Three routes are implemented and kept deliberately independent:
   `tensor.convolve`, is a Kronecker substitution: one big-integer
   product per term, no modular arithmetic.
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
-  in floating point; it is a diagnostic, never the source of truth.
+  in floating point (one FFT of each member folded modulo the grid);
+  it is a diagnostic, never the source of truth.
 
 `construct.assemble` checks every set a construction makes by the two
 exact routes, so a formula transcription error cannot ship a bad array.
@@ -47,7 +48,7 @@ from .errors import (
     ShapeMismatch,
     Trivial,
 )
-from .tensor import GaussInt, Tensor, _exact_dtype, convolve, involute
+from .tensor import GaussInt, Tensor, _exact_dtype, _layout, convolve, involute
 
 __all__ = [
     "AutocorrResult",
@@ -251,13 +252,12 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
     members go through one stacked transform or, past _GROUP residues,
     a group of members at a time.  A real set transforms only its
     members (u = v): V is U at the negated frequency."""
-    shape, n, m = arrays[0].shape, mod.n, len(arrays)
-    out = tuple(2 * s - 1 for s in shape)
-    pos = np.ravel_multi_index(np.indices(shape).reshape(len(shape), -1), out)
+    n, m = mod.n, len(arrays)
+    out = tuple(2 * s - 1 for s in arrays[0].shape)
     p = mod.p[:, :, None]
-    re, im = (np.stack([plane.ravel() for plane in planes])
-              for planes in zip(*((a.re, a.im) for a in arrays)))
-    re, im = ((z % p.astype(z.dtype)).astype(np.int64) for z in (re, im))
+    planes = _layout([a.re for a in arrays] + [a.im for a in arrays], out)
+    planes = (planes % p.astype(planes.dtype)).astype(np.int64)
+    re, im = planes[:, :m], planes[:, m:]
     real = not im.any()
     if not real:
         im *= mod.iota[:, :, None]
@@ -269,10 +269,13 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
         k = r.shape[1]
         x = np.zeros((len(mod.primes), rows * k, n), dtype=np.int64)
         if real:
-            x[:, :, pos] = r
+            x[:, :, :r.shape[2]] = r
         else:
-            x[:, :k, pos] = (r + i) % p
-            x[:, k:, -pos % n] = (r - i) % p
+            # u at offsets 0..L-1, v at -j mod n: offset 0, then n-L+1..n-1
+            x[:, :k, :r.shape[2]] = (r + i) % p
+            v = (r - i) % p
+            x[:, k:, 0] = v[..., 0]
+            x[:, k:, n - v.shape[2] + 1:] = v[..., :0:-1]
         _ntt(x, mod)
         u, v = (x, x[..., _negation(n)]) if real else (x[:, :k], x[:, k:])
         u *= v
@@ -438,15 +441,27 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     return _judge(total_re, total_im, w).is_complementary
 
 
-_SPECTRUM_CAP = 10 ** 7  # complex samples held at once
+_SPECTRUM_CAP = 10 ** 7  # grid points at most
+
+
+def _fold(plane: np.ndarray, grid: int) -> np.ndarray:
+    """plane summed modulo `grid` along every axis, exactly: shape
+    (grid,) * rank, zero where an axis is shorter than the grid."""
+    counts = [-(-s // grid) for s in plane.shape]
+    padded = np.zeros([c * grid for c in counts], dtype=plane.dtype)
+    padded[tuple(map(slice, plane.shape))] = plane
+    split = [x for c in counts for x in (c, grid)]
+    return padded.reshape(split).sum(axis=tuple(range(0, len(split), 2)))
 
 
 def spectrum_flatness(arrays: Sequence[Tensor], grid: int = 16) -> float:
     """Worst relative deviation of the summed power spectrum from flat.
 
     Samples z_k = exp(2*pi*i*m_k/grid) on all grid points per axis and
-    returns max |sum_i |A_i(z)|^2 - W| / W in float64.  Diagnostic only;
-    the exact checks above are authoritative.
+    returns max |sum_i |A_i(z)|^2 - W| / W in float64.  On that grid
+    A(z) is the grid**rank-point DFT of the array folded modulo grid on
+    each axis, so each member is folded in exact integers and takes one
+    FFT.  Diagnostic only; the exact checks above are authoritative.
     """
     arrays = list(arrays)
     if not arrays:
@@ -459,22 +474,14 @@ def spectrum_flatness(arrays: Sequence[Tensor], grid: int = 16) -> float:
     # |A(z)|^2 <= size * weight, so below this bound nothing overflows
     if w * max(a.size for a in arrays) > 10 ** 300:
         raise GolayKitError("entries too large for a float64 spectrum")
-    power = None
+    rank = max(a.rank for a in arrays)
+    if grid ** rank > _SPECTRUM_CAP:
+        raise ShapeMismatch(f"a {grid}-point grid on rank {rank} "
+                            f"needs over {_SPECTRUM_CAP} samples")
+    power = 0
     for a in arrays:
-        # the largest arrays made: the samples after k axes, one axis' matrix
-        peak = max(grid ** k * math.prod(a.shape[k:])
-                   for k in range(1, a.rank + 1))
-        if max(peak, grid * max(a.shape)) > _SPECTRUM_CAP:
-            raise ShapeMismatch(f"a {grid}-point grid on shape {a.shape} "
-                                f"needs over {_SPECTRUM_CAP} samples")
-        vals = a.re.astype(np.complex128) + 1j * a.im.astype(np.complex128)
-        for axis in range(a.rank):
-            s = vals.shape[0]
-            v = np.exp(-2j * np.pi * np.outer(np.arange(grid), np.arange(s)) / grid)
-            vals = np.tensordot(v, vals, axes=([1], [0]))
-            vals = np.moveaxis(vals, 0, a.rank - 1)
-        p = np.abs(vals) ** 2
-        power = p if power is None else power + p
+        re, im = (_fold(x, grid).astype(np.float64) for x in (a.re, a.im))
+        power = power + np.abs(np.fft.fftn(re + 1j * im)) ** 2
     return float(np.max(np.abs(power - w)) / w)
 
 

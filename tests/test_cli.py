@@ -276,6 +276,15 @@ class TestSeedSearch:
         assert code == 0
         assert obj["record"]["kind"] == "base-sequences"
 
+    def test_unreachable_multidimensional_pair_exit_65(self, capsys):
+        # 4**11 rows are over the table cap and the DFS is 1-D only: no
+        # budget was given, so no budget can have been exceeded
+        code, out, err = run(
+            capsys, "seed", "search", "--kind", "pair", "--alphabet",
+            "quaternary", "--shape", "3x4")
+        assert code == 65
+        assert out == "" and "Traceback" not in err
+
 
 class TestCoverage:
     def test_golay_count(self, capsys):

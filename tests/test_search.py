@@ -2,10 +2,15 @@
 engine agreement and budget semantics."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from golaykit import _dfskernels
+from golaykit import _dfskernels, search
+from golaykit.errors import ShapeMismatch
 from golaykit.search import (
     SearchStatus,
     _codes_to_tensor,
@@ -13,8 +18,10 @@ from golaykit.search import (
     search_base_arrays,
     search_pair_arrays,
 )
-from golaykit.tensor import Alphabet
+from golaykit.tensor import Alphabet, Tensor
 from golaykit.verify import is_gca_set, jointly_complementary
+
+from . import oracles
 
 
 def reals(t):
@@ -65,6 +72,85 @@ class TestFrozenFinds:
         assert out.status is SearchStatus.FOUND
         assert is_gca_set(out.arrays).is_complementary
         assert out.arrays[0].shape == (2, 2)
+
+
+def _entries(t):
+    return list(zip(t.re.ravel().tolist(), t.im.ravel().tolist()))
+
+
+class TestPinnedTables:
+    """Whole results of the table engine: the workload's two
+    meet-in-the-middle instances and a 2-D one."""
+
+    def test_quaternary_length_11(self):
+        out = search_pair_arrays((11,), Alphabet.QUATERNARY)
+        assert (out.status, out.nodes) == (SearchStatus.FOUND, 2 * 4**10)
+        a, b = out.arrays
+        assert reals(a) == [1, 1, 1, 0, -1, 1, 0, 0, 0, 1, -1]
+        assert a.im.tolist() == [0, 0, 0, 1, 0, 0, 1, -1, 1, 0, 0]
+        assert reals(b) == [1, 0, -1, -1, -1, 0, 0, 1, 0, 0, 1]
+        assert b.im.tolist() == [0, 1, 0, 0, 0, 1, 1, 0, -1, 1, 0]
+
+    def test_base_index_10(self):
+        out = search_base_arrays(10)
+        assert (out.status, out.nodes) == (SearchStatus.FOUND, 4**10 + 4**9)
+        assert [reals(t) for t in out.arrays] == [
+            [1, 1, 1, 1, 1, 1, 1, -1, -1, 1, -1],
+            [1, 1, 1, -1, -1, 1, -1, 1, -1, 1, 1],
+            [1, 1, 1, -1, -1, 1, 1, -1, 1, -1],
+            [1, 1, -1, -1, 1, -1, 1, 1, 1, -1],
+        ]
+
+    def test_quaternary_2x3(self):
+        out = search_pair_arrays((2, 3), Alphabet.QUATERNARY)
+        assert (out.status, out.nodes) == (SearchStatus.FOUND, 2048)
+        a, b = out.arrays
+        assert a.re.tolist() == [[1, 1, -1], [1, 0, 1]]
+        assert a.im.tolist() == [[0, 0, 0], [0, 1, 0]]
+        assert b.re.tolist() == [[1, 1, -1], [-1, 0, -1]]
+        assert b.im.tolist() == [[0, 0, 0], [0, -1, 0]]
+
+
+_CODE_OF = {(1, 0): 0, (-1, 0): 1, (0, 1): 2, (0, -1): 3}
+
+
+class TestTable:
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_tails_match_oracle(self, data):
+        # positive shifts in the row-major order of the oracle's 2s - 1
+        # array, which is lexicographic order of the shift
+        shape = data.draw(oracles.shapes(max_rank=3, max_dim=3))
+        n = math.prod(shape)
+        codes = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            min_size=1, max_size=5)), dtype=np.int8)
+        tails = search._tails(codes, shape)
+        for row, code in zip(tails, codes):
+            r = oracles.naive_autocorr(_codes_to_tensor(code, shape))
+            after = slice((r.size + 1) // 2, None)
+            want = np.stack([r.re.ravel()[after], r.im.ravel()[after]], axis=1)
+            assert row.tolist() == want.ravel().tolist()
+
+    @pytest.mark.parametrize("fix_first", [True, False])
+    def test_rows_and_padded_sums(self, fix_first):
+        # rows in lexicographic order, first member major; each row's
+        # tails the sum of its members' oracle tails, zero-padded
+        shapes, width = ((3,), (1, 2), (2,)), 6
+        tails, members = search._table(shapes, 4, fix_first, width)
+        free = [math.prod(s) - fix_first for s in shapes]
+        assert tails.shape == (4 ** sum(free), width)
+        for r in range(0, len(tails), 37):
+            arrays = members(r)
+            digits = [_CODE_OF[e] for t in arrays
+                      for e in _entries(t)[fix_first:]]
+            assert int("".join(map(str, digits)), 4) == r
+            want = np.zeros((width // 2, 2), dtype=np.int64)
+            for t in arrays:
+                lags = oracles.naive_autocorr(Tensor(t.re.ravel(), t.im.ravel()))
+                side = np.stack([lags.re, lags.im], axis=1)[t.size:]
+                want[:len(side)] += side
+            assert tails[r].tolist() == want.ravel().tolist()
 
 
 class TestCounts:
@@ -209,6 +295,16 @@ class TestBudget:
     def test_bad_base_index(self):
         with pytest.raises(ValueError):
             search_base_arrays(0)
+
+    def test_multidimensional_beyond_the_table(self):
+        # 4**11 rows are over the table cap, and the DFS is 1-D only:
+        # refused whatever the budget, unless the budget stops it first
+        for budget in (None, 4**11, 10**9):
+            with pytest.raises(ShapeMismatch):
+                search_pair_arrays((3, 4), Alphabet.QUATERNARY, budget)
+        out = search_pair_arrays((3, 4), Alphabet.QUATERNARY, budget=100)
+        assert (out.status, out.arrays, out.nodes) == (
+            SearchStatus.BUDGET_EXCEEDED, None, 0)
 
 
 @pytest.mark.slow

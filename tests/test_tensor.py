@@ -87,13 +87,26 @@ class TestConstruction:
             t.re[0] = 5
 
     def test_entry_coercions(self):
-        t = Tensor.sequence([1, -1, 1j, (0, -1), GaussInt(2, 3)])
+        t = Tensor.sequence([1, -1, 1j, (0, -1), GaussInt(2, 3), np.int8(3),
+                             (np.int64(-2), np.uint16(5))])
         assert t.entries() == [
             GaussInt(1), GaussInt(-1), GaussInt(0, 1), GaussInt(0, -1),
-            GaussInt(2, 3),
+            GaussInt(2, 3), GaussInt(3), GaussInt(-2, 5),
         ]
         with pytest.raises(ParseError):
             Tensor.sequence([0.5])
+
+    @pytest.mark.parametrize("entries", [
+        [(1.5, 0), (2, 0.9)], [("3", "-1")], [(1, 0.0)], [True], [(1, False)],
+        [GaussInt(1.5, 0)], [GaussInt(1, "2")], [1.5 + 0j], [complex("inf")],
+        [None], [(1, 2, 3)], [np.float64(2.0)], [np.bool_(True)],
+    ])
+    def test_non_integer_parts_refused(self, entries):
+        # as in gca-tensor/1: int and numpy integers only, no booleans
+        with pytest.raises(ParseError):
+            Tensor.sequence(entries)
+        with pytest.raises(ParseError):
+            Tensor.from_entries((1, len(entries)), entries)
 
 
 class TestRingOps:

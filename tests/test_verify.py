@@ -277,6 +277,18 @@ class TestTransformKernel:
         for a in arrays:
             assert autocorrelation(a).values == oracles.naive_autocorr(a)
 
+    def test_mixed_member_dtypes(self):
+        # int64 and object members in one 2-D set, an int64 one first:
+        # the layout promotes over all members, not to member 0's dtype
+        scaled = [Tensor(a.re.astype(object) * 2**200, a.im.astype(object) * 2**200)
+                  for a in (A1, A2)]
+        for arrays, ok in (([A1] + scaled + [A2], True), ([A1, scaled[1]], False)):
+            assert {a.re.dtype for a in arrays} == {np.dtype(np.int64), np.dtype(object)}
+            v = is_gca_set(arrays)
+            assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) \
+                == oracle_verdict(arrays)
+            assert v.is_complementary is gca_check_polynomial(arrays) is ok
+
     def test_big_entries_take_several_primes(self):
         t = seq(2**200, (3, -2**199), -1)
         bound = verify._autocorr_bound(t)
@@ -418,9 +430,53 @@ class TestRouteIndependence:
         assert not gca_check_polynomial(bad)
 
 
+def direct_flatness(arrays, grid):
+    """spectrum_flatness by the defining double sum over entries and
+    grid points, in Python complex arithmetic."""
+    w = sum(oracles.naive_weight(a) for a in arrays)
+    worst = 0.0
+    for m in np.ndindex(*(grid,) * arrays[0].rank):
+        power = 0.0
+        for a in arrays:
+            value = sum(complex(g) * np.exp(-2j * np.pi * np.dot(m, i) / grid)
+                        for i, g in zip(np.ndindex(*a.shape), a.entries()))
+            power += abs(value) ** 2
+        worst = max(worst, abs(power - w) / w)
+    return worst
+
+
 class TestSpectrum:
     def test_flat_pair(self):
         assert spectrum_flatness([seq(1, 1), seq(1, -1)], 8) < 1e-9
+
+    @given(sets_of(), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_evaluation(self, arrays, grid):
+        # shapes up to 4 per axis, so grids fall below and above them
+        if sum(oracles.naive_weight(a) for a in arrays) == 0:
+            return
+        got, want = spectrum_flatness(arrays, grid), direct_flatness(arrays, grid)
+        assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+    def test_grid_wraps_a_long_axis(self):
+        t = seq(*range(1, 12))
+        assert spectrum_flatness([t], 4) == pytest.approx(
+            direct_flatness([t], 4), rel=1e-12)
+
+    def test_binary_16384_pair_peak(self):
+        # folding holds a grid**rank array, not a grid x length matrix
+        a, b = np.array([1]), np.array([1])
+        for _ in range(14):
+            a, b = np.concatenate([a, b]), np.concatenate([a, -b])
+        pair = [Tensor(x, np.zeros_like(x)) for x in (a, b)]
+        tracemalloc.start()
+        try:
+            deviation = spectrum_flatness(pair, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviation < 1e-9
+        assert peak < 2 << 20
 
     def test_far_from_flat(self):
         assert spectrum_flatness([seq(1, 1), seq(1, 1)], 8) >= 0.9
