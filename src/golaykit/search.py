@@ -2,16 +2,23 @@
 
 Two engines share the work:
 
-* a meet-in-the-middle table for small entry counts.  One routine,
-  `_table`, enumerates every normalized tuple of members in
-  lexicographic order and tabulates their summed autocorrelation tails
-  (each member laid out in the strides of 2s - 1, so a positive shift
-  is a flat offset); one sorted-key match, `_match`, finds or counts
-  the rows whose negated tails are in a table.  A pair search matches
-  one table against its own negation, a base-sequence search the
-  (A, B) table against the (C, D) table, and `count_pairs_1d` counts
-  the matches.  Exhaustive, and returns the lexicographically smallest
-  solution.
+* a meet-in-the-middle table for small entry counts.  `_Table` holds
+  one row per normalized tuple of members, in lexicographic order,
+  keyed by a linear 64-bit hash of the tuple's summed autocorrelation
+  tails: K(t) = sum_c w_c t_c mod 2**64 with fixed odd weights (each
+  member laid out in the strides of 2s - 1, so a positive shift is a
+  flat offset).  K(-t) = -K(t), a tuple's key is the sum of its
+  members' keys, and a member's keys are built by broadcast adds on
+  its code grid, one phases x phases table per pair of entries, with
+  no code or tail matrix.  `_confirmed` matches the sorted table keys
+  against the sorted negated query keys and confirms each key-equal
+  candidate exactly with the integer tails of its code rows
+  (`_tails`), in ascending query order and only as far as it is read.
+  Equal tails always give equal keys, so nothing is missed, and no
+  float decides anything.  A pair search matches one table against
+  itself, a base-sequence search the (A, B) table against the (C, D)
+  table, and `count_pairs_1d` counts confirmed pairs.  Exhaustive, and
+  returns the lexicographically smallest solution.
 * a depth-first ends-inward assignment search with partial-sum pruning
   for larger 1-D instances, written as plain Python (`_dfskernels`).
 
@@ -21,6 +28,7 @@ everywhere is 1, -1, i, -i.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +55,16 @@ _MITM_CAP = 1 << 21
 _CODE_PLANES = np.array([_dfskernels.CODE_RE, _dfskernels.CODE_IM],
                         dtype=np.int16)
 
+# (re, im) of u_b conj(u_a), indexed [part, code a, code b], as uint64
+# (a -1 wraps), so that key arithmetic stays in uint64 under every numpy
+_RE, _IM = _CODE_PLANES.astype(np.int64)
+_PRODUCTS = np.stack([np.outer(_RE, _RE) + np.outer(_IM, _IM),
+                      np.outer(_RE, _IM) - np.outer(_IM, _RE)]).view(np.uint64)
+
+# query rows confirmed at a time: a find reads only as far as its first
+# confirmed query
+_CONFIRM_QUERIES = 1 << 10
+
 
 class SearchStatus(Enum):
     FOUND = "found"
@@ -69,16 +87,15 @@ def _phase_count(alphabet: Alphabet) -> int:
     raise ValueError(f"search supports binary or quaternary, not {alphabet}")
 
 
-def _enumerate_codes(n: int, phases: int, fix_first: bool) -> np.ndarray:
-    """All code rows of length n in lexicographic order; with
-    fix_first, only those whose first code is 0."""
-    free = n - fix_first
-    codes = np.zeros((phases**free, n), dtype=np.int8)
-    grid = codes.reshape((phases,) * free + (n,))
-    digits = np.arange(phases, dtype=np.int8)
-    for k in range(free):
-        grid[..., n - free + k] = digits.reshape((phases,) + (1,) * (free - 1 - k))
-    return codes
+def _weights(columns: int) -> np.ndarray:
+    """Fixed odd uint64 key weights of tail columns 0..columns-1 (re and
+    im of shift d at columns 2d - 2 and 2d - 1).  One full-range draw per
+    column, so a column's weight does not depend on how many are asked
+    for.  Any fixed seed gives the same results: every key-equal
+    candidate is confirmed exactly."""
+    rng = np.random.default_rng(0x601A7)
+    draws = rng.integers(0, 1 << 64, size=columns, dtype=np.uint64)
+    return draws | np.uint64(1)
 
 
 def _tails(codes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -99,28 +116,70 @@ def _tails(codes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return tails
 
 
-def _table(shapes, phases: int, fix_first: bool = True, width: int | None = None):
+def _grid(shape: tuple[int, ...], phases: int,
+          fix_first: bool) -> tuple[int, ...]:
+    """Axes of the lexicographic code grid over `shape`: one per entry,
+    of size 1 for a first entry fixed to code 0."""
+    return (1 if fix_first else phases,) + (phases,) * (math.prod(shape) - 1)
+
+
+def _member_keys(shape: tuple[int, ...], phases: int,
+                 fix_first: bool) -> np.ndarray:
+    """K of the tails of every code row over `shape`, in lexicographic
+    order.  Entries a < b at flat offsets pos[a] < pos[b] add u_b conj(u_a)
+    to shift d = pos[b] - pos[a], so each pair of entries adds one
+    phases x phases table of weighted products along its two grid axes;
+    the grid grows one entry's axis at a time."""
+    n, out = math.prod(shape), tuple(2 * s - 1 for s in shape)
+    pos = np.flatnonzero(_layout(np.arange(1, n + 1).reshape((1,) + shape),
+                                 out))
+    weights = _weights(math.prod(out) - 1).reshape(-1, 2, 1, 1)
+    grid = _grid(shape, phases, fix_first)
+    keys = np.zeros(grid[:1], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for b in range(1, n):
+            keys = np.repeat(keys[..., None], phases, axis=-1)
+            for a in range(b):
+                d = pos[b] - pos[a]
+                w = (_PRODUCTS[:, :grid[a], :phases] * weights[d - 1]).sum(0)
+                axes = [1] * (b + 1)
+                axes[a], axes[b] = w.shape
+                keys += w.reshape(axes)
+    return keys.ravel()
+
+
+class _Table:
     """One row per tuple of code rows, one member of each shape in
-    `shapes`, in lexicographic order (first member major): (tails,
-    members).  tails holds the members' summed autocorrelation tails,
-    zero-padded to `width` columns (default: the widest member's), and
-    members(r) gives row r's members as Tensors."""
-    codes = [_enumerate_codes(math.prod(s), phases, fix_first) for s in shapes]
-    singles = [_tails(c, s) for c, s in zip(codes, shapes)]
-    counts = [len(c) for c in codes]
-    width = max(t.shape[1] for t in singles) if width is None else width
-    tails = np.zeros(counts + [width], dtype=np.int16)
-    for k, t in enumerate(singles):
-        axes = [1] * len(counts) + [t.shape[1]]
-        axes[k] = counts[k]
-        tails[..., :t.shape[1]] += t.reshape(axes)
+    `shapes`, in lexicographic order (first member major), keyed by K of
+    the members' summed tails: the broadcast sum of the member keys."""
 
-    def members(r: int) -> tuple[Tensor, ...]:
-        rows = np.unravel_index(r, counts)
-        return tuple(_codes_to_tensor(c[i], s)
-                     for c, i, s in zip(codes, rows, shapes))
+    def __init__(self, shapes, phases: int, fix_first: bool = True):
+        self.shapes = [tuple(s) for s in shapes]
+        self.grids = [_grid(s, phases, fix_first) for s in self.shapes]
+        members = [_member_keys(s, phases, fix_first) for s in self.shapes]
+        with np.errstate(over="ignore"):
+            self.keys = functools.reduce(np.add.outer, members).ravel()
+        self.width = max(math.prod(2 * x - 1 for x in s) - 1
+                         for s in self.shapes)
 
-    return tails.reshape(-1, width), members
+    def codes(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Each member's code rows of table rows `rows`."""
+        index = np.unravel_index(rows, [math.prod(g) for g in self.grids])
+        return [np.stack(np.unravel_index(i, g), axis=1)
+                for i, g in zip(index, self.grids)]
+
+    def tails(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """Exact summed tails of table rows `rows`, zero-padded to
+        `width` columns."""
+        out = np.zeros((len(rows), width), dtype=np.int16)
+        for codes, shape in zip(self.codes(rows), self.shapes):
+            t = _tails(codes, shape)
+            out[:, :t.shape[1]] += t
+        return out
+
+    def members(self, row: int) -> tuple[Tensor, ...]:
+        return tuple(_codes_to_tensor(c[0], s)
+                     for c, s in zip(self.codes(np.array([row])), self.shapes))
 
 
 def _codes_to_tensor(codes: np.ndarray, shape: tuple[int, ...]) -> Tensor:
@@ -128,37 +187,47 @@ def _codes_to_tensor(codes: np.ndarray, shape: tuple[int, ...]) -> Tensor:
     return Tensor(re, im)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row, so that whole rows sort and compare."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(
-        np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-    ).ravel()
+def _confirmed(queries: _Table, table: _Table):
+    """Query and table rows whose exact tails sum to zero, yielded a chunk
+    of queries at a time: ascending query rows, and ascending table rows
+    within a query.  Candidates are the rows whose keys sum to zero mod
+    2**64, found by matching the sorted table keys against the sorted
+    negated query keys; each is confirmed with `_tails` only when its
+    chunk is read.  Equal tails give equal keys, so none is missed."""
+    order = np.argsort(table.keys)
+    keys = table.keys[order]
+    with np.errstate(over="ignore"):
+        wanted = np.negative(queries.keys)
+    asked = np.argsort(wanted)
+    wanted = wanted[asked]
+    lo = np.searchsorted(keys, wanted)
+    hit = np.flatnonzero(keys[np.minimum(lo, len(keys) - 1)] == wanted)
+    runs = np.searchsorted(keys, wanted[hit], "right") - lo[hit]
+    hits = asked[hit]
+    by_query = np.argsort(hits)
+    hits, lo, runs = hits[by_query], lo[hit][by_query], runs[by_query]
+    width = max(queries.width, table.width)
+    for at in range(0, len(hits), _CONFIRM_QUERIES):
+        part = slice(at, at + _CONFIRM_QUERIES)
+        q = np.repeat(hits[part], runs[part])
+        start = np.cumsum(runs[part]) - runs[part]
+        r = order[np.arange(len(q)) + np.repeat(lo[part] - start, runs[part])]
+        tails = np.repeat(queries.tails(hits[part], width), runs[part], axis=0)
+        ok = ~(tails + table.tails(r, width)).any(axis=1)
+        q, r = q[ok], r[ok]
+        # argsort leaves equal keys in any order: sort each query's rows
+        yield q, r[np.lexsort((r, q))]
 
 
-def _match(table: np.ndarray, queries: np.ndarray):
-    """(count, first) per query row: how many table rows equal it, and
-    the smallest index of one (meaningless where count is 0)."""
-    # return_index gives each key's first, so smallest, table index
-    keys, smallest, runs = np.unique(_row_keys(table), return_index=True,
-                                     return_counts=True)
-    targets = _row_keys(queries)
-    at = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
-    return np.where(keys[at] == targets, runs[at], 0), smallest[at]
-
-
-def _found(queries, query_members, table, table_members,
-           nodes: int) -> SearchOutcome:
-    """FOUND with the members of the first query row that equals a
-    table row and of the smallest such table row; EXHAUSTED when no
-    query row equals one."""
-    count, first = _match(table, queries)
-    hits = np.flatnonzero(count)
-    if not len(hits):
-        return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes)
-    q = hits[0]
-    arrays = query_members(q) + table_members(first[q])
-    return SearchOutcome(SearchStatus.FOUND, arrays, nodes)
+def _found(queries: _Table, table: _Table, nodes: int) -> SearchOutcome:
+    """FOUND with the members of the first query row whose tails cancel
+    a table row's and of the smallest such table row; EXHAUSTED when no
+    query row has one."""
+    for q, r in _confirmed(queries, table):
+        if len(q):
+            arrays = queries.members(q[0]) + table.members(r[0])
+            return SearchOutcome(SearchStatus.FOUND, arrays, nodes)
+    return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes)
 
 
 def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
@@ -174,9 +243,8 @@ def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
 
 def count_pairs_1d(n: int, alphabet: Alphabet, fix_first: bool = True) -> int:
     """Count complementary pair solutions of length n, for small n."""
-    tails, _ = _table(((n,),), _phase_count(alphabet), fix_first)
-    count, _ = _match(tails, -tails)
-    return int(count.sum())
+    table = _Table(((n,),), _phase_count(alphabet), fix_first)
+    return sum(len(q) for q, _ in _confirmed(table, table))
 
 
 def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
@@ -184,11 +252,13 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     """Search for a complementary pair over `shape`.
 
     Small instances run the exhaustive meet-in-the-middle pass (result
-    is the lexicographically smallest normalized pair); larger 1-D
-    instances run the pruned depth-first search, which returns its
-    first find in a deterministic order.  A multidimensional space
-    beyond the table cap is out of reach: ShapeMismatch, unless a
-    budget below its size stops it first.
+    is the lexicographically smallest normalized pair) when the budget
+    covers its nodes, the table's rows counted on both sides; larger
+    1-D instances, or a smaller budget, run the pruned depth-first
+    search, which returns its first find in a deterministic order.  A
+    multidimensional space beyond the table cap is out of reach:
+    ShapeMismatch, unless a budget below its size stops it first; a
+    smaller multidimensional one stops at a budget below its nodes.
     """
     phases = _phase_count(alphabet)
     shape = tuple(shape)
@@ -197,12 +267,12 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
         one = Tensor.unit(shape)
         return SearchOutcome(SearchStatus.FOUND, (one, one), 1)
     space = phases ** (n - 1)
-    limit = _MITM_CAP if budget is None else min(_MITM_CAP, budget)
-    if space <= limit:
-        tails, members = _table((shape,), phases)
-        return _found(-tails, members, tails, members, 2 * len(tails))
+    # the table counts its rows twice, as queries and as the table
+    if space <= _MITM_CAP and (budget is None or budget >= 2 * space):
+        table = _Table((shape,), phases)
+        return _found(table, table, 2 * space)
     if len(shape) != 1:
-        if budget is None or budget >= space:
+        if space > _MITM_CAP and (budget is None or budget >= space):
             raise ShapeMismatch(
                 f"a pair search over {shape} tabulates {space} rows, over "
                 f"the cap of {_MITM_CAP}, and the depth-first search is 1-D only")
@@ -218,8 +288,9 @@ def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
     whose four autocorrelations sum to (4m+2) * delta.
 
     The (A, B) and (C, D) halves are tabulated separately and matched
-    on negated autocorrelation tails; first match in lexicographic
-    order over (A, B, C, D).
+    on the keys of their negated autocorrelation tails, each match
+    confirmed exactly; first match in lexicographic order over
+    (A, B, C, D).
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -232,9 +303,7 @@ def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
         )
         return _dfs_outcome(status, seqs, nodes)
 
-    # tails cover shifts 1..m (the longer pair's range); the shorter
-    # pair's rows are zero at shift m
-    ab_tails, ab_members = _table(((p,), (p,)), 2)
-    cd_tails, cd_members = _table(((m,), (m,)), 2, width=ab_tails.shape[1])
-    return _found(-ab_tails, ab_members, cd_tails, cd_members,
-                  len(ab_tails) + len(cd_tails))
+    # the (C, D) rows have no shift m: zero there when confirmed, and
+    # nothing in their keys
+    ab, cd = _Table(((p,), (p,)), 2), _Table(((m,), (m,)), 2)
+    return _found(ab, cd, len(ab.keys) + len(cd.keys))

@@ -3,6 +3,7 @@ engine agreement and budget semantics."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ class TestPinnedTables:
             [1, 1, -1, -1, 1, -1, 1, 1, 1, -1],
         ]
 
+    def test_quaternary_length_11_peak(self):
+        tracemalloc.start()
+        try:
+            search_pair_arrays((11,), Alphabet.QUATERNARY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 10**6
+
     def test_quaternary_2x3(self):
         out = search_pair_arrays((2, 3), Alphabet.QUATERNARY)
         assert (out.status, out.nodes) == (SearchStatus.FOUND, 2048)
@@ -132,16 +142,39 @@ class TestTable:
             want = np.stack([r.re.ravel()[after], r.im.ravel()[after]], axis=1)
             assert row.tolist() == want.ravel().tolist()
 
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_keys_match_oracle(self, data):
+        # a member's key on its code grid is K of the oracle's tails
+        shape = data.draw(oracles.shapes(max_rank=3, max_dim=3).filter(
+            lambda s: math.prod(s) <= 8))
+        phases = data.draw(st.sampled_from([2, 4]))
+        fix_first = data.draw(st.booleans())
+        n = math.prod(shape)
+        keys = search._member_keys(shape, phases, fix_first)
+        assert keys.shape == (phases ** (n - fix_first),)
+        for _ in range(3):
+            code = data.draw(st.lists(st.integers(0, phases - 1),
+                                      min_size=n, max_size=n))
+            if fix_first:
+                code[0] = 0
+            r = oracles.naive_autocorr(_codes_to_tensor(np.array(code), shape))
+            after = slice((r.size + 1) // 2, None)
+            want = np.stack([r.re.ravel()[after], r.im.ravel()[after]], axis=1)
+            row = int("".join(map(str, code[fix_first:])) or "0", phases)
+            assert keys[row] == _key(want)
+
     @pytest.mark.parametrize("fix_first", [True, False])
     def test_rows_and_padded_sums(self, fix_first):
         # rows in lexicographic order, first member major; each row's
-        # tails the sum of its members' oracle tails, zero-padded
+        # tails the sum of its members' oracle tails, zero-padded, and
+        # its key K of that sum
         shapes, width = ((3,), (1, 2), (2,)), 6
-        tails, members = search._table(shapes, 4, fix_first, width)
+        table = search._Table(shapes, 4, fix_first)
         free = [math.prod(s) - fix_first for s in shapes]
-        assert tails.shape == (4 ** sum(free), width)
-        for r in range(0, len(tails), 37):
-            arrays = members(r)
+        assert table.keys.shape == (4 ** sum(free),)
+        for r in range(0, len(table.keys), 37):
+            arrays = table.members(r)
             digits = [_CODE_OF[e] for t in arrays
                       for e in _entries(t)[fix_first:]]
             assert int("".join(map(str, digits)), 4) == r
@@ -150,7 +183,52 @@ class TestTable:
                 lags = oracles.naive_autocorr(Tensor(t.re.ravel(), t.im.ravel()))
                 side = np.stack([lags.re, lags.im], axis=1)[t.size:]
                 want[:len(side)] += side
-            assert tails[r].tolist() == want.ravel().tolist()
+            assert table.tails(np.array([r]), width)[0].tolist() == (
+                want.ravel().tolist())
+            assert table.keys[r] == _key(want)
+
+
+def _key(tails) -> np.uint64:
+    """K of integer tails, straight from its definition."""
+    tails = np.asarray(tails, dtype=np.int64).ravel()
+    with np.errstate(over="ignore"):
+        return (tails.view(np.uint64) * search._weights(len(tails))).sum()
+
+
+def _equal_weights(columns: int) -> np.ndarray:
+    # every column weighs 1: many unequal tails share a key, so every
+    # result must come from the exact confirmation
+    return np.ones(columns, dtype=np.uint64)
+
+
+@pytest.fixture
+def equal_weights(monkeypatch):
+    monkeypatch.setattr(search, "_weights", _equal_weights)
+
+
+_COLLIDING = [
+    (search_pair_arrays, ((10,), Alphabet.BINARY)),
+    (search_pair_arrays, ((2, 3), Alphabet.QUATERNARY)),
+    (search_pair_arrays, ((5,), Alphabet.BINARY)),
+] + [(search_base_arrays, (m,)) for m in range(1, 6)]
+
+
+class TestKeyCollisions:
+    def test_keys_collide(self, equal_weights):
+        table = search._Table(((10,),), 2)
+        tails = table.tails(np.arange(len(table.keys)), table.width)
+        assert len(np.unique(table.keys)) < len(np.unique(tails, axis=0))
+
+    @pytest.mark.parametrize(
+        "fn,args", _COLLIDING,
+        ids=["b10", "q2x3", "b5"] + [f"base{m}" for m in range(1, 6)])
+    def test_results_unchanged(self, monkeypatch, fn, args):
+        want = fn(*args)
+        monkeypatch.setattr(search, "_weights", _equal_weights)
+        got = fn(*args)
+        assert (got.status, got.nodes) == (want.status, want.nodes)
+        assert [_entries(t) for t in got.arrays or ()] == [
+            _entries(t) for t in want.arrays or ()]
 
 
 class TestCounts:
@@ -182,6 +260,11 @@ class TestCounts:
         assert count_pairs_1d(3, Alphabet.BINARY) == 0
         assert count_pairs_1d(5, Alphabet.BINARY) == 0
         assert count_pairs_1d(7, Alphabet.QUATERNARY) == 0
+
+
+@pytest.mark.usefixtures("equal_weights")
+class TestCountsEqualWeights(TestCounts):
+    """Every count again, with keys that collide."""
 
 
 # the pruned depth-first engine must reach the same verdict as the
@@ -295,6 +378,19 @@ class TestBudget:
     def test_bad_base_index(self):
         with pytest.raises(ValueError):
             search_base_arrays(0)
+
+    @pytest.mark.parametrize("shape,alphabet", [
+        ((10,), Alphabet.BINARY), ((6,), Alphabet.QUATERNARY),
+        ((2, 3), Alphabet.QUATERNARY), ((2, 2, 2), Alphabet.BINARY)])
+    def test_table_counts_both_sides(self, shape, alphabet):
+        # a table pass reports its rows twice, as queries and as the
+        # table, so it runs only when the budget covers both
+        phases = 2 if alphabet is Alphabet.BINARY else 4
+        space = phases ** (math.prod(shape) - 1)
+        for budget in (space, space + 1, 2 * space - 1, 2 * space):
+            out = search_pair_arrays(shape, alphabet, budget)
+            assert out.nodes <= budget
+        assert out.nodes == 2 * space
 
     def test_multidimensional_beyond_the_table(self):
         # 4**11 rows are over the table cap, and the DFS is 1-D only:
