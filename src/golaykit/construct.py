@@ -50,10 +50,11 @@ from .tensor import (
     tensor_to_obj,
 )
 from .verify import (
+    binary_pair_symmetry,
     gca_check_polynomial,
     is_gca_set,
     jointly_complementary,
-    pad_to,
+    weight,
 )
 
 __all__ = [
@@ -120,8 +121,6 @@ class GcaSet:
         return all(a.shape == self.shape for a in self.arrays)
 
     def total_weight(self) -> int:
-        from .verify import weight
-
         return sum(weight(a) for a in self.arrays)
 
 
@@ -134,22 +133,17 @@ def assemble(
     lineage: str,
     structure: dict | None = None,
 ) -> GcaSet:
-    """Check a set of arrays, zero-padded to one shape, by both exact
-    routes, and wrap it as a set marked verified."""
+    """Check a set of arrays by both exact routes (which zero-pad mixed
+    shapes) and wrap it as a set marked verified."""
     arrays = tuple(arrays)
     where = lineage or "assemble"
-    rank = arrays[0].rank
-    if any(a.rank != rank for a in arrays):
-        raise RankMismatch(f"{where}: mixed ranks in output")
-    bound = tuple(max(a.shape[k] for a in arrays) for k in range(rank))
-    padded = [pad_to(a, bound) for a in arrays]
-    verdict = is_gca_set(padded)
+    verdict = is_gca_set(arrays)
     if not verdict.is_complementary:
         raise VerificationFailed(
             f"{where}: autocorrelation check failed "
             f"(max sidelobe norm {verdict.max_sidelobe_norm})"
         )
-    if not gca_check_polynomial(padded):
+    if not gca_check_polynomial(arrays):
         raise VerificationFailed(f"{where}: polynomial product check failed")
     out = GcaSet(
         arrays=arrays,
@@ -263,8 +257,6 @@ def disjoint_mask_pair(ab: GcaSet) -> GcaSet:
     exactly-one-of-four support rule that the gluing construction
     relies on, re-checked here.
     """
-    from .verify import binary_pair_symmetry
-
     _require_role(ab, "pair", "input")
     _require_binary(ab, "input")
     a, b = ab.arrays

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .construct import (
     GcaSet,
     binary_turyn_pair,
@@ -54,7 +56,7 @@ from .errors import (
     VerificationFailed,
 )
 from .seeds import SeedRegistry, load_bundled
-from .tensor import _MAX_RANK, Alphabet, _is_shape, embed
+from .tensor import _MAX_RANK, Alphabet, _is_shape, _validate_shape, embed
 from .verify import is_gca_set
 
 __all__ = [
@@ -81,6 +83,7 @@ _BINARY_BLOCKS = (2, 10, 26)
 _QUATERNARY_BLOCKS = (3, 5, 11, 13)
 _BLOCK_ORDER = _BINARY_BLOCKS + _QUATERNARY_BLOCKS
 _BLOCK_SCORE = {2: 1, 10: 1, 26: 1, 3: -1, 5: -1, 11: -1, 13: -1}
+_BLOCK_PRIMES = (2, 3, 5, 11, 13)
 
 _PRODUCT_CAP = 10 ** 7
 _MAX_NESTING = 100  # the deepest plan (binary pair 2^23) has 23 levels
@@ -143,7 +146,7 @@ def is_quaternary_golay_number(n: int) -> GolayWitness | None:
         return None
     rest = n
     exps = {}
-    for p in (2, 3, 5, 11, 13):
+    for p in _BLOCK_PRIMES:
         k = 0
         while rest % p == 0:
             rest //= p
@@ -172,7 +175,18 @@ def enumerate_golay_numbers(alphabet: Alphabet, limit: int) -> list[int]:
         pred = is_quaternary_golay_number
     else:
         raise ShapeMismatch(f"no length form for alphabet {alphabet.value}")
-    return [n for n in range(1, limit + 1) if pred(n) is not None]
+    return [n for n in _smooth_numbers(limit) if pred(n) is not None]
+
+
+def _smooth_numbers(limit: int) -> list[int]:
+    """Every n <= limit with no prime factor outside _BLOCK_PRIMES, in
+    order: the only pair lengths and block products (10,358 to 10**9)."""
+    numbers = [1]
+    for p in _BLOCK_PRIMES:
+        for n in numbers:  # reads what it appends, so n * p**k for all k
+            if n * p <= limit:
+                numbers.append(n * p)
+    return sorted(numbers)
 
 
 # block assignment ---------------------------------------------------------
@@ -401,11 +415,7 @@ def _check_shape(role: str, alphabet: Alphabet, shape: Sequence[int]
     """The shape as a tuple, plus a refusal for requests that planning
     does not cover, made before any search: other alphabets, and
     products above the planning cap."""
-    shape = tuple(map(int, shape))
-    if len(shape) < 1:
-        raise ShapeMismatch("shape must have at least one dimension")
-    if min(shape) < 1:
-        raise ShapeMismatch(f"dimensions must be positive: {shape}")
+    shape = _validate_shape(shape)
     if alphabet not in (Alphabet.BINARY, Alphabet.QUATERNARY):
         reason = (f"{role} planning covers binary and quaternary "
                   f"alphabets, not {alphabet.value}")
@@ -905,7 +915,8 @@ def coverage_scan(kind: str, limit: int,
     kind "quad-sum-coverage": for each n <= limit, ask whether a quad
     with n in one dimension is reachable as a sum n = s2 + s3 of two
     block-decomposable pair sizes sharing their other dimension
-    (n block-decomposable by itself counts via the pair-product route).
+    (n block-decomposable by itself counts via the pair-product route),
+    for limits up to the planning cap.  Only _smooth_numbers are judged.
     """
     if limit < 1:
         raise ShapeMismatch("limit must be at least 1")
@@ -921,19 +932,18 @@ def coverage_scan(kind: str, limit: int,
             "numbers": numbers,
         }
     if kind == "quad-sum-coverage":
+        if limit > _PRODUCT_CAP:
+            raise ShapeMismatch(f"quad-sum-coverage lists every uncovered n, "
+                                f"so its limit is at most {_PRODUCT_CAP}")
         # The shared dimension is unconstrained, so a split works as
         # soon as both parts factor into seed blocks: a tall enough
         # stack of 2-blocks absorbs any binder deficit.
-        good = [n for n in range(1, limit + 1) if _decomposable(n)]
-        good_set = set(good)
-        uncovered = []
-        for n in range(1, limit + 1):
-            if n in good_set:
-                continue
-            if any(s in good_set and (n - s) in good_set
-                   for s in range(1, n // 2 + 1)):
-                continue
-            uncovered.append(n)
+        good = np.array([n for n in _smooth_numbers(limit) if _decomposable(n)])
+        covered = np.zeros(limit + 1, dtype=bool)
+        covered[good] = True
+        for s in good[:np.searchsorted(good, limit // 2, "right")]:
+            covered[s + good[:np.searchsorted(good, limit - s, "right")]] = True
+        uncovered = (np.flatnonzero(~covered[1:]) + 1).tolist()
         return {
             "kind": kind,
             "limit": limit,

@@ -25,7 +25,7 @@ from .tensor import (
     tensor_from_obj,
     tensor_to_obj,
 )
-from .verify import is_gca_set, jointly_complementary
+from .verify import is_gca_set
 
 __all__ = [
     "PAIR_KIND",
@@ -67,43 +67,32 @@ class SeedRecord:
     def verify(self) -> None:
         """Re-run the oracle; raises unless the record is what it claims."""
         if self.kind == PAIR_KIND:
-            if len(self.tensors) != 2:
+            if len(self.tensors) != 2 or len(set(self.shapes)) != 1:
                 raise VerificationFailed(
-                    f"{self.key}: a pair record needs exactly 2 tensors"
-                )
-            a, b = self.tensors
-            if a.shape != b.shape:
-                raise VerificationFailed(f"{self.key}: members differ in shape")
-            for t in self.tensors:
-                if not self.alphabet.admits(alphabet_of(t)):
-                    raise VerificationFailed(
-                        f"{self.key}: entries leave the {self.alphabet.value} alphabet"
-                    )
-            verdict = is_gca_set(self.tensors)
-            if not verdict.is_complementary:
+                    f"{self.key}: a pair record needs 2 tensors of one shape")
+            if not all(self.alphabet.admits(alphabet_of(t)) for t in self.tensors):
                 raise VerificationFailed(
-                    f"{self.key}: autocorrelations do not cancel "
-                    f"(max sidelobe norm {verdict.max_sidelobe_norm})"
-                )
+                    f"{self.key}: entries leave the {self.alphabet.value} alphabet")
         elif self.kind == BASE_KIND:
             m = self.base_index
-            want = ((m + 1,), (m + 1,), (m,), (m,))
-            if self.shapes != want:
+            if self.shapes != ((m + 1,), (m + 1,), (m,), (m,)):
                 raise VerificationFailed(
                     f"{self.key}: lengths must be m+1, m+1, m, m"
                 )
             if self.alphabet is not Alphabet.BINARY:
                 raise VerificationFailed(f"{self.key}: base sequences are binary")
-            for t in self.tensors:
-                if alphabet_of(t) is not Alphabet.BINARY:
-                    raise NotBinary(f"{self.key}: entries outside +-1")
-            verdict = jointly_complementary(self.tensors)
-            if not verdict.is_complementary or verdict.total_weight != 4 * m + 2:
-                raise VerificationFailed(
-                    f"{self.key}: autocorrelation sum is not (4m+2) * delta"
-                )
+            if any(alphabet_of(t) is not Alphabet.BINARY for t in self.tensors):
+                raise NotBinary(f"{self.key}: entries outside +-1")
         else:
             raise VerificationFailed(f"unknown seed kind {self.kind!r}")
+        # +-1 entries at lengths m+1, m+1, m, m weigh 4m+2, so a base
+        # record's sum is (4m+2) * delta exactly when it is complementary
+        verdict = is_gca_set(self.tensors)
+        if not verdict.is_complementary:
+            raise VerificationFailed(
+                f"{self.key}: autocorrelations do not cancel "
+                f"(max sidelobe norm {verdict.max_sidelobe_norm})"
+            )
 
     @property
     def base_index(self) -> int:

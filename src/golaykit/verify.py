@@ -1,5 +1,10 @@
 """Complementarity checks for sets of Gaussian-integer arrays.
 
+A set is complementary when its members' aperiodic autocorrelations
+sum to W * delta, W the total weight, each member read as zero past its
+own extent: members share a rank, not a shape (base sequences have
+lengths m+1, m+1, m, m).  Both exact routes pad members to one shape.
+
 Three routes are implemented and kept deliberately independent:
 
 * `is_gca_set` tests the paper's flat-spectrum identity exactly: the
@@ -45,6 +50,7 @@ from .errors import (
     GolayKitError,
     NotBinary,
     NotComplementary,
+    RankMismatch,
     ShapeMismatch,
     Trivial,
 )
@@ -100,6 +106,7 @@ def _autocorr_bound(a: Tensor) -> int:
 _PRIME_LIMIT = 1 << 31  # so that 2p * p, a butterfly's product, fits int64
 _KEPT_TABLES = 1 << 12  # transform lengths whose tables are kept
 _GROUP = 1 << 17  # residues in one forward transform at most (1 MB)
+_PAD_CAP = 1 << 20  # entries a padded member may have past the largest given
 
 
 def _is_prime(p: int) -> bool:
@@ -354,14 +361,22 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def _one_shape(arrays: Sequence[Tensor]) -> list[Tensor]:
+    """The members zero-padded at the high end of each axis to the
+    set's bounding shape.  Refuses an empty set, mixed ranks, and a
+    bounding shape past every member and _PAD_CAP, as (n, 1), (1, n)."""
     arrays = list(arrays)
     if not arrays:
         raise EmptySet("no arrays given")
-    shape = arrays[0].shape
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise ShapeMismatch(f"mixed shapes in set: {shape} vs {a.shape}")
-    return arrays
+    rank = arrays[0].rank
+    if any(a.rank != rank for a in arrays):
+        raise RankMismatch(
+            f"mixed ranks in set: {sorted({a.rank for a in arrays})}")
+    bound = tuple(map(max, zip(*(a.shape for a in arrays))))
+    size = math.prod(bound)
+    if size > max(_PAD_CAP, *(a.size for a in arrays)):
+        raise ShapeMismatch(f"padding the set to its bounding shape {bound} "
+                            f"makes members of {size} entries, over {_PAD_CAP}")
+    return [pad_to(a, bound) for a in arrays]
 
 
 def _judge(total_re: np.ndarray, total_im: np.ndarray, w: int) -> GcaVerdict:
@@ -388,9 +403,11 @@ def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
     which makes the test exact).  A rejection pays for the inverse
     transform and the CRT lift that give the exact max sidelobe norm.
 
-    All arrays must share one shape; ShapeMismatch otherwise.  A shape
-    or entry size that no set of primes below 2**31 can serve is
-    refused (ShapeMismatch, GolayKitError) before anything is allocated.
+    Members of mixed shapes are zero-padded to the set's bounding
+    shape; an empty set is EmptySet, mixed ranks RankMismatch.  Padding
+    past every member and past 2**20 entries, or a shape or entry size
+    that no set of primes below 2**31 can serve, is refused
+    (ShapeMismatch, GolayKitError) before anything is allocated.
     """
     arrays = _one_shape(arrays)
     shape = arrays[0].shape
@@ -405,19 +422,8 @@ def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
 
 
 def jointly_complementary(arrays: Sequence[Tensor]) -> GcaVerdict:
-    """is_gca_set after zero-padding mixed shapes to a common bound.
-
-    Padding position does not affect autocorrelations, so this is the
-    right reading of complementarity for size-mismatched quads.
-    """
-    arrays = list(arrays)
-    if not arrays:
-        raise EmptySet("no arrays given")
-    rank = arrays[0].rank
-    if any(a.rank != rank for a in arrays):
-        raise ShapeMismatch("mixed ranks in set")
-    bound = tuple(max(a.shape[k] for a in arrays) for k in range(rank))
-    return is_gca_set([pad_to(a, bound) for a in arrays])
+    """The same verdict as `is_gca_set`, which zero-pads mixed shapes."""
+    return is_gca_set(arrays)
 
 
 def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
@@ -426,6 +432,7 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     An independent route from `is_gca_set`: this one goes through the
     exact convolution of each array with its conjugate flip, summed in
     int64 only when the members' bounds add up to a value that fits.
+    Mixed shapes are zero-padded as in `is_gca_set`.
     """
     arrays = _one_shape(arrays)
     bounds = [_autocorr_bound(a) for a in arrays]
@@ -462,10 +469,9 @@ def spectrum_flatness(arrays: Sequence[Tensor], grid: int = 16) -> float:
     A(z) is the grid**rank-point DFT of the array folded modulo grid on
     each axis, so each member is folded in exact integers and takes one
     FFT.  Diagnostic only; the exact checks above are authoritative.
+    Sets are refused and padded as in `is_gca_set`.
     """
-    arrays = list(arrays)
-    if not arrays:
-        raise EmptySet("no arrays given")
+    arrays = _one_shape(arrays)
     if grid < 1:
         raise ShapeMismatch("grid must be positive")
     w = sum(weight(a) for a in arrays)
@@ -474,7 +480,7 @@ def spectrum_flatness(arrays: Sequence[Tensor], grid: int = 16) -> float:
     # |A(z)|^2 <= size * weight, so below this bound nothing overflows
     if w * max(a.size for a in arrays) > 10 ** 300:
         raise GolayKitError("entries too large for a float64 spectrum")
-    rank = max(a.rank for a in arrays)
+    rank = arrays[0].rank
     if grid ** rank > _SPECTRUM_CAP:
         raise ShapeMismatch(f"a {grid}-point grid on rank {rank} "
                             f"needs over {_SPECTRUM_CAP} samples")

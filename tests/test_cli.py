@@ -246,6 +246,53 @@ class TestVerifyFailures:
         assert obj["grid"] == 8
 
 
+class TestMixedShapeSets:
+    """A base-sequence quad (lengths 3, 3, 2, 2) from a one-node recipe:
+    what `generate` builds and checks, `verify` accepts."""
+
+    def _write_base_set(self, capsys, tmp_path):
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps({
+            "format": "gca-recipe/1", "op": "seed",
+            "seed": "base-sequences/binary/3;3;2;2"}))
+        out_set = tmp_path / "set.json"
+        code, _, err = run(capsys, "generate", "--recipe", str(recipe),
+                           "--out", str(out_set))
+        assert code == 0, err
+        return out_set
+
+    def test_generated_base_sequences_verify(self, capsys, tmp_path):
+        path = self._write_base_set(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        assert [a["shape"] for a in doc["arrays"]] == [[3], [3], [2], [2]]
+        code, obj, err = run_json(capsys, "verify", str(path))
+        assert code == 0
+        assert (obj["complementary"], obj["polynomial_route"]) == (True, True)
+        assert obj["total_weight"] == 10
+        assert err.strip() == "complementary"
+
+    def test_corrupted_entry_exit_4(self, capsys, tmp_path):
+        path = self._write_base_set(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["arrays"][2]["entries"][1][0] *= -1
+        path.write_text(json.dumps(doc))
+        code, obj, err = run_json(capsys, "verify", str(path))
+        assert code == 4
+        assert obj["complementary"] is False
+        assert "NOT complementary" in err
+
+    def test_mixed_ranks_exit_65(self, capsys, tmp_path):
+        path = self._write_base_set(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["arrays"][3]["shape"] = [2, 1]
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "spectrum"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 65
+            assert out == "" and "Traceback" not in err
+            assert "mixed ranks" in err
+
+
 class TestSeedSearch:
     def test_found_exit_0(self, capsys):
         code, obj, _ = run_json(

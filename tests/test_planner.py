@@ -498,6 +498,40 @@ class TestCoverage:
         assert rep["uncovered"] == [799, 959]
         assert rep["covered"] == 998
 
+    def test_every_limit_matches_brute_force(self):
+        # the definitions, tested on every n: pair lengths by the
+        # predicates, and sums of two block-decomposable sizes
+        top = 3000
+        golay = {a: [n for n in range(1, top + 1) if pred(n) is not None]
+                 for a, pred in ((B, is_binary_golay_number),
+                                 (Q, is_quaternary_golay_number))}
+        good = {n for n in range(1, top + 1) if planner._decomposable(n)}
+        uncovered = [n for n in range(1, top + 1) if n not in good and not any(
+            s in good and n - s in good for s in range(1, n // 2 + 1))]
+        for limit in range(1, top + 1):
+            for a, numbers in golay.items():
+                want = [n for n in numbers if n <= limit]
+                assert coverage_scan("golay-count", limit, a)["numbers"] == want
+            rep = coverage_scan("quad-sum-coverage", limit)
+            assert rep["uncovered"] == [n for n in uncovered if n <= limit]
+
+    def test_cost_follows_the_answer(self):
+        # only {2, 3, 5, 11, 13}-smooth lengths are judged, so a scan to
+        # 10**9 fills the caches with 10,358 entries, not 10**9
+        caches = (is_binary_golay_number, is_quaternary_golay_number,
+                  planner._best_blocks)
+        for cache in caches:
+            cache.cache_clear()
+        binary = coverage_scan("golay-count", 10 ** 9, B)["numbers"]
+        assert len(binary) == sum(
+            1 for a in range(30) for b in range(10) for c in range(7)
+            if 2 ** a * 10 ** b * 26 ** c <= 10 ** 9)
+        quaternary = coverage_scan("golay-count", 10 ** 9, Q)["numbers"]
+        assert set(binary) < set(quaternary)
+        assert quaternary == sorted(quaternary)
+        assert coverage_scan("quad-sum-coverage", 10 ** 6)["covered"] > 0
+        assert all(cache.cache_info().currsize <= 10358 for cache in caches)
+
     def test_bad_arguments(self):
         with pytest.raises(ShapeMismatch):
             coverage_scan("golay-count", 10)
@@ -505,6 +539,8 @@ class TestCoverage:
             coverage_scan("unknown-kind", 10)
         with pytest.raises(ShapeMismatch):
             coverage_scan("golay-count", 0, B)
+        with pytest.raises(ShapeMismatch):
+            coverage_scan("quad-sum-coverage", 10 ** 7 + 1)
 
 
 class TestReportShape:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from golaykit.errors import MissingSeed, ParseError, VerificationFailed
+from golaykit.errors import (MissingSeed, NotBinary, ParseError,
+                             VerificationFailed)
 from golaykit.seeds import (
     BASE_KIND,
     PAIR_KIND,
@@ -65,6 +66,36 @@ class TestSeedRecord:
                          (seq(1, 1), seq(1, -1), seq(1, 1), seq(1)))
         with pytest.raises(VerificationFailed):
             rec.verify()
+
+    def test_verify_rejects_pair_of_two_lengths(self):
+        # complementary once zero-padded, but a pair record has one shape
+        rec = SeedRecord(PAIR_KIND, Alphabet.GENERAL, (seq(1, 0), seq(1)))
+        with pytest.raises(VerificationFailed, match="of one shape"):
+            rec.verify()
+
+    def test_verify_rejects_flipped_base_entry(self):
+        for rec in load_bundled().records.values():
+            if rec.kind != BASE_KIND:
+                continue
+            a = rec.tensors[0]
+            re = a.re.copy()
+            re[-1] = -re[-1]
+            bad = SeedRecord(BASE_KIND, Alphabet.BINARY,
+                             (Tensor(re, a.im),) + rec.tensors[1:])
+            with pytest.raises(VerificationFailed):
+                bad.verify()
+
+    @pytest.mark.parametrize("entry", [0, 2, 1j])
+    def test_verify_rejects_non_binary_base_entry(self, base1, entry):
+        bad = SeedRecord(BASE_KIND, Alphabet.BINARY,
+                         (seq(1, entry),) + base1.tensors[1:])
+        with pytest.raises(NotBinary):
+            bad.verify()
+
+    def test_verify_rejects_quaternary_base_record(self, base1):
+        bad = SeedRecord(BASE_KIND, Alphabet.QUATERNARY, base1.tensors)
+        with pytest.raises(VerificationFailed, match="are binary"):
+            bad.verify()
 
     def test_verify_rejects_unknown_kind(self):
         rec = SeedRecord("mystery", Alphabet.BINARY, (seq(1),))

@@ -1,6 +1,7 @@
 """Autocorrelation and complementarity verdicts."""
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from golaykit.errors import (
     GolayKitError,
     NotBinary,
     NotComplementary,
+    RankMismatch,
     ShapeMismatch,
     Trivial,
 )
@@ -185,8 +187,17 @@ class TestIsGcaSet:
         assert gca_check_polynomial([seq(big)] * 4)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            is_gca_set([seq(1, 1), seq(1, 1, 1)])
+        # one rank, mixed shapes: each member reads as zero past its own
+        # extent, so the verdict is the oracle's; mixed ranks are refused
+        for arrays in ([seq(1, 1), seq(1, 1, 1)], [seq(1, 0), seq(1)]):
+            v = is_gca_set(arrays)
+            assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) \
+                == oracle_verdict(arrays)
+            assert gca_check_polynomial(arrays) is v.is_complementary
+        for route in (is_gca_set, gca_check_polynomial, jointly_complementary,
+                      spectrum_flatness):
+            with pytest.raises(RankMismatch):
+                route([seq(1, 1), A1])
 
     def test_empty(self):
         with pytest.raises(EmptySet):
@@ -206,17 +217,19 @@ class TestIsGcaSet:
 
 def oracle_verdict(arrays):
     """(complementary, weight, max sidelobe norm) from the defining
-    double sums of tests/oracles.py."""
+    double sums of tests/oracles.py, summed by shift, so that members
+    of mixed shapes read as zero past their own extent."""
     total = {}
     for a in arrays:
         for idx, g in zip(np.ndindex(*(2 * s - 1 for s in a.shape)),
                           oracles.naive_autocorr(a).entries()):
-            re, im = total.get(idx, (0, 0))
-            total[idx] = (re + g.re, im + g.im)
-    center = tuple(s - 1 for s in arrays[0].shape)
+            shift = tuple(i - s + 1 for i, s in zip(idx, a.shape))
+            re, im = total.get(shift, (0, 0))
+            total[shift] = (re + g.re, im + g.im)
+    center = (0,) * arrays[0].rank
     w = sum(oracles.naive_weight(a) for a in arrays)
-    side = max([re * re + im * im for idx, (re, im) in total.items()
-                if idx != center], default=0)
+    side = max([re * re + im * im for shift, (re, im) in total.items()
+                if shift != center], default=0)
     return total[center] == (w, 0) and side == 0, w, side
 
 
@@ -336,6 +349,71 @@ class TestTransformKernel:
         assert is_gca_set(good).is_complementary
 
 
+@functools.lru_cache(maxsize=None)
+def bundled_base_sequences():
+    return tuple(r.tensors for r in load_bundled().records.values()
+                 if r.kind == "base-sequences")
+
+
+def negate_entry(t, at):
+    re, im = t.re.copy(), t.im.copy()
+    re.flat[at], im.flat[at] = -re.flat[at], -im.flat[at]
+    return Tensor(re, im)
+
+
+@st.composite
+def mixed_shape_sets(draw):
+    """One to four members of one rank, each of its own shape."""
+    rank = draw(st.integers(1, 3))
+    dims = st.lists(st.integers(1, 3), min_size=rank, max_size=rank)
+    members = draw(st.integers(1, 4))
+    return [draw(tensors(shape=tuple(draw(dims)))) for _ in range(members)]
+
+
+@st.composite
+def base_sequence_sets(draw):
+    """A bundled base-sequence record (lengths m+1, m+1, m, m), with
+    one entry negated half of the time."""
+    arrays = list(draw(st.sampled_from(bundled_base_sequences())))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        arrays[k] = negate_entry(arrays[k], draw(st.integers(0, arrays[k].size - 1)))
+    return arrays
+
+
+class TestMixedShapes:
+    """Members of one rank and mixed shapes: every exact route gives the
+    verdict of the defining double sums, each member read as zero past
+    its own extent."""
+
+    @given(st.one_of(mixed_shape_sets(), base_sequence_sets()))
+    @settings(max_examples=80)
+    def test_routes_match_oracle(self, arrays):
+        want = oracle_verdict(arrays)
+        for route in (is_gca_set, jointly_complementary):
+            v = route(arrays)
+            assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) == want
+        assert gca_check_polynomial(arrays) is want[0]
+
+    @given(mixed_shape_sets(), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_spectrum_matches_direct_evaluation(self, arrays, grid):
+        if sum(oracles.naive_weight(a) for a in arrays) == 0:
+            return
+        got, want = spectrum_flatness(arrays, grid), direct_flatness(arrays, grid)
+        assert abs(got - want) <= 1e-9 * max(1.0, want)
+
+    def test_base_sequences(self):
+        for arrays in bundled_base_sequences():
+            m = arrays[2].size
+            v = is_gca_set(arrays)
+            assert v.is_complementary and v.total_weight == 4 * m + 2
+            assert gca_check_polynomial(arrays)
+            bad = [negate_entry(arrays[0], 0)] + list(arrays[1:])
+            assert not is_gca_set(bad).is_complementary
+            assert not gca_check_polynomial(bad)
+
+
 class TestSizeBoundary:
     """Sets no prime below 2**31 can serve are refused up front."""
 
@@ -369,6 +447,15 @@ class TestSizeBoundary:
         info, peak = self._peak_bytes(is_gca_set, [t])
         assert "entries too large" in str(info.value)
         assert peak < 1 << 20
+
+    def test_padding_past_every_member(self):
+        # members (2048, 1) and (1, 1024) would pad to 2**21 entries each
+        arrays = [Tensor.unit((2048, 1)), Tensor.unit((1, 1024))]
+        for fn in (is_gca_set, gca_check_polynomial):
+            info, peak = self._peak_bytes(fn, arrays)
+            assert isinstance(info.value, ShapeMismatch)
+            assert "bounding shape (2048, 1024)" in str(info.value)
+            assert peak < 1 << 20
 
     def test_largest_transforms_have_their_primes(self):
         assert verify._primes(2**27, 2) == (15 * 2**27 + 1,)
