@@ -146,7 +146,7 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
     elements, so only the lex-least orbit member survives and
     exhaustion is still a proof of nonexistence.  Returns
     (status, a_codes, b_codes, nodes) with status 0 found,
-    1 exhausted, 2 budget exceeded.
+    1 exhausted, 2 budget exceeded (after exactly `budget` nodes).
     """
     h = (n + 1) // 2
     a, b = [0] * n, [0] * n
@@ -206,9 +206,10 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
             continue
 
         c = combo[t]
-        nodes += 1
-        if budget >= 0 and nodes > budget:
+        # stop before a node past the budget (-1: none), so nodes <= budget
+        if nodes == budget:
             return 2, a, b, nodes
+        nodes += 1
 
         # decode most significant first: one (a, b) slot, or
         # (a_lo, a_hi, b_lo, b_hi) on levels with two slots
@@ -399,9 +400,9 @@ def _base_dfs_kernel(m: int, budget: int):
             continue
 
         c = combo[t]
-        nodes += 1
-        if budget >= 0 and nodes > budget:
+        if nodes == budget:
             return 2, codes, nodes
+        nodes += 1
 
         for k, slot in enumerate(level):
             place(slot, (c >> (n_slots - 1 - k)) & 1)

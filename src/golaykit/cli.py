@@ -148,8 +148,10 @@ def cmd_generate(args) -> int:
         _say(f"set written to {args.out}")
     else:
         _emit(doc)
-    shape = "x".join(str(s) for s in out_set.shape)
-    _say(f"verified {out_set.role} of shape {shape}, "
+    shapes = ["x".join(map(str, a.shape)) for a in out_set.arrays]
+    shape = (f"shape {shapes[0]}" if len(set(shapes)) == 1
+             else f"member shapes {', '.join(shapes)}")
+    _say(f"verified {out_set.role} of {shape}, "
          f"alphabet {out_set.alphabet.value}, "
          f"total weight {out_set.total_weight()}")
     return EXIT_OK
@@ -170,6 +172,7 @@ def cmd_verify(args) -> int:
         "grid": args.grid,
         "members": len(gs.arrays),
         "shape": list(gs.shape),
+        "shapes": [list(a.shape) for a in gs.arrays],
     })
     ok = verdict.is_complementary and poly_ok
     _say("complementary" if ok else
@@ -186,6 +189,7 @@ def cmd_spectrum(args) -> int:
         "grid": args.grid,
         "members": len(gs.arrays),
         "shape": list(gs.shape),
+        "shapes": [list(a.shape) for a in gs.arrays],
     })
     return EXIT_OK
 

@@ -6,13 +6,13 @@ through it, so a slip in any formula raises VerificationFailed instead
 of propagating a bad array.  Only unmarked sets (a GcaSet built
 directly, or parsed with verify=False) are checked again.
 
-Array sets are value objects (GcaSet).  Quads built by the interleaving
-and concat-with-zeros constructions carry support-structure tags; the
-product construction re-validates those tags from scratch instead of
-trusting lineage.
+A set is its arrays (GcaSet): its alphabet, role and shape are read
+from them, and a construction that needs a support pattern checks the
+arrays themselves.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,6 +50,7 @@ from .tensor import (
     tensor_to_obj,
 )
 from .verify import (
+    _bounding_shape,
     binary_pair_symmetry,
     gca_check_polynomial,
     is_gca_set,
@@ -77,48 +78,46 @@ __all__ = [
     "set_from_obj",
 ]
 
-def _combined_alphabet(arrays: Sequence[Tensor]) -> Alphabet:
-    best = Alphabet.BINARY
-    for a in arrays:
-        cand = alphabet_of(a)
-        if not best.admits(cand):
-            best = cand
-    return best
-
 
 @dataclass(frozen=True)
 class GcaSet:
     """A complementary set of Gaussian-integer arrays.
 
-    Only `assemble` sets `verified`, once both exact routes pass; the
-    constructor and `dataclasses.replace` give an unmarked set, which
-    consumers check again.  `structure` carries optional support claims:
-    index pairs under "disjoint"/"conjoint", a "quasi_symmetric" flag,
-    a "mask" flag for exactly-one-of-four pairs.  Claims are advisory;
-    consumers that rely on them re-validate.
+    Only the arrays and their lineage are stored: the alphabet, the role
+    ("pair", "quad" or "set-n" by member count) and the shape (the
+    bounding shape the verification routes pad to) are read from the
+    arrays.  Only `assemble` sets `verified`, once both exact routes
+    pass; the constructor and `dataclasses.replace` give an unmarked
+    set, which consumers check again.
     """
 
     arrays: tuple[Tensor, ...]
-    alphabet: Alphabet
-    role: str
     lineage: str = ""
-    structure: dict = field(default_factory=dict)
     verified: bool = field(default=False, init=False, compare=False,
                            repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "arrays", tuple(self.arrays))
 
+    @functools.cached_property
+    def alphabet(self) -> Alphabet:
+        """The most restrictive alphabet that admits every member."""
+        return max(map(alphabet_of, self.arrays), key=list(Alphabet).index)
+
+    @property
+    def role(self) -> str:
+        return _role_for(len(self.arrays))
+
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.arrays[0].shape
+        return _bounding_shape(self.arrays)
 
     @property
     def rank(self) -> int:
         return self.arrays[0].rank
 
     def uniform_shape(self) -> bool:
-        return all(a.shape == self.shape for a in self.arrays)
+        return len({a.shape for a in self.arrays}) == 1
 
     def total_weight(self) -> int:
         return sum(weight(a) for a in self.arrays)
@@ -128,13 +127,9 @@ def _role_for(n: int) -> str:
     return {2: "pair", 4: "quad"}.get(n, f"set-{n}")
 
 
-def assemble(
-    arrays: Sequence[Tensor],
-    lineage: str,
-    structure: dict | None = None,
-) -> GcaSet:
+def assemble(arrays: Sequence[Tensor], lineage: str) -> GcaSet:
     """Check a set of arrays by both exact routes (which zero-pad mixed
-    shapes) and wrap it as a set marked verified."""
+    shapes) and wrap it, with its lineage, as a set marked verified."""
     arrays = tuple(arrays)
     where = lineage or "assemble"
     verdict = is_gca_set(arrays)
@@ -145,13 +140,7 @@ def assemble(
         )
     if not gca_check_polynomial(arrays):
         raise VerificationFailed(f"{where}: polynomial product check failed")
-    out = GcaSet(
-        arrays=arrays,
-        alphabet=_combined_alphabet(arrays),
-        role=_role_for(len(arrays)),
-        lineage=lineage,
-        structure=dict(structure or {}),
-    )
+    out = GcaSet(arrays, lineage)
     object.__setattr__(out, "verified", True)
     return out
 
@@ -161,8 +150,8 @@ def pair(a: Tensor, b: Tensor, lineage: str = "pair") -> GcaSet:
 
 
 def quad(a: Tensor, b: Tensor, c: Tensor, d: Tensor,
-         lineage: str = "quad", structure: dict | None = None) -> GcaSet:
-    return assemble([a, b, c, d], lineage, structure)
+         lineage: str = "quad") -> GcaSet:
+    return assemble([a, b, c, d], lineage)
 
 
 def _require_role(gs: GcaSet, role: str, what: str) -> None:
@@ -278,8 +267,7 @@ def disjoint_mask_pair(ab: GcaSet) -> GcaSet:
         raise StructureFailed(
             f"mask rule violated at {tuple(int(x) for x in pos)}"
         )
-    return assemble([p, q], "disjoint_mask_pair",
-                    {"mask": True, "disjoint": [[0, 1]]})
+    return assemble([p, q], "disjoint_mask_pair")
 
 
 def disjoint_from_pair(cd: GcaSet) -> GcaSet:
@@ -291,8 +279,7 @@ def disjoint_from_pair(cd: GcaSet) -> GcaSet:
     j_half = halve(c - d)
     if not supports_disjoint(i_half, j_half):
         raise NotDisjoint("halves unexpectedly overlap")
-    return assemble([i_half, j_half], "disjoint_from_pair",
-                    {"disjoint": [[0, 1]]})
+    return assemble([i_half, j_half], "disjoint_from_pair")
 
 
 def glue_pair(binder: GcaSet, cd: GcaSet, ef: GcaSet) -> GcaSet:
@@ -378,7 +365,7 @@ def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
             )
         z = Tensor.zeros(a.shape)
         e, f, g, h = a, z, b, z
-        return _tag_interleaved(e, f, g, h, "interleave_quad")
+        return _tiling_quad(e, f, g, h, "interleave_quad")
     (a, b), (c, d) = _split_quad_input(first, second, "interleave_quad", dim)
     if a.shape[dim] != c.shape[dim] + 1:
         raise ShapeMismatch(
@@ -391,7 +378,7 @@ def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
     g = interleave(b, zc, dim)
     f = interleave(za, c, dim)
     h = interleave(za, d, dim)
-    return _tag_interleaved(e, f, g, h, "interleave_quad")
+    return _tiling_quad(e, f, g, h, "interleave_quad")
 
 
 def concat_zero_quad(first: GcaSet, second: GcaSet | None = None, *,
@@ -415,16 +402,13 @@ def concat_zero_quad(first: GcaSet, second: GcaSet | None = None, *,
     g = chain(a, zc, zc, negate(b))
     f = chain(za, c, d, za)
     h = chain(za, c, negate(d), za)
-    return _tag_interleaved(e, f, g, h, "concat_zero_quad")
+    return _tiling_quad(e, f, g, h, "concat_zero_quad")
 
 
-def _tag_interleaved(e, f, g, h, lineage: str) -> GcaSet:
-    out = quad(e, f, g, h, lineage, {
-        "conjoint": [[0, 2], [1, 3]],
-        "disjoint": [[0, 1], [0, 3], [1, 2], [2, 3]],
-        "quasi_symmetric": True,
-        "weight_deficient": True,
-    })
+def _tiling_quad(e, f, g, h, lineage: str) -> GcaSet:
+    """The quad (e, f, g, h), checked to have the tiling support pattern
+    that `lagrange_quad` needs."""
+    out = quad(e, f, g, h, lineage)
     _require_tiling_structure(out, lineage)
     return out
 
@@ -493,8 +477,6 @@ def expand_quad(q1: GcaSet, ij: GcaSet) -> GcaSet:
     _require_same_rank(q1, ij)
     if not _polyphase(q1):
         raise NonPolyphase("expand_quad: input quad must be polyphase")
-    if not ij.structure.get("disjoint"):
-        raise NotDisjoint("expand_quad: pair lacks the disjoint tag")
     i_t, j_t = ij.arrays
     if not supports_disjoint(i_t, j_t):
         raise NotDisjoint("expand_quad: supports overlap")
@@ -552,12 +534,12 @@ def set_to_obj(gs: GcaSet) -> dict:
         "alphabet": gs.alphabet.value,
         "arrays": [tensor_to_obj(a) for a in gs.arrays],
         "lineage": gs.lineage,
-        "structure": gs.structure,
     }
 
 
 def set_from_obj(obj: dict, verify: bool = True) -> GcaSet:
-    """Parse gca-set/1; with verify=True it returns through `assemble`."""
+    """Parse gca-set/1; with verify=True it returns through `assemble`.
+    A declared role or alphabet must be the one the arrays give or admit."""
     if not isinstance(obj, dict):
         raise ParseError("set document must be an object")
     if obj.get("format") != "gca-set/1":
@@ -569,15 +551,15 @@ def set_from_obj(obj: dict, verify: bool = True) -> GcaSet:
     if not arrays:
         raise ParseError("set document has no arrays")
     lineage = obj.get("lineage", "")
-    structure = obj.get("structure") or {}
-    if not isinstance(lineage, str) or not isinstance(structure, dict):
+    # older files carry a "structure" object of support tags: read past
+    if (not isinstance(lineage, str)
+            or not isinstance(obj.get("structure") or {}, dict)):
         raise ParseError("set lineage must be a string, structure an object")
-    if verify:
-        return assemble(arrays, lineage, structure)
-    return GcaSet(
-        arrays=arrays,
-        alphabet=_combined_alphabet(arrays),
-        role=_role_for(len(arrays)),
-        lineage=lineage,
-        structure=dict(structure),
-    )
+    gs = GcaSet(arrays, lineage)
+    role, tag = obj.get("role"), obj.get("alphabet")
+    if role is not None and role != gs.role:
+        raise ParseError(f"declared role {role!r}, but {len(arrays)} arrays "
+                         f"make a {gs.role}")
+    if tag is not None and not Alphabet.from_tag(tag).admits(gs.alphabet):
+        raise ParseError(f"entries do not satisfy declared alphabet {tag!r}")
+    return assemble(arrays, lineage) if verify else gs

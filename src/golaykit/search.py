@@ -198,7 +198,12 @@ def _confirmed(queries: _Table, table: _Table):
     keys = table.keys[order]
     with np.errstate(over="ignore"):
         wanted = np.negative(queries.keys)
-    asked = np.argsort(wanted)
+    if queries is table:
+        # -x mod 2**64 keeps zero keys first and reverses the others
+        zeros = int(np.searchsorted(keys, np.uint64(0), "right"))
+        asked = np.concatenate((order[:zeros], order[zeros:][::-1]))
+    else:
+        asked = np.argsort(wanted)
     wanted = wanted[asked]
     lo = np.searchsorted(keys, wanted)
     hit = np.flatnonzero(keys[np.minimum(lo, len(keys) - 1)] == wanted)
@@ -264,6 +269,8 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     shape = tuple(shape)
     n = math.prod(shape)
     if n == 1:
+        if budget == 0:
+            return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, None, 0)
         one = Tensor.unit(shape)
         return SearchOutcome(SearchStatus.FOUND, (one, one), 1)
     space = phases ** (n - 1)

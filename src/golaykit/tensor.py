@@ -587,16 +587,14 @@ def alphabet_of(a: Tensor) -> Alphabet:
     return Alphabet.GENERAL
 
 
-def tensor_to_obj(a: Tensor, alphabet: Alphabet | None = None) -> dict:
+def tensor_to_obj(a: Tensor) -> dict:
     """Plain-dict form of the gca-tensor/1 wire format."""
-    if alphabet is None:
-        alphabet = alphabet_of(a)
     return {
         "format": "gca-tensor/1",
         "shape": list(a.shape),
         "order": "row-major-last-fastest",
         "entries": np.stack([a.re, a.im], axis=-1).reshape(-1, 2).tolist(),
-        "alphabet": alphabet.value,
+        "alphabet": alphabet_of(a).value,
     }
 
 

@@ -360,6 +360,11 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     return Tensor(np.pad(a.re, widths), np.pad(a.im, widths))
 
 
+def _bounding_shape(arrays: Sequence[Tensor]) -> tuple[int, ...]:
+    """The largest extent of the members along each axis."""
+    return tuple(map(max, zip(*(a.shape for a in arrays))))
+
+
 def _one_shape(arrays: Sequence[Tensor]) -> list[Tensor]:
     """The members zero-padded at the high end of each axis to the
     set's bounding shape.  Refuses an empty set, mixed ranks, and a
@@ -371,7 +376,7 @@ def _one_shape(arrays: Sequence[Tensor]) -> list[Tensor]:
     if any(a.rank != rank for a in arrays):
         raise RankMismatch(
             f"mixed ranks in set: {sorted({a.rank for a in arrays})}")
-    bound = tuple(map(max, zip(*(a.shape for a in arrays))))
+    bound = _bounding_shape(arrays)
     size = math.prod(bound)
     if size > max(_PAD_CAP, *(a.size for a in arrays)):
         raise ShapeMismatch(f"padding the set to its bounding shape {bound} "

@@ -162,7 +162,7 @@ class TestGenerateVerifyRoundTrip:
         ones = Tensor(np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
         monkeypatch.setattr(
             planner, "binary_turyn_pair",
-            lambda ab, cd: GcaSet((ones, ones), Alphabet.BINARY, "pair"))
+            lambda ab, cd: GcaSet((ones, ones)))
         code, _, err = run(capsys, "generate", "--alphabet", "binary",
                            "--role", "pair", "--shape", "4")
         assert code == 4
@@ -259,6 +259,8 @@ class TestMixedShapeSets:
         code, _, err = run(capsys, "generate", "--recipe", str(recipe),
                            "--out", str(out_set))
         assert code == 0, err
+        assert ("verified quad of member shapes 3, 3, 2, 2, "
+                "alphabet binary") in err
         return out_set
 
     def test_generated_base_sequences_verify(self, capsys, tmp_path):
@@ -269,7 +271,47 @@ class TestMixedShapeSets:
         assert code == 0
         assert (obj["complementary"], obj["polynomial_route"]) == (True, True)
         assert obj["total_weight"] == 10
+        assert obj["shape"] == [3]
+        assert obj["shapes"] == [[3], [3], [2], [2]]
         assert err.strip() == "complementary"
+
+    def test_spectrum_reports_every_shape(self, capsys, tmp_path):
+        path = self._write_base_set(capsys, tmp_path)
+        code, obj, _ = run_json(capsys, "spectrum", str(path))
+        assert code == 0
+        assert (obj["members"], obj["shape"], obj["shapes"]) == (
+            4, [3], [[3], [3], [2], [2]])
+
+    def test_legacy_structure_ignored(self, capsys, tmp_path):
+        path = self._write_base_set(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        assert "structure" not in doc
+        doc["structure"] = {"disjoint": [[0, 1]], "quasi_symmetric": True}
+        path.write_text(json.dumps(doc))
+        code, obj, _ = run_json(capsys, "verify", str(path))
+        assert code == 0 and obj["complementary"] is True
+
+    @pytest.mark.parametrize("field,value", [
+        ("role", 5), ("role", "pair"), ("alphabet", "nonsense"),
+        ("alphabet", "quaternary-ish"), ("structure", "tags")])
+    def test_declared_field_contradicted_exit_65(self, capsys, tmp_path,
+                                                 field, value):
+        path = self._write_base_set(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "spectrum"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 65
+            assert out == "" and "Traceback" not in err
+
+    def test_declared_wider_alphabet_accepted(self, capsys, tmp_path):
+        path = self._write_base_set(capsys, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["alphabet"] = "quaternary"
+        path.write_text(json.dumps(doc))
+        code, obj, _ = run_json(capsys, "verify", str(path))
+        assert code == 0 and obj["complementary"] is True
 
     def test_corrupted_entry_exit_4(self, capsys, tmp_path):
         path = self._write_base_set(capsys, tmp_path)
@@ -309,6 +351,14 @@ class TestSeedSearch:
         assert code == 1
         assert obj["status"] == "exhausted"
         assert obj["record"] is None
+
+    def test_budget_zero_counts_no_node(self, capsys):
+        code, obj, err = run_json(
+            capsys, "seed", "search", "--kind", "pair", "--alphabet",
+            "binary", "--shape", "3", "--budget", "0")
+        assert code == 5
+        assert (obj["status"], obj["nodes"]) == ("budget-exceeded", 0)
+        assert "after 0 nodes" in err
 
     def test_budget_exit_5(self, capsys):
         code, obj, _ = run_json(
@@ -518,7 +568,8 @@ def mutated_members(draw, tensors):
 @st.composite
 def mutated_sets(draw):
     """A valid gca-set/1 document after one to three mutations of a
-    member, a dropped top-level field, or a bad lineage or structure."""
+    member, a dropped top-level field, or a bad lineage, structure,
+    role or alphabet."""
     doc = copy.deepcopy(draw(st.sampled_from(_VALID_SETS)))
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["member", "drop", "field"]))
@@ -528,7 +579,8 @@ def mutated_sets(draw):
         elif kind == "drop" and doc:
             del doc[draw(st.sampled_from(sorted(doc)))]
         elif kind == "field":
-            name = draw(st.sampled_from(["lineage", "structure", "arrays"]))
+            name = draw(st.sampled_from(
+                ["lineage", "structure", "arrays", "role", "alphabet"]))
             doc[name] = draw(_BAD_VALUES)
     return doc
 

@@ -47,10 +47,7 @@ def seq(*vals):
 
 def orient(gs: GcaSet, axis: int, rank: int = 2) -> GcaSet:
     """Re-embed a 1-D set along an axis of a rank-2 array."""
-    return GcaSet(
-        tuple(embed(a, rank, axis) for a in gs.arrays),
-        gs.alphabet, gs.role, gs.lineage, gs.structure,
-    )
+    return GcaSet(tuple(embed(a, rank, axis) for a in gs.arrays), gs.lineage)
 
 
 @pytest.fixture
@@ -83,16 +80,65 @@ class TestGcaSetBasics:
         assert q2_quaternary.alphabet is Alphabet.QUATERNARY
 
 
+class TestDerivedMetadata:
+    """A set is its arrays: alphabet, role and shape are read from them."""
+
+    def test_fields_are_arrays_lineage_mark(self):
+        assert [f.name for f in dataclasses.fields(GcaSet)] == [
+            "arrays", "lineage", "verified"]
+
+    def test_derived_from_arrays(self, q2_quaternary):
+        base = GcaSet((seq(1, 1, -1), seq(1, 1, 1), seq(1, -1), seq(1, -1)))
+        assert base.alphabet is Alphabet.BINARY
+        assert base.role == "quad"
+        assert base.shape == (3,)  # the bounding shape of 3, 3, 2, 2
+        assert not base.uniform_shape()
+        bare = GcaSet(q2_quaternary.arrays)
+        assert (bare.alphabet, bare.role, bare.shape, bare.lineage) == (
+            Alphabet.QUATERNARY, "pair", (2,), "")
+        zeros = GcaSet((seq(1, 0), seq(0, 1)))
+        assert zeros.alphabet is Alphabet.POLYPHASE4_WITH_ZEROS
+
+    @pytest.mark.parametrize("name,value", [
+        ("alphabet", Alphabet.BINARY), ("role", "pair"),
+        ("shape", (2,)), ("structure", {})])
+    def test_metadata_cannot_be_set(self, p2, name, value):
+        with pytest.raises(TypeError):
+            GcaSet(p2.arrays, **{name: value})
+
+    def test_alphabet_computed_once(self, p2, monkeypatch):
+        calls = []
+        alphabet_of = construct.alphabet_of
+        monkeypatch.setattr(construct, "alphabet_of",
+                            lambda a: calls.append(1) or alphabet_of(a))
+        gs = GcaSet(p2.arrays)
+        assert calls == []
+        assert gs.alphabet is gs.alphabet is Alphabet.BINARY
+        assert calls == [1, 1]  # once per member, on first read
+
+    def test_binary_check_reads_the_arrays(self, q2_quaternary):
+        # no label can make a quaternary pair pass as binary
+        with pytest.raises(NotBinary):
+            disjoint_from_pair(GcaSet(q2_quaternary.arrays))
+
+    def test_wire_form_has_no_structure(self, bs1_quad):
+        obj = set_to_obj(bs1_quad)
+        assert sorted(obj) == ["alphabet", "arrays", "format", "lineage",
+                               "role"]
+        assert (obj["role"], obj["alphabet"]) == ("quad",
+                                                  "polyphase4-with-zeros")
+
+
 class TestVerifiedMark:
     """Only `assemble` marks a set; consumers skip checks on marked sets."""
 
     def test_only_assemble_marks(self, p2):
         assert p2.verified
-        bare = GcaSet(p2.arrays, p2.alphabet, p2.role, p2.lineage)
+        bare = GcaSet(p2.arrays, p2.lineage)
         assert not bare.verified
         assert bare == p2  # the mark takes no part in equality
         with pytest.raises(TypeError):
-            GcaSet(p2.arrays, p2.alphabet, p2.role, verified=True)
+            GcaSet(p2.arrays, verified=True)
         assert not dataclasses.replace(p2).verified
         assert not dataclasses.replace(p2, lineage="copy").verified
 
@@ -108,8 +154,7 @@ class TestVerifiedMark:
         lambda q: compromise_quad(q, None, 0, pair(seq(1, 1), seq(1, -1))),
     ], ids=["concat_zero_quad", "compromise_quad"])
     def test_unmarked_quad_checked_jointly(self, op):
-        bad = GcaSet((seq(1, 1), seq(1, 1), seq(1), seq(1)),
-                     Alphabet.BINARY, "quad")
+        bad = GcaSet((seq(1, 1), seq(1, 1), seq(1), seq(1)))
         with pytest.raises(NotComplementary):
             op(bad)
 
@@ -124,7 +169,7 @@ class TestVerifiedMark:
         concat_zero_quad(q, dim=0)
         compromise_quad(q, None, 0, disjoint_from_pair(p2))
         assert calls == []
-        interleave_quad(p2, GcaSet(t.arrays, t.alphabet, t.role), dim=0)
+        interleave_quad(p2, GcaSet(t.arrays), dim=0)
         concat_zero_quad(dataclasses.replace(q), dim=0)
         assert len(calls) == 2
 
@@ -197,7 +242,6 @@ class TestMaskAndHalves:
             [g for g in seq(0, 0).entries()],
             seq(1, 0).entries(),
         ]
-        assert out.structure["mask"] is True
 
     def test_mask_weight_half(self, p2):
         big = binary_turyn_pair(p2, p2)
@@ -215,7 +259,6 @@ class TestMaskAndHalves:
         assert [a.entries() for a in out.arrays] == [
             seq(1, 0).entries(), seq(0, 1).entries(),
         ]
-        assert out.structure["disjoint"] == [[0, 1]]
 
     def test_halves_reject_quaternary(self, q2_quaternary):
         with pytest.raises(NotBinary):
@@ -267,17 +310,16 @@ class TestInterleaveQuad:
             seq(1, 0, 1).entries(), seq(0, 1, 0).entries(),
             seq(1, 0, -1).entries(), seq(0, 1, 0).entries(),
         ]
-        assert bs1_quad.structure["conjoint"] == [[0, 2], [1, 3]]
 
     def test_sizes_must_differ_by_one(self, p2):
         with pytest.raises(ShapeMismatch):
             interleave_quad(p2, p2, dim=0)
 
     def test_joint_complementarity_required(self, p2):
-        other_cd = GcaSet((seq(1), seq(-1)), Alphabet.BINARY, "pair")
+        other_cd = GcaSet((seq(1), seq(-1)))
         ok = interleave_quad(p2, other_cd, dim=0)  # 2,2,1,1 still sums flat
         assert ok.shape == (3,)
-        bad_ab = GcaSet((seq(1, 1), seq(1, 1)), Alphabet.BINARY, "pair")
+        bad_ab = GcaSet((seq(1, 1), seq(1, 1)))
         with pytest.raises(NotComplementary):
             interleave_quad(bad_ab, pair(seq(1), seq(1)), dim=0)
 
@@ -359,10 +401,19 @@ class TestExpandQuad:
 
     def test_tag_is_revalidated(self, bs1_quad, p2):
         q9 = lagrange_quad(bs1_quad, bs1_quad)
-        fake = GcaSet(p2.arrays, p2.alphabet, "pair", "x",
-                      {"disjoint": [[0, 1]]})
+        fake = GcaSet(p2.arrays, "x")
         with pytest.raises(NotDisjoint):
             expand_quad(q9, fake)
+
+    def test_untagged_disjoint_pair(self, bs1_quad, p2):
+        # disjointness is read from the supports, whatever built the pair
+        q9 = lagrange_quad(bs1_quad, bs1_quad)
+        ij = GcaSet(disjoint_from_pair(p2).arrays)
+        out = expand_quad(q9, ij)
+        assert out.shape == (18,)
+        assert out.alphabet is Alphabet.BINARY
+        with pytest.raises(NotDisjoint):
+            expand_quad(q9, p2)
 
     def test_input_quad_must_be_polyphase(self, bs1_quad, p2):
         ij = disjoint_from_pair(p2)
@@ -416,6 +467,28 @@ class TestSetJson:
             set_from_obj(obj)
         loose = set_from_obj(obj, verify=False)
         assert not is_gca_set(list(loose.arrays)).is_complementary
+
+    @pytest.mark.parametrize("field,value", [
+        ("role", "quad"), ("role", 5), ("role", "set-2"),
+        ("alphabet", "nonsense"), ("alphabet", 3), ("alphabet", "binary"),
+        ("structure", [[0, 1]])])
+    def test_declared_fields_checked(self, q2_quaternary, field, value):
+        obj = set_to_obj(q2_quaternary)
+        obj[field] = value
+        for verify in (True, False):
+            with pytest.raises(ParseError):
+                set_from_obj(obj, verify=verify)
+
+    @pytest.mark.parametrize("field,value", [
+        ("alphabet", "quaternary"), ("alphabet", "general"),
+        ("alphabet", None), ("role", None),
+        ("structure", {"disjoint": [[0, 1]], "mask": True})])
+    def test_declared_fields_accepted(self, q2_quaternary, field, value):
+        obj = set_to_obj(q2_quaternary)
+        obj[field] = value
+        back = set_from_obj(obj)
+        assert back.arrays == q2_quaternary.arrays
+        assert back.alphabet is Alphabet.QUATERNARY
 
     def test_rejects_bad_format(self):
         with pytest.raises(ParseError):

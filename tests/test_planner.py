@@ -431,7 +431,7 @@ class TestRecipeSerialization:
         # then fail the final check
         ones = Tensor(np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
         monkeypatch.setattr(planner, "binary_turyn_pair",
-                            lambda ab, cd: GcaSet((ones, ones), B, "pair"))
+                            lambda ab, cd: GcaSet((ones, ones)))
         with pytest.raises(VerificationFailed):
             execute(plan_pair(B, (4,)).recipe, registry)
 

@@ -2,6 +2,7 @@
 engine agreement and budget semantics."""
 from __future__ import annotations
 
+import copy
 import math
 import tracemalloc
 
@@ -231,6 +232,27 @@ class TestKeyCollisions:
             _entries(t) for t in want.arrays or ()]
 
 
+class TestSelfMatch:
+    """A table matched against itself takes its negated keys' order from
+    its own sort; a copy of the table goes the general way."""
+
+    @pytest.mark.parametrize("shape,phases", [
+        ((1,), 2), ((6,), 2), ((4,), 4), ((2, 2), 4), ((10,), 2)])
+    @pytest.mark.parametrize("weights", [None, _equal_weights],
+                             ids=["keyed", "equal-weights"])
+    def test_same_as_general_match(self, monkeypatch, shape, phases,
+                                   weights):
+        if weights is not None:
+            monkeypatch.setattr(search, "_weights", weights)
+        table = search._Table((shape,), phases)
+        other = copy.copy(table)
+        got = [(q.tolist(), r.tolist())
+               for q, r in search._confirmed(table, table)]
+        want = [(q.tolist(), r.tolist())
+                for q, r in search._confirmed(other, table)]
+        assert got == want
+
+
 class TestCounts:
     """Solution counts under first-entry normalization and without."""
 
@@ -319,19 +341,19 @@ _PINNED_PAIR = [
     (2, 2, -1, 0, "00", "01", 2),
     (10, 2, -1, 0, "0010101100", "0010000011", 177),
     (13, 2, -1, 1, "0111111111111", "0111111000001", 5684),
-    (20, 2, 1000, 2, "00000011011010100000", "00000001011000011111", 1001),
+    (20, 2, 1000, 2, "00000011011010100000", "00000001011000011111", 1000),
     (5, 4, -1, 0, "00032", "02103", 455),
     (7, 4, -1, 1, "0333312", "0213113", 5888),
-    (13, 4, 15000, 2, "0000033312000", "0000203133111", 15001),
+    (13, 4, 15000, 2, "0000033312000", "0000203133111", 15000),
 ]
 _PINNED_BASE = [
     (1, -1, 0, "00|01|0|0", 2),
     (3, -1, 0, "0010|0011|000|010", 27),
     (5, -1, 0, "001010|000111|00100|00100", 126),
     (7, -1, 0, "00001010|00001011|0001100|0100110", 11062),
-    (6, 10, 2, "0000000|0000001|000010|000000", 11),
+    (6, 10, 2, "0000000|0000001|000010|000000", 10),
     (13, 15000, 2,
-     "00001010111110|00001110111111|0000010110000|0000110010000", 15001),
+     "00001010111110|00001110111111|0000010110000|0000110010000", 15000),
 ]
 
 
@@ -367,7 +389,32 @@ class TestBudget:
         out = search_base_arrays(6, budget=10)
         assert out.status is SearchStatus.BUDGET_EXCEEDED
         assert out.arrays is None
-        assert out.nodes >= 10
+        assert out.nodes == 10
+
+    @pytest.mark.parametrize("budget", [0, 1, 176, 177])
+    def test_dfs_stops_at_the_budget(self, budget):
+        # binary 10 is found at node 177: any smaller budget stops after
+        # exactly `budget` nodes, before placing a node past it
+        out = search_pair_arrays((10,), Alphabet.BINARY, budget=budget)
+        assert out.nodes == min(budget, 177)
+        assert out.status is (SearchStatus.FOUND if budget == 177
+                              else SearchStatus.BUDGET_EXCEEDED)
+
+    @pytest.mark.parametrize("fn", [
+        lambda b: search_pair_arrays((20,), Alphabet.BINARY, budget=b),
+        lambda b: search_base_arrays(6, budget=b)], ids=["b20", "base6"])
+    def test_nodes_within_budget(self, fn):
+        for budget in (0, 1, 2, 10, 1000):
+            out = fn(budget)
+            assert out.status is SearchStatus.BUDGET_EXCEEDED
+            assert out.nodes == budget
+
+    def test_single_entry_pair_counts_its_node(self):
+        zero = search_pair_arrays((1, 1), Alphabet.QUATERNARY, budget=0)
+        assert (zero.status, zero.arrays, zero.nodes) == (
+            SearchStatus.BUDGET_EXCEEDED, None, 0)
+        one = search_pair_arrays((1, 1), Alphabet.QUATERNARY, budget=1)
+        assert (one.status, one.nodes) == (SearchStatus.FOUND, 1)
 
     def test_generous_budget_is_no_op(self):
         full = search_pair_arrays((8,), Alphabet.BINARY)
