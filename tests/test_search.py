@@ -341,7 +341,9 @@ _PINNED_PAIR = [
     (2, 2, -1, 0, "00", "01", 2),
     (10, 2, -1, 0, "0010101100", "0010000011", 177),
     (13, 2, -1, 1, "0111111111111", "0111111000001", 5684),
+    (20, 2, -1, 0, "00000101101010001100", "00000101100101110011", 116206),
     (20, 2, 1000, 2, "00000011011010100000", "00000001011000011111", 1000),
+    (10, 4, -1, 0, "0010101100", "0010000011", 21931),
     (5, 4, -1, 0, "00032", "02103", 455),
     (7, 4, -1, 1, "0333312", "0213113", 5888),
     (13, 4, 15000, 2, "0000033312000", "0000203133111", 15000),
@@ -352,6 +354,7 @@ _PINNED_BASE = [
     (5, -1, 0, "001010|000111|00100|00100", 126),
     (7, -1, 0, "00001010|00001011|0001100|0100110", 11062),
     (6, 10, 2, "0000000|0000001|000010|000000", 10),
+    (9, -1, 0, "0011001010|0000110111|000010100|000101100", 40959),
     (13, 15000, 2,
      "00001010111110|00001110111111|0000010110000|0000110010000", 15000),
 ]
@@ -377,6 +380,18 @@ class TestPinnedKernels:
         got_status, seqs, got_nodes = _dfskernels.run_base_dfs(m, budget)
         assert (got_status, "|".join(map(_digits, seqs)), got_nodes) == (
             status, codes, nodes)
+
+    @pytest.mark.parametrize("run,budgets,found_at", [
+        (lambda b: _dfskernels.run_pair_dfs(10, 2, b), range(201), 177),
+        (lambda b: _dfskernels.run_base_dfs(5, b), range(141), 126)],
+        ids=["b10", "base5"])
+    def test_budget_sweep(self, run, budgets, found_at):
+        # the stop is strict at every level entry: a budget below the
+        # finding node stops after exactly `budget` nodes
+        for budget in budgets:
+            got = run(budget)
+            assert (got[0], got[-1]) == (
+                2 if budget < found_at else 0, min(budget, found_at))
 
 
 class TestBudget:
