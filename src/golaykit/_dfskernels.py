@@ -11,10 +11,27 @@ evaluation within an L1 ball of matching parity, which bounds the
 reachable values on both sides.  Entry codes are 0..3 for 1, -1, i,
 -i; arithmetic runs on (re, im) int tables.
 
-Plain Python over lists and ints: the state is a handful of short
-lists, so numpy scalars would only add overhead to every node.
+A node costs only what its own placements add.  After level t the
+assigned positions are [0, t) and [len-t, len), so geometry alone
+fixes, per level and checked shift, which terms are known, how many
+are unknown, and which pairs of positions the level completes; each
+call works these out once.  Each level keeps its own state: the
+evaluations (or +-1 entry sums) of the node it descended from and
+the sums of that node's window shifts, which are the child level's
+completed shift and upper window, so a descent sums only the lowest
+window shift afresh and a child adds only its new terms.  A child's
+evaluations are made only once it passes the shift tests, and
+backtracking drops a level with nothing to undo.  The pair kernel's
+orbit cuts for a level depend only on the group elements still tied,
+the level's width and the assigned last entries, so each such table
+is made once per call.  Levels are generators on an explicit stack,
+so depth is not bounded by the recursion limit.  The kernels are plain
+Python: a node touches a few ints, where numpy scalars would only add
+overhead.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -117,21 +134,128 @@ _JOINT_IM = tuple(tuple(_joint_product(i, j, CODE_IM) for j in range(16))
                   for i in range(16))
 
 
-def _pair_shift_sum(joint, filled, n, delta):
-    """Partial joint autocorrelation at `delta` over the known terms.
+def _ends(ln: int, t: int) -> tuple[int, int]:
+    """(a, b) such that a sequence of length ln is assigned on [0, a)
+    and [b, ln) after level t; level 0 is its fixed first entry."""
+    a = min(max(t, 1), ln)
+    return a, max(ln - t, a)
 
-    Returns (re, im, unknown_term_count); a term at index i needs
-    positions i and i+delta of the same sequence.
-    """
-    s_re = s_im = unknown = 0
-    for i in range(n - delta):
-        j = i + delta
-        if filled[i] and filled[j]:
-            s_re += _JOINT_RE[joint[i]][joint[j]]
-            s_im += _JOINT_IM[joint[i]][joint[j]]
-        else:
-            unknown += 2
-    return s_re, s_im, unknown
+
+def _placed(ln: int, t: int) -> list[int]:
+    """The positions of a sequence of length ln that level t assigns,
+    ascending: t-1 and ln-t, unless assigned already."""
+    a0, b0 = _ends(ln, t - 1)
+    a1, b1 = _ends(ln, t)
+    return [*range(a0, min(a1, b0)), *range(max(b1, a0), b0)]
+
+
+def _known(ln: int, t: int, d: int) -> list[range]:
+    """The i whose term (i, i + d) in a sequence of length ln has both
+    positions assigned after level t, as ranges."""
+    a, b = _ends(ln, t)
+    return [range(lo, hi) for lo, hi in ((0, a - d),
+                                         (max(b - d, 0), min(a, ln - d)),
+                                         (b, ln - d)) if lo < hi]
+
+
+def _checks(spans, t: int, delta: int):
+    """The shifts a node at level t checks over the sequences at `spans`
+    ((flat start, length) each): delta, which level t completes, then
+    the nearly complete ones below it.  Per shift d: d, its count of
+    unknown terms, the flat ranges of the i whose term (i, i + d) was
+    known after level t-1, and the pairs of flat positions that level t
+    completes.  Geometry alone fixes all of them."""
+    out = []
+    for d in (delta, *range(delta - 1, max(delta - 1 - _WINDOW, 0), -1)):
+        unknown, old, new = 0, [], set()
+        for start, ln in spans:
+            unknown += max(ln - d, 0) - sum(map(len, _known(ln, t, d)))
+            old += [range(start + r.start, start + r.stop)
+                    for r in _known(ln, t - 1, d)]
+            a, b = _ends(ln, t)
+            for q in _placed(ln, t):
+                for i in (q - d, q):
+                    j = i + d
+                    if 0 <= i and j < ln and not a <= i < b and not a <= j < b:
+                        new.add((start + i, start + j))
+        out.append((d, unknown, old, sorted(new)))
+    return out
+
+
+def _depth_first(level, root) -> int:
+    """Run a depth-first search whose levels are generators:
+    level(t, *state) yields the state of each child it descends into
+    and returns 0 (found), 2 (budget) or None (spent).  The stack holds
+    one suspended level per depth, so no depth reaches the recursion
+    limit.  Returns 0, 1 (exhausted) or 2."""
+    stack = [level(1, *root)]
+    while stack:
+        try:
+            stack.append(level(len(stack) + 1, *next(stack[-1])))
+        except StopIteration as stop:
+            if stop.value is not None:
+                return stop.value
+            stack.pop()
+    return 1
+
+
+def _pair_reaches(ev_a, ev_b, k: int, target: int) -> bool:
+    """Whether every unit-point evaluation pair, each member still free
+    to add k units, can reach |A|^2 + |B|^2 = `target`."""
+    for e in range(0, 8, 2):
+        ra, ia, rb, ib = ev_a[e], ev_a[e + 1], ev_b[e], ev_b[e + 1]
+        if (_min_reach_sq(ra, ia, k) + _min_reach_sq(rb, ib, k) > target
+                or _max_reach_sq(ra, ia, k) + _max_reach_sq(rb, ib, k)
+                < target):
+            return False
+    return True
+
+
+def _pair_shift_vanishes(joint, d: int) -> bool:
+    """Whether the joint autocorrelation at shift d of a complete
+    assignment with joint codes `joint` is exactly zero."""
+    pairs = list(zip(joint, joint[d:]))
+    return (sum(_JOINT_RE[x][y] for x, y in pairs) == 0
+            and sum(_JOINT_IM[x][y] for x, y in pairs) == 0)
+
+
+def _orbit_cuts(kids, tied, wide, rev, last_a, last_b):
+    """Per child of a level: None when some element of `tied` maps its
+    packed slots strictly lex-below them, else the elements that tie."""
+    img_a, img_b = _IMAGE[wide][last_a], _IMAGE[wide][last_b]
+    digits = 16 if wide else 4
+    out = []
+    for *_, pa, pb, packed in kids:
+        still = []
+        for g in tied:
+            conj, rev_a, rev_b, swap = _GROUP[g]
+            ia = img_a[rev and rev_a][conj][pa]
+            ib = img_b[rev and rev_b][conj][pb]
+            q = ib * digits + ia if swap else ia * digits + ib
+            if q < packed:
+                still = None
+                break
+            if q == packed:
+                still.append(g)
+        out.append(None if still is None else tuple(still))
+    return out
+
+
+def _pair_children(phases: int, width: int):
+    """The children of a level with `width` slots per member, in order:
+    digits most significant first, one (a, b) slot or (a_lo, a_hi,
+    b_lo, b_hi) on levels with two slots.  Each is its a codes, b
+    codes, joint codes, the packed a and b slots (base-4 digits) and
+    both packed together, as the orbit cuts compare them."""
+    out = []
+    for digits in itertools.product(range(phases), repeat=2 * width):
+        ca, cb = digits[:width], digits[width:]
+        pa = pb = 0
+        for x, y in zip(ca, cb):
+            pa, pb = pa * 4 + x, pb * 4 + y
+        out.append((ca, cb, tuple(4 * x + y for x, y in zip(ca, cb)),
+                    pa, pb, pa * 4 ** width + pb))
+    return out
 
 
 def _pair_dfs_kernel(n: int, phases: int, budget: int):
@@ -151,165 +275,115 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
     h = (n + 1) // 2
     a, b = [0] * n, [0] * n
     joint = [0] * n  # 4 a[i] + b[i]
-    filled = [0] * n
-    # level t places position t-1 (position 0 is fixed, so not at t = 1)
-    # and position n-t (unless that is the same position)
-    slots = [()]
-    for t in range(1, h + 1):
-        lo, hi = t - 1, n - t
-        slots.append(((lo,) if t > 1 else ()) + ((hi,) if hi != lo else ()))
-    combo = [0] * (h + 2)
-    # per level, the group elements whose image prefix still equals the
-    # node prefix; the others are strictly greater and can no longer cut
-    tied: list = [()] * (h + 2)
-    tied[1] = range(1, 16)
-
-    # partial evaluations at the unit points, (re, im) per point, per
-    # member; position 0 of both sequences contributes +1 everywhere
-    ev_a = [1, 0] * 4
-    ev_b = [1, 0] * 4
-
-    def move(pos, sign):
-        ta, tb = _TERMS[a[pos]][pos % 4], _TERMS[b[pos]][pos % 4]
-        for k in range(8):
-            ev_a[k] += sign * ta[k]
-            ev_b[k] += sign * tb[k]
-
-    def place(pos, ca, cb):
-        a[pos], b[pos] = ca, cb
-        joint[pos] = 4 * ca + cb
-        filled[pos] = 1
-        move(pos, 1)
-
-    def undo(pos):
-        # the codes stay behind; only the fill and the evaluations go
-        filled[pos] = 0
-        move(pos, -1)
-
-    # normalized first entries
-    filled[0] = 1
-
+    jre, jim = _JOINT_RE, _JOINT_IM
     two_n = 2 * n
+
+    # level t places position t-1 (position 0 is fixed, so not at t = 1)
+    # and position n-t (unless that is the same position).  Per level:
+    # its positions, whether it has two slots per member, the entries
+    # each member still lacks after it, its children in order, what each
+    # member's codes there add to its unit-point evaluations and its
+    # checked shifts.
+    children = (_pair_children(phases, 1), _pair_children(phases, 2))
+    plan = [None]
+    for t in range(1, h + 1):
+        level = tuple(_placed(n, t))
+        terms = {codes: tuple(map(sum, zip(*(_TERMS[x][pos % 4]
+                                              for pos, x in zip(level, codes)))))
+                 for codes in itertools.product(range(phases), repeat=len(level))}
+        plan.append((level, len(level) == 2, n - 2 * t,
+                     children[len(level) == 2], terms,
+                     _checks(((0, n),), t, n - t)))
+
     nodes = 0
-    t = 1
-    while t >= 1:
-        level = slots[t]
-        wide = len(level) == 2
-        if combo[t] >= phases ** (4 if wide else 2):
-            # this level is spent; the parent's placement (left in
-            # place when it descended) is undone exactly once here
-            t -= 1
-            if t >= 1:
-                for pos in slots[t]:
-                    undo(pos)
-                combo[t] += 1
-            continue
+    orbit_cuts = {}
 
-        c = combo[t]
-        # stop before a node past the budget (-1: none), so nodes <= budget
-        if nodes == budget:
-            return 2, a, b, nodes
-        nodes += 1
-
-        # decode most significant first: one (a, b) slot, or
-        # (a_lo, a_hi, b_lo, b_hi) on levels with two slots
-        if wide:
-            ca = (c // phases ** 3 % phases, c // phases ** 2 % phases)
-            cb = (c // phases % phases, c % phases)
-            pa, pb = ca[0] * 4 + ca[1], cb[0] * 4 + cb[1]
-        else:
-            ca, cb = (c // phases,), (c % phases,)
-            pa, pb = ca[0], cb[0]
-
-        # orbit prefix cuts.  Rev-conj renormalizes by the member's
+    def children_of(t, ev_a, ev_b, tied, known):
+        """The children at level t of a node with unit-point evaluations
+        ev_a, ev_b, group elements `tied` and `known`, the sums of its
+        window shifts."""
+        nonlocal nodes
+        level, wide, k, kids, terms, checks = plan[t]
+        # the parent part of each checked shift: the parent's window
+        # shifts are this level's completed shift and the window's
+        # upper part, so only the lowest one is summed here
+        parent = list(known)
+        for d, _, old, _ in checks[len(known):]:
+            s_re = s_im = 0
+            for span in old:
+                for i in span:
+                    x, y = joint[i], joint[i + d]
+                    s_re += jre[x][y]
+                    s_im += jim[x][y]
+            parent.append((s_re, s_im))
+        (c_re, c_im), c_new = parent[0], checks[0][3]
+        window = [(2 * unknown, s, new)
+                  for (_, unknown, _, new), s in zip(checks[1:], parent[1:])]
+        # orbit prefix cuts: rev-conj renormalizes by the member's
         # assigned last entry, so every image coordinate is level-local;
         # on level 1 it maps that last entry to itself and is skipped.
-        digits = 16 if wide else 4
-        packed = pa * digits + pb
-        rev = t > 1
-        img_a = _IMAGE[wide][a[n - 1]]
-        img_b = _IMAGE[wide][b[n - 1]]
-        still, cut = [], False
-        for g in tied[t]:
-            conj, rev_a, rev_b, swap = _GROUP[g]
-            ia = img_a[rev and rev_a][conj][pa]
-            ib = img_b[rev and rev_b][conj][pb]
-            q = ib * digits + ia if swap else ia * digits + ib
-            if q < packed:
-                cut = True
-                break
-            if q == packed:
-                still.append(g)
-        if cut:
-            combo[t] += 1
-            continue
+        # The cuts depend on nothing else, so each table is made once.
+        key = (tied, wide, t > 1, a[n - 1], b[n - 1])
+        cuts = orbit_cuts.get(key)
+        if cuts is None:
+            cuts = orbit_cuts[key] = _orbit_cuts(kids, *key)
+        for (ca, cb, joints, *_), still in zip(kids, cuts):
+            # stop before a node past the budget (-1: none)
+            if nodes == budget:
+                return 2
+            nodes += 1
+            if still is None:
+                continue
 
-        # place this level, updating the four-point evaluations
-        for pos, x, y in zip(level, ca, cb):
-            place(pos, x, y)
+            for pos, x, y, j in zip(level, ca, cb, joints):
+                a[pos], b[pos], joint[pos] = x, y, j
 
-        # the newly completed shift must vanish exactly
-        delta = n - t
-        s_re, s_im, unknown = _pair_shift_sum(joint, filled, n, delta)
-        good = unknown == 0 and s_re == 0 and s_im == 0
+            # the newly completed shift must vanish exactly; it has no
+            # unknown term
+            s_re, s_im = c_re, c_im
+            for i, j in c_new:
+                x, y = joint[i], joint[j]
+                s_re += jre[x][y]
+                s_im += jim[x][y]
+            if s_re or s_im:
+                continue
 
-        # each unit-point evaluation pair must be able to reach
-        # |A|^2 + |B|^2 = 2n with the k entries each member still lacks
-        k = n - 2 * t
-        if good and k > 0:
-            for e in range(0, 8, 2):
-                ra, ia, rb, ib = ev_a[e], ev_a[e + 1], ev_b[e], ev_b[e + 1]
-                if (_min_reach_sq(ra, ia, k) + _min_reach_sq(rb, ib, k) > two_n
-                        or _max_reach_sq(ra, ia, k)
-                        + _max_reach_sq(rb, ib, k) < two_n):
-                    good = False
-                    break
-
-        if good:
             # magnitude and parity bounds on the nearly complete shifts
-            for dw in range(delta - 1, max(delta - 1 - _WINDOW, 0), -1):
-                s_re, s_im, unknown = _pair_shift_sum(joint, filled, n, dw)
+            sums = []
+            for unknown, (s_re, s_im), new in window:
+                for i, j in new:
+                    x, y = joint[i], joint[j]
+                    s_re += jre[x][y]
+                    s_im += jim[x][y]
                 mag = abs(s_re) + abs(s_im)
                 if mag > unknown or (mag + unknown) % 2 == 1:
-                    good = False
                     break
+                sums.append((s_re, s_im))
+            else:
+                if t == h:
+                    # complete assignment: recheck every shift exactly
+                    if all(_pair_shift_vanishes(joint, d) for d in range(1, n)):
+                        return 0
+                    continue
+                # the evaluations, made only now, must be able to reach
+                # |A|^2 + |B|^2 = 2n at each unit point with the k
+                # entries each member still lacks
+                ea = [x + y for x, y in zip(ev_a, terms[ca])]
+                eb = [x + y for x, y in zip(ev_b, terms[cb])]
+                if _pair_reaches(ea, eb, k, two_n):
+                    yield ea, eb, still, sums
+        return None
 
-        if good and t == h:
-            # complete assignment: recheck every shift exactly
-            if all(_pair_shift_sum(joint, filled, n, d) == (0, 0, 0)
-                   for d in range(1, n)):
-                return 0, a, b, nodes
-
-        if good and t < h:
-            t += 1
-            tied[t] = still
-            combo[t] = 0
-            continue
-
-        # undo the evaluations and fills, then advance
-        for pos in level:
-            undo(pos)
-        combo[t] += 1
-
-    return 1, a, b, nodes
+    # position 0 of both sequences contributes +1 to every evaluation
+    status = _depth_first(children_of, ([1, 0] * 4, [1, 0] * 4,
+                                        tuple(range(1, 16)), ()))
+    return status, a, b, nodes
 
 
 def run_pair_dfs(n: int, phases: int, budget: int):
     """Status, code arrays and node count for the pair search."""
     status, a, b, nodes = _pair_dfs_kernel(int(n), int(phases), int(budget))
     return status, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), nodes
-
-
-def _base_shift_sum(re, filled, seq_len, start, delta):
-    """Partial joint autocorrelation at `delta` over all four sequences."""
-    s = unknown = 0
-    for ln, base in zip(seq_len, start):
-        for i in range(base, base + ln - delta):
-            if filled[i] and filled[i + delta]:
-                s += re[i] * re[i + delta]
-            else:
-                unknown += 1
-    return s, unknown
 
 
 def _reaches(ev, unk, target: int) -> bool:
@@ -338,109 +412,94 @@ def _base_dfs_kernel(m: int, budget: int):
     target = 4 * m + 2
     seq_len = (p, p, m, m)
     start = (0, p, 2 * p, 2 * p + m)
+    spans = tuple(zip(start, seq_len))
     total = 2 * p + 2 * m
 
     codes = [0] * total
     re = [0] * total
-    filled = [0] * total
     for s in start:
-        re[s] = filled[s] = 1
+        re[s] = 1
 
     levels = (p + 1) // 2
-    # per-level slots (position, sequence, sign at z = -1), fixed by
-    # geometry alone; first entries are fixed, so never a slot
-    slots = [()]
+    # per level: its flat positions, the sequence and the sign at z = -1
+    # of each, the unknown entries of each sequence after it, its
+    # children in order (bits most significant first, and their +-1
+    # values) and its checked shifts.  Level t places positions t-1 and
+    # len-t of each sequence; first entries are fixed, so never a slot.
+    kids = {}
+    plan = [None]
     for t in range(1, levels + 1):
-        level = []
-        for k in range(4):
-            lo, hi = t - 1, seq_len[k] - t
-            if lo > hi:
-                continue
-            for i in sorted({lo, hi}):
-                if i > 0:
-                    level.append((start[k] + i, k, -1 if i % 2 else 1))
-        slots.append(tuple(level))
-
-    combo = [0] * (levels + 2)
-
-    # per-sequence partial sums at z=1 and z=-1 plus unknown counts
-    ev_p = [1] * 4
-    ev_m = [1] * 4
-    unk = [ln - 1 for ln in seq_len]
-
-    def place(slot, bit):
-        pos, sq, alt = slot
-        codes[pos] = bit
-        re[pos] = CODE_RE[bit]
-        filled[pos] = 1
-        ev_p[sq] += re[pos]
-        ev_m[sq] += alt * re[pos]
-        unk[sq] -= 1
-
-    def undo(slot):
-        pos, sq, alt = slot
-        filled[pos] = 0
-        ev_p[sq] -= re[pos]
-        ev_m[sq] -= alt * re[pos]
-        unk[sq] += 1
+        slots = [(start + i, k, -1 if i % 2 else 1)
+                 for k, (start, ln) in enumerate(spans)
+                 for i in _placed(ln, t)]
+        if len(slots) not in kids:
+            kids[len(slots)] = [(bits, tuple(CODE_RE[x] for x in bits))
+                                for bits in itertools.product(
+                                    (0, 1), repeat=len(slots))]
+        plan.append((tuple(pos for pos, _, _ in slots),
+                     tuple((sq, alt) for _, sq, alt in slots),
+                     [b - a for a, b in (_ends(ln, t) for ln in seq_len)],
+                     kids[len(slots)], _checks(spans, t, p - t)))
 
     nodes = 0
-    t = 1
-    while t >= 1:
-        level = slots[t]
-        n_slots = len(level)
-        if combo[t] >= 1 << n_slots:
-            # this level is spent; undo the parent's placement, which
-            # was left in place when it descended
-            t -= 1
-            if t >= 1:
-                for slot in slots[t]:
-                    undo(slot)
-                combo[t] += 1
-            continue
 
-        c = combo[t]
-        if nodes == budget:
-            return 2, codes, nodes
-        nodes += 1
+    def children_of(t, ev_p, ev_m, known):
+        """The children at level t of a node with entry sums ev_p, ev_m
+        and `known`, the sums of its window shifts."""
+        nonlocal nodes
+        positions, signs, unk, kids, checks = plan[t]
+        # the parent's window shifts are this level's completed shift
+        # and the window's upper part, so only the lowest one is summed
+        parent = list(known)
+        for d, _, old, _ in checks[len(known):]:
+            parent.append(sum(re[i] * re[i + d] for span in old for i in span))
+        c_sum, c_new = parent[0], checks[0][3]
+        window = [(unknown, s, new)
+                  for (_, unknown, _, new), s in zip(checks[1:], parent[1:])]
+        for bits, vals in kids:
+            if nodes == budget:
+                return 2
+            nodes += 1
 
-        for k, slot in enumerate(level):
-            place(slot, (c >> (n_slots - 1 - k)) & 1)
+            for pos, x, v in zip(positions, bits, vals):
+                codes[pos], re[pos] = x, v
 
-        # the newly completed shift must vanish exactly
-        delta = p - t
-        good = True
-        if delta >= 1:
-            s, unknown = _base_shift_sum(re, filled, seq_len, start, delta)
-            good = unknown == 0 and s == 0
+            # the newly completed shift must vanish exactly
+            s = c_sum
+            for i, j in c_new:
+                s += re[i] * re[j]
+            if s:
+                continue
 
-        # two-sided reachability of the sum-of-squares target at the
-        # evaluation points z = 1 and z = -1
-        good = (good and _reaches(ev_p, unk, target)
-                and _reaches(ev_m, unk, target))
+            # two-sided reachability of the sum-of-squares target at the
+            # evaluation points z = 1 and z = -1
+            ep, em = list(ev_p), list(ev_m)
+            for (sq, alt), v in zip(signs, vals):
+                ep[sq] += v
+                em[sq] += alt * v
+            if not (_reaches(ep, unk, target) and _reaches(em, unk, target)):
+                continue
 
-        if good:
-            for dw in range(delta - 1, max(delta - 1 - _WINDOW, 0), -1):
-                s, unknown = _base_shift_sum(re, filled, seq_len, start, dw)
+            # magnitude and parity bounds on the nearly complete shifts
+            sums = []
+            for unknown, s, new in window:
+                for i, j in new:
+                    s += re[i] * re[j]
                 if abs(s) > unknown or (abs(s) + unknown) % 2 == 1:
-                    good = False
                     break
+                sums.append(s)
+            else:
+                if t < levels:
+                    yield ep, em, sums
+                elif all(sum(re[i] * re[i + d] for s0, ln in spans
+                             for i in range(s0, s0 + ln - d)) == 0
+                         for d in range(1, p)):
+                    # a complete assignment, every shift rechecked exactly
+                    return 0
+        return None
 
-        if good and t == levels:
-            if all(_base_shift_sum(re, filled, seq_len, start, d) == (0, 0)
-                   for d in range(1, p)):
-                return 0, codes, nodes
-
-        if good and t < levels:
-            t += 1
-            combo[t] = 0
-            continue
-
-        for slot in level:
-            undo(slot)
-        combo[t] += 1
-
-    return 1, codes, nodes
+    status = _depth_first(children_of, ([1] * 4, [1] * 4, ()))
+    return status, codes, nodes
 
 
 def run_base_dfs(m: int, budget: int):

@@ -235,6 +235,12 @@ def _found(queries: _Table, table: _Table, nodes: int) -> SearchOutcome:
     return SearchOutcome(SearchStatus.EXHAUSTED, None, nodes)
 
 
+def _check_budget(budget: int | None) -> None:
+    """Refuse a negative budget: None is the only "no budget"."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, not {budget}")
+
+
 def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
     """Outcome of a DFS kernel run: status 0 found (with one code row
     per member), 1 exhausted, otherwise budget exceeded."""
@@ -263,8 +269,10 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     search, which returns its first find in a deterministic order.  A
     multidimensional space beyond the table cap is out of reach:
     ShapeMismatch, unless a budget below its size stops it first; a
-    smaller multidimensional one stops at a budget below its nodes.
+    smaller multidimensional one stops at a budget below its nodes.  A
+    negative budget is a ValueError.
     """
+    _check_budget(budget)
     phases = _phase_count(alphabet)
     shape = tuple(shape)
     n = math.prod(shape)
@@ -297,8 +305,9 @@ def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
     The (A, B) and (C, D) halves are tabulated separately and matched
     on the keys of their negated autocorrelation tails, each match
     confirmed exactly; first match in lexicographic order over
-    (A, B, C, D).
+    (A, B, C, D).  A negative budget is a ValueError.
     """
+    _check_budget(budget)
     if m < 1:
         raise ValueError("m must be at least 1")
     p = m + 1

@@ -424,6 +424,18 @@ class TestBudget:
             assert out.status is SearchStatus.BUDGET_EXCEEDED
             assert out.nodes == budget
 
+    @pytest.mark.parametrize("search", [
+        lambda: search_pair_arrays((10,), Alphabet.BINARY, budget=-5),
+        lambda: search_pair_arrays((2, 3), Alphabet.QUATERNARY, budget=-5),
+        lambda: search_pair_arrays((1, 1), Alphabet.QUATERNARY, budget=-1),
+        lambda: search_base_arrays(6, budget=-1)],
+        ids=["b10-dfs", "q2x3-table", "single-entry", "base6"])
+    def test_negative_budget_refused(self, search):
+        # refused before any engine runs: no engine's "no budget"
+        # sentinel leaks through, and the n = 1 shortcut is no exception
+        with pytest.raises(ValueError, match="budget"):
+            search()
+
     def test_single_entry_pair_counts_its_node(self):
         zero = search_pair_arrays((1, 1), Alphabet.QUATERNARY, budget=0)
         assert (zero.status, zero.arrays, zero.nodes) == (
