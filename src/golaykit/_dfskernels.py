@@ -219,13 +219,19 @@ def _pair_shift_vanishes(joint, d: int) -> bool:
             and sum(_JOINT_IM[x][y] for x, y in pairs) == 0)
 
 
-def _orbit_cuts(kids, tied, wide, rev, last_a, last_b):
-    """Per child of a level: None when some element of `tied` maps its
-    packed slots strictly lex-below them, else the elements that tie."""
+def _orbit_cuts(phases, tied, wide, rev, last_a, last_b):
+    """Per child of a level, in order: None when some element of `tied`
+    maps its packed slots strictly lex-below them, else the elements
+    that tie.  Slots pack as base-4 digits, most significant first."""
     img_a, img_b = _IMAGE[wide][last_a], _IMAGE[wide][last_b]
-    digits = 16 if wide else 4
+    width = 2 if wide else 1
+    digits = 4 ** width
     out = []
-    for *_, pa, pb, packed in kids:
+    for child in itertools.product(range(phases), repeat=2 * width):
+        pa = pb = 0
+        for x, y in zip(child[:width], child[width:]):
+            pa, pb = pa * 4 + x, pb * 4 + y
+        packed = pa * digits + pb
         still = []
         for g in tied:
             conj, rev_a, rev_b, swap = _GROUP[g]
@@ -238,23 +244,6 @@ def _orbit_cuts(kids, tied, wide, rev, last_a, last_b):
             if q == packed:
                 still.append(g)
         out.append(None if still is None else tuple(still))
-    return out
-
-
-def _pair_children(phases: int, width: int):
-    """The children of a level with `width` slots per member, in order:
-    digits most significant first, one (a, b) slot or (a_lo, a_hi,
-    b_lo, b_hi) on levels with two slots.  Each is its a codes, b
-    codes, joint codes, the packed a and b slots (base-4 digits) and
-    both packed together, as the orbit cuts compare them."""
-    out = []
-    for digits in itertools.product(range(phases), repeat=2 * width):
-        ca, cb = digits[:width], digits[width:]
-        pa = pb = 0
-        for x, y in zip(ca, cb):
-            pa, pb = pa * 4 + x, pb * 4 + y
-        out.append((ca, cb, tuple(4 * x + y for x, y in zip(ca, cb)),
-                    pa, pb, pa * 4 ** width + pb))
     return out
 
 
@@ -281,18 +270,17 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
     # level t places position t-1 (position 0 is fixed, so not at t = 1)
     # and position n-t (unless that is the same position).  Per level:
     # its positions, whether it has two slots per member, the entries
-    # each member still lacks after it, its children in order, what each
-    # member's codes there add to its unit-point evaluations and its
-    # checked shifts.
-    children = (_pair_children(phases, 1), _pair_children(phases, 2))
+    # each member still lacks after it, what each member's codes there
+    # add to its unit-point evaluations and its checked shifts.  A
+    # level's children run through its codes most significant first:
+    # one (a, b) slot, or (a_lo, a_hi, b_lo, b_hi) on levels with two.
     plan = [None]
     for t in range(1, h + 1):
         level = tuple(_placed(n, t))
         terms = {codes: tuple(map(sum, zip(*(_TERMS[x][pos % 4]
                                               for pos, x in zip(level, codes)))))
                  for codes in itertools.product(range(phases), repeat=len(level))}
-        plan.append((level, len(level) == 2, n - 2 * t,
-                     children[len(level) == 2], terms,
+        plan.append((level, len(level) == 2, n - 2 * t, terms,
                      _checks(((0, n),), t, n - t)))
 
     nodes = 0
@@ -303,7 +291,8 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
         ev_a, ev_b, group elements `tied` and `known`, the sums of its
         window shifts."""
         nonlocal nodes
-        level, wide, k, kids, terms, checks = plan[t]
+        level, wide, k, terms, checks = plan[t]
+        width = 2 if wide else 1
         # the parent part of each checked shift: the parent's window
         # shifts are this level's completed shift and the window's
         # upper part, so only the lowest one is summed here
@@ -326,8 +315,9 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
         key = (tied, wide, t > 1, a[n - 1], b[n - 1])
         cuts = orbit_cuts.get(key)
         if cuts is None:
-            cuts = orbit_cuts[key] = _orbit_cuts(kids, *key)
-        for (ca, cb, joints, *_), still in zip(kids, cuts):
+            cuts = orbit_cuts[key] = _orbit_cuts(phases, *key)
+        for child, still in zip(
+                itertools.product(range(phases), repeat=2 * width), cuts):
             # stop before a node past the budget (-1: none)
             if nodes == budget:
                 return 2
@@ -335,8 +325,9 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
             if still is None:
                 continue
 
-            for pos, x, y, j in zip(level, ca, cb, joints):
-                a[pos], b[pos], joint[pos] = x, y, j
+            ca, cb = child[:width], child[width:]
+            for pos, x, y in zip(level, ca, cb):
+                a[pos], b[pos], joint[pos] = x, y, 4 * x + y
 
             # the newly completed shift must vanish exactly; it has no
             # unknown term
@@ -421,25 +412,17 @@ def _base_dfs_kernel(m: int, budget: int):
         re[s] = 1
 
     levels = (p + 1) // 2
-    # per level: its flat positions, the sequence and the sign at z = -1
-    # of each, the unknown entries of each sequence after it, its
-    # children in order (bits most significant first, and their +-1
-    # values) and its checked shifts.  Level t places positions t-1 and
-    # len-t of each sequence; first entries are fixed, so never a slot.
-    kids = {}
+    # per level: its slots (flat position, sequence, sign at z = -1),
+    # the unknown entries of each sequence after it and its checked
+    # shifts.  Level t places positions t-1 and len-t of each sequence;
+    # first entries are fixed, so never a slot.  A level's children run
+    # through its slots' bits most significant first.
     plan = [None]
     for t in range(1, levels + 1):
-        slots = [(start + i, k, -1 if i % 2 else 1)
-                 for k, (start, ln) in enumerate(spans)
-                 for i in _placed(ln, t)]
-        if len(slots) not in kids:
-            kids[len(slots)] = [(bits, tuple(CODE_RE[x] for x in bits))
-                                for bits in itertools.product(
-                                    (0, 1), repeat=len(slots))]
-        plan.append((tuple(pos for pos, _, _ in slots),
-                     tuple((sq, alt) for _, sq, alt in slots),
-                     [b - a for a, b in (_ends(ln, t) for ln in seq_len)],
-                     kids[len(slots)], _checks(spans, t, p - t)))
+        slots = [(s0 + i, k, -1 if i % 2 else 1)
+                 for k, (s0, ln) in enumerate(spans) for i in _placed(ln, t)]
+        plan.append((slots, [b - a for a, b in (_ends(ln, t) for ln in seq_len)],
+                     _checks(spans, t, p - t)))
 
     nodes = 0
 
@@ -447,7 +430,7 @@ def _base_dfs_kernel(m: int, budget: int):
         """The children at level t of a node with entry sums ev_p, ev_m
         and `known`, the sums of its window shifts."""
         nonlocal nodes
-        positions, signs, unk, kids, checks = plan[t]
+        slots, unk, checks = plan[t]
         # the parent's window shifts are this level's completed shift
         # and the window's upper part, so only the lowest one is summed
         parent = list(known)
@@ -456,13 +439,13 @@ def _base_dfs_kernel(m: int, budget: int):
         c_sum, c_new = parent[0], checks[0][3]
         window = [(unknown, s, new)
                   for (_, unknown, _, new), s in zip(checks[1:], parent[1:])]
-        for bits, vals in kids:
+        for bits in itertools.product((0, 1), repeat=len(slots)):
             if nodes == budget:
                 return 2
             nodes += 1
 
-            for pos, x, v in zip(positions, bits, vals):
-                codes[pos], re[pos] = x, v
+            for (pos, _, _), x in zip(slots, bits):
+                codes[pos], re[pos] = x, CODE_RE[x]
 
             # the newly completed shift must vanish exactly
             s = c_sum
@@ -474,9 +457,9 @@ def _base_dfs_kernel(m: int, budget: int):
             # two-sided reachability of the sum-of-squares target at the
             # evaluation points z = 1 and z = -1
             ep, em = list(ev_p), list(ev_m)
-            for (sq, alt), v in zip(signs, vals):
-                ep[sq] += v
-                em[sq] += alt * v
+            for pos, sq, alt in slots:
+                ep[sq] += re[pos]
+                em[sq] += alt * re[pos]
             if not (_reaches(ep, unk, target) and _reaches(em, unk, target)):
                 continue
 

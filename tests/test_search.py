@@ -381,6 +381,12 @@ class TestPinnedKernels:
         assert (got_status, "|".join(map(_digits, seqs)), got_nodes) == (
             status, codes, nodes)
 
+    def test_deep_descent(self):
+        # 12000 nodes of binary 2050 descend past 1000 levels, deeper than
+        # the default recursion limit
+        status, _, _, nodes = _dfskernels.run_pair_dfs(2050, 2, 12000)
+        assert (status, nodes) == (2, 12000)
+
     @pytest.mark.parametrize("run,budgets,found_at", [
         (lambda b: _dfskernels.run_pair_dfs(10, 2, b), range(201), 177),
         (lambda b: _dfskernels.run_base_dfs(5, b), range(141), 126)],
