@@ -143,34 +143,40 @@ def _validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def _as_plane(values: np.ndarray) -> np.ndarray:
-    """Copy to int64 when it fits, else to object dtype, exactly."""
+def _as_plane(values: np.ndarray, copy: bool = True) -> np.ndarray:
+    """int64 when it fits, else object dtype, exactly; a copy unless
+    `copy` is False and the values already have that dtype."""
     arr = np.asarray(values)
-    if arr.dtype == object:
+    kind = arr.dtype.kind
+    if kind == "O":
         if all(isinstance(v, int) for v in arr.flat):
             big = any(abs(v) > np.iinfo(np.int64).max for v in arr.flat)
-            return arr.copy() if big else arr.astype(np.int64)
+            return arr.astype(object, copy=copy) if big else arr.astype(np.int64)
         raise ParseError("entries must be integers")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if kind not in "iu":  # signed or unsigned integers, as np.integer
         raise ParseError("entries must be integers")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=copy)
 
 
 class Tensor:
     """Immutable multidimensional array over Z[i].
 
     Stored as two same-shape integer ndarrays `re` and `im`, row-major
-    with the last index varying fastest.
+    with the last index varying fastest.  The planes are copied unless
+    `copy` is False, which takes planes of the stored dtype as they are
+    and makes them read-only: for planes that nothing else writes, such
+    as fresh arrays and views of another Tensor's planes.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray):
-        re = _as_plane(re)
-        im = _as_plane(im)
+    def __init__(self, re: np.ndarray, im: np.ndarray, copy: bool = True):
+        re = _as_plane(re, copy)
+        im = _as_plane(im, copy)
         if re.shape != im.shape:
             raise ShapeMismatch("real and imaginary parts must have equal shapes")
-        _validate_shape(re.shape)
+        if re.ndim == 0 or re.size == 0:
+            _validate_shape(re.shape)  # raises, naming what is wrong
         re.flags.writeable = False
         im.flags.writeable = False
         object.__setattr__(self, "re", re)
@@ -323,6 +329,12 @@ def involute(a: Tensor) -> Tensor:
     return Tensor(a.re[rev], -a.im[rev])
 
 
+def _zeros(shape: Sequence[int]) -> np.ndarray:
+    """A read-only int64 zero plane of `shape` that takes no memory: one
+    zero, every stride 0."""
+    return np.ndarray(shape, dtype=np.int64, buffer=bytes(8), strides=(0,) * len(shape))
+
+
 def _exact_dtype(bound: int):
     """int64 when `bound`, a bound on the absolute value of every number a
     computation makes, fits in int64; object dtype (Python ints) else."""
@@ -346,29 +358,52 @@ def _layout(planes, out_shape: Sequence[int], dtype=None) -> np.ndarray:
     return out.reshape(rows, -1)
 
 
+_NATIVE_WIDTHS = (1, 2, 4, 8)  # digit widths numpy has unsigned dtypes for
+
+
+def _offset(n: int, width: int) -> int:
+    """The integer whose `n` base-2**(8*width) digits are all half a digit."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
 def _digits(parts: np.ndarray, width: int) -> list[int]:
-    """Each row of nonnegative `parts` as the integer whose little-endian
-    `width`-byte digits it holds: byte views of int64, or int.to_bytes."""
-    if width <= 8:
-        raw = parts.view(np.uint8).reshape(len(parts), -1, 8)[..., :width]
-        return [int.from_bytes(r.tobytes(), "little") for r in raw]
-    return [int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in r),
-                           "little") for r in parts]
+    """Each row of `parts`, entries in [-2**(8*width-1), 2**(8*width-1)),
+    as the integer whose base-2**(8*width) digits it holds, lowest first:
+    the row plus half a digit, read as unsigned little-endian digits
+    (a cast to a native width, byte views of uint64 for the other widths
+    up to 8, or int.to_bytes), less `_offset`."""
+    half, offset = 1 << (8 * width - 1), _offset(parts.shape[1], width)
+    if width > 8:
+        return [int.from_bytes(b"".join((int(v) + half).to_bytes(width, "little")
+                                        for v in r), "little") - offset
+                for r in parts]
+    biased = parts.view(np.uint64)
+    biased += np.uint64(half)  # modulo 2**64: in [0, 2**(8*width)) after
+    if width in _NATIVE_WIDTHS:
+        rows = biased.astype(f"<u{width}")
+    else:
+        rows = biased.astype("<u8", copy=False).view(np.uint8).reshape(
+            len(parts), -1, 8)[..., :width]
+    return [int.from_bytes(r.tobytes(), "little") - offset for r in rows]
 
 
 def _signed_digits(values: list[int], n: int, width: int) -> np.ndarray:
     """Row k: the `n` digits of values[k] in base 2**(8*width), each in
     [-2**(8*width-1), 2**(8*width-1)), lowest first."""
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    half, offset = 1 << (8 * width - 1), _offset(n, width)
     raw = b"".join((v + offset).to_bytes(n * width, "little") for v in values)
     if width > 8:
         return np.array([int.from_bytes(raw[k:k + width], "little") - half
                          for k in range(0, len(raw), width)],
                         dtype=object).reshape(len(values), n)
-    digits = np.zeros((len(values) * n, 8), dtype=np.uint8)
-    digits[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
-    return (digits.view("<u8") - np.uint64(half)).view(np.int64).reshape(len(values), n)
+    if width in _NATIVE_WIDTHS:
+        digits = np.frombuffer(raw, dtype=f"<u{width}").astype(np.uint64)
+    else:  # zero-padded to 8 bytes
+        padded = np.zeros((len(values) * n, 8), dtype=np.uint8)
+        padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+        digits = padded.view("<u8").astype(np.uint64, copy=False)
+    digits -= np.uint64(half)
+    return digits.view(np.int64).reshape(len(values), n)
 
 
 def convolve(a: Tensor, b: Tensor) -> Tensor:
@@ -376,28 +411,38 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
 
     Exact Kronecker substitution: each plane, every axis but the first
     padded to its output width so that index sums never carry, becomes
-    the digits of one integer (positive and negative parts apart), and
-    big-integer products hold the output entries as digits.  The digit
-    width comes from an exact bound on the output.
+    the signed digits of one integer, and big-integer products hold the
+    output entries as digits: four products in general, one when both
+    operands are real (only their `re` planes are packed, and the
+    output's `im` is zero).  Operands of one shape are laid out
+    together.  The digit width comes from an exact bound on the output:
+    min(size) * ma * mb per product term, ma and mb the largest input
+    components.
     """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
     out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    ma, mb = a.max_component(), b.max_component()
+    real = not (np.count_nonzero(a.im) or np.count_nonzero(b.im))
+    planes = [(t.re,) if real else (t.re, t.im) for t in (a, b)]
+    if a.shape == b.shape:
+        planes = [planes[0] + planes[1]]
+    rows = [_layout(group, out_shape) for group in planes]
+    peaks = [max(int(hi), -int(lo)) for r in rows
+             for hi, lo in zip(r.max(axis=1), r.min(axis=1))]
+    ma, mb = max(peaks[:len(peaks) // 2]), max(peaks[len(peaks) // 2:])
+    terms = 1 if real else 2
     # every output entry, and every input entry, fits in a signed digit
-    width = (max(2 * min(a.size, b.size) * ma * mb, ma, mb).bit_length() + 8) // 8
-    packed = []
-    for t in (a, b):
-        parts = _layout((t.re, t.im, t.re, t.im), out_shape,
-                        "<i8" if width <= 8 else object)
-        np.negative(parts[2:], out=parts[2:])
-        np.maximum(parts, 0, out=parts)
-        pos_re, pos_im, neg_re, neg_im = _digits(parts, width)
-        packed.append((pos_re - neg_re, pos_im - neg_im))
-    (ar, ai), (br, bi) = packed
-    re, im = _signed_digits([ar * br - ai * bi, ar * bi + ai * br],
-                            math.prod(out_shape), width)
-    return Tensor(re.reshape(out_shape), im.reshape(out_shape))
+    width = (max(terms * min(a.size, b.size) * ma * mb, ma, mb).bit_length() + 8) // 8
+    packed = [x for r in rows for x in _digits(r, width)]
+    del rows
+    n = math.prod(out_shape)
+    if real:
+        ar, br = packed
+        (re,) = _signed_digits([ar * br], n, width)
+        return Tensor(re.reshape(out_shape), _zeros(out_shape), copy=False)
+    ar, ai, br, bi = packed
+    re, im = _signed_digits([ar * br - ai * bi, ar * bi + ai * br], n, width)
+    return Tensor(re.reshape(out_shape), im.reshape(out_shape), copy=False)
 
 
 def kron(a: Tensor, b: Tensor) -> Tensor:

@@ -25,10 +25,14 @@ Three routes are implemented and kept deliberately independent:
   for the inverse transform, the split of re and im from c(d) and
   c(-d), and a CRT lift of the residues to the exact integers in
   (-P/2, P/2).
-* `gca_check_polynomial` multiplies each array by its conjugate-flip
-  under exact convolution and demands the constant total.  Its kernel,
-  `tensor.convolve`, is a Kronecker substitution: one big-integer
-  product per term, no modular arithmetic.
+* `gca_check_polynomial` sums each array's exact convolution with its
+  conjugate flip and demands the constant total.  It convolves real
+  planes only: with u = re + im and P = re * flip(im), a complex
+  member's product has real part u * flip(u) - P - flip(P) and
+  imaginary part flip(P) - P (two real products), a real member's is
+  re * flip(re) (one).  Its kernel, `tensor.convolve`, is a Kronecker
+  substitution: one big-integer product per real convolution, no
+  modular arithmetic.
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
   in floating point (one FFT of each member folded modulo the grid);
   it is a diagnostic, never the source of truth.
@@ -54,7 +58,7 @@ from .errors import (
     ShapeMismatch,
     Trivial,
 )
-from .tensor import GaussInt, Tensor, _exact_dtype, _layout, convolve, involute
+from .tensor import GaussInt, Tensor, _exact_dtype, _layout, _zeros, convolve
 
 __all__ = [
     "AutocorrResult",
@@ -356,8 +360,13 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise ShapeMismatch(f"cannot pad {a.shape} down to {shape}")
     if shape == a.shape:
         return a
-    widths = [(0, t - s) for s, t in zip(a.shape, shape)]
-    return Tensor(np.pad(a.re, widths), np.pad(a.im, widths))
+    planes = []
+    for x in (a.re, a.im):
+        # np.zeros, not np.pad: an object plane's padding must be Python ints
+        padded = np.zeros(shape, dtype=x.dtype)
+        padded[tuple(map(slice, a.shape))] = x
+        planes.append(padded)
+    return Tensor(*planes, copy=False)
 
 
 def _bounding_shape(arrays: Sequence[Tensor]) -> tuple[int, ...]:
@@ -434,21 +443,43 @@ def jointly_complementary(arrays: Sequence[Tensor]) -> GcaVerdict:
 def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     """Product check: sum of a * involute(a) must be weight * delta.
 
-    An independent route from `is_gca_set`: this one goes through the
-    exact convolution of each array with its conjugate flip, summed in
-    int64 only when the members' bounds add up to a value that fits.
-    Mixed shapes are zero-padded as in `is_gca_set`.
+    An independent route from `is_gca_set`: exact convolutions of real
+    planes, two per complex member and one per real member.  With
+    a = re + i*im, u = re + im and P = re * flip(im), flip reversing
+    every axis of the output, a * involute(a) has real part
+    u * flip(u) - P - flip(P) and imaginary part flip(P) - P; a real
+    member's product is re * flip(re).  The sums are kept in int64 only
+    when a bound on every term added (6 * size * max**2 per complex
+    member, 2 * size * max**2 per real one) fits.  Mixed shapes are
+    zero-padded as in `is_gca_set`.
     """
     arrays = _one_shape(arrays)
     bounds = [_autocorr_bound(a) for a in arrays]
-    dtype = _exact_dtype(sum(bounds))
+    real = [not np.count_nonzero(a.im) for a in arrays]
+    dtype = _exact_dtype(sum(b if r else 3 * b for b, r in zip(bounds, real)))
     total_re = np.zeros(tuple(2 * s - 1 for s in arrays[0].shape), dtype=dtype)
     total_im = np.zeros_like(total_re)
-    for a in arrays:
-        r = convolve(a, involute(a))
-        total_re += r.re
-        total_im += r.im
-        del r  # freed before the next member's output is made
+    flip = (slice(None, None, -1),) * arrays[0].rank
+    zero = _zeros(arrays[0].shape)
+
+    def times_flip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x * flip(y), for real planes x and y."""
+        return convolve(Tensor(x, zero, copy=False),
+                        Tensor(y[flip], zero, copy=False)).re
+
+    for a, is_real, bound in zip(arrays, real, bounds):
+        if is_real:
+            total_re += times_flip(a.re, a.re)
+            continue
+        u = np.add(a.re, a.im, dtype=_exact_dtype(bound))  # |u| <= 2 * max
+        total_re += times_flip(u, u)
+        del u  # freed, with each product, before the next is made
+        p = times_flip(a.re, a.im)
+        total_re -= p
+        total_re -= p[flip]
+        total_im += p[flip]
+        total_im -= p
+        del p
     w = sum(map(_weight, arrays, bounds))
     return _judge(total_re, total_im, w).is_complementary
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golaykit import tensor
 from golaykit.errors import (
     Collision,
     HalvingError,
@@ -85,6 +86,19 @@ class TestConstruction:
             t.re = None
         with pytest.raises(ValueError):
             t.re[0] = 5
+
+    def test_planes_copied_unless_copy_false(self):
+        re, im = np.array([1, 2]), np.array([0, 3])
+        t = Tensor(re, im)
+        re[0] = 7
+        assert t.re[0] == 1 and re.flags.writeable
+        u = Tensor(re, im, copy=False)
+        assert u.re is re and u.im is im
+        assert not re.flags.writeable
+        # planes of another dtype are still converted
+        v = Tensor(np.array([1, 2], dtype=np.int8), np.array([10**20, 0], dtype=object),
+                   copy=False)
+        assert v.re.dtype == np.int64 and v.im.dtype == object
 
     def test_entry_coercions(self):
         t = Tensor.sequence([1, -1, 1j, (0, -1), GaussInt(2, 3), np.int8(3),
@@ -201,11 +215,12 @@ class TestRingOps:
 
 
 @st.composite
-def same_rank_pairs(draw, max_component=2):
+def same_rank_pairs(draw, max_component=2, real=False):
     """Two tensors of one rank, 1 to 3, whose shapes may differ."""
     rank = draw(st.integers(1, 3))
     dims = st.lists(st.integers(1, 4), min_size=rank, max_size=rank).map(tuple)
-    return tuple(draw(tensors(shape=draw(dims), max_component=max_component))
+    return tuple(draw(tensors(shape=draw(dims), max_component=max_component,
+                              real=real))
                  for _ in range(2))
 
 
@@ -246,6 +261,49 @@ class TestConvolveKernel:
     def test_zero_operand(self):
         a = seq(10**30, 3)
         assert convolve(a, Tensor.zeros((3,))) == Tensor.zeros((4,))
+
+
+class TestConvolveRealPath:
+    """Both operands real: only the `re` planes are packed, one product
+    is made, and the output's `im` plane is zero."""
+
+    @given(same_rank_pairs(real=True))
+    @settings(max_examples=60)
+    def test_int64_matches_reference(self, ab):
+        a, b = ab
+        c = convolve(a, b)
+        assert c == oracles.naive_convolve(a, b)
+        assert not c.im.any()
+
+    @given(same_rank_pairs(max_component=2**70, real=True))
+    @settings(max_examples=30)
+    def test_bigint_matches_reference(self, ab):
+        a, b = ab
+        c = convolve(a, b)
+        assert c == oracles.naive_convolve(a, b)
+        assert not c.im.any()
+
+    @pytest.mark.parametrize("y, width", [(2**31 - 1, 8), (2**31, 9)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_digit_width_boundary(self, y, width, sign, monkeypatch):
+        # bound = min size * max|a| * max|b| = 2xy, which is 2**63 - 2**32
+        # (8-byte digits) or 2**63 (9-byte digits); the middle output
+        # entry reaches it with either sign
+        widths = []
+        unpack = tensor._signed_digits
+        monkeypatch.setattr(tensor, "_signed_digits",
+                            lambda values, n, w: widths.append(w) or unpack(values, n, w))
+        x = 2**31
+        a, b = seq(x, sign * x), seq(y, sign * y)
+        c = convolve(a, b)
+        assert widths == [width]
+        assert c == oracles.naive_convolve(a, b)
+        assert c.entries()[1] == GaussInt(sign * 2 * x * y)
+        assert not c.im.any()
+
+    def test_one_complex_operand_takes_the_general_path(self):
+        a, b = seq(3, -1, 2), seq((0, 1), 4)
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
 
 
 class TestMaxComponent:

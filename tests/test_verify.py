@@ -413,6 +413,14 @@ class TestMixedShapes:
             assert not is_gca_set(bad).is_complementary
             assert not gca_check_polynomial(bad)
 
+    def test_object_planes_pad_with_python_ints(self):
+        # np.pad fills an object plane with numpy int64 zeros, which a
+        # Tensor refuses as entries
+        arrays = [times(a, GaussInt(2**70)) for a in bundled_base_sequences()[0]]
+        assert all(type(v) is int for v in pad_to(arrays[2], (2,)).re.flat)
+        assert is_gca_set(arrays).is_complementary
+        assert gca_check_polynomial(arrays)
+
 
 class TestSizeBoundary:
     """Sets no prime below 2**31 can serve are refused up front."""
@@ -474,6 +482,64 @@ class TestPolynomialRoute:
         if a.shape != b.shape:
             return
         assert gca_check_polynomial([a, b]) == is_gca_set([a, b]).is_complementary
+
+
+UNITS = [GaussInt(1), GaussInt(-1), GaussInt(0, 1), GaussInt(0, -1)]
+NONZERO_GAUSS = st.builds(GaussInt, st.integers(-3, 3),
+                          st.integers(-3, 3)).filter(GaussInt.norm)
+
+
+def times(t, c):
+    """t times the Gaussian integer c, entrywise, in Python integers."""
+    re, im = t.re.astype(object), t.im.astype(object)
+    return Tensor(re * c.re - im * c.im, re * c.im + im * c.re)
+
+
+def plus_at_start(t, d):
+    """t with d added to its first entry."""
+    re, im = t.re.astype(object), t.im.astype(object)
+    re.flat[0] += d.re
+    im.flat[0] += d.im
+    return Tensor(re, im)
+
+
+@functools.lru_cache(maxsize=None)
+def complementary_sets():
+    """The bundled binary and quaternary pairs and base sequences (lengths
+    m+1, m+1, m, m), and the rank-2 quaternary pair A1, A2."""
+    return tuple(r.tensors for r in load_bundled().records.values()) + ((A1, A2),)
+
+
+class TestProductRouteOnGaussianMultiples:
+    """A complementary set stays complementary when every member is
+    multiplied by one Gaussian integer c (the sum scales by |c|**2) and
+    each member by its own unit.  Adding d != 0 to the first entry of
+    the first member, which has the set's largest extent, changes the
+    sum at the opposite corner's shift unless that member has one entry.
+    The product route must give the defining double sums' verdict on
+    both, with non-unit entries on the int64 and the big-integer path."""
+
+    @staticmethod
+    def check(arrays, d):
+        assert oracle_verdict(arrays)[0]
+        assert gca_check_polynomial(arrays)
+        bad = [plus_at_start(arrays[0], d)] + arrays[1:]
+        want = oracle_verdict(bad)[0]
+        assert want is (arrays[0].size == 1)
+        assert gca_check_polynomial(bad) is want
+
+    @given(st.sampled_from(complementary_sets()), NONZERO_GAUSS, NONZERO_GAUSS,
+           st.lists(st.sampled_from(UNITS), min_size=4, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_sets(self, arrays, c, d, units):
+        self.check([times(times(a, c), u) for a, u in zip(arrays, units)], d)
+
+    @pytest.mark.parametrize("arrays", complementary_sets())
+    def test_scaled_past_int64(self, arrays):
+        c = GaussInt(2**70, 1)
+        scaled = [times(a, c) for a in arrays]
+        assert scaled[0].re.dtype == object
+        self.check(scaled, GaussInt(0, 1))
 
 
 class TestRouteIndependence:
