@@ -224,13 +224,15 @@ class Tensor:
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "Tensor":
         shape = _validate_shape(shape)
-        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64),
+                   copy=False)
 
     @classmethod
     def unit(cls, shape: Sequence[int]) -> "Tensor":
         """All-ones array (every entry 1)."""
         shape = _validate_shape(shape)
-        return cls(np.ones(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+        return cls(np.ones(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64),
+                   copy=False)
 
     def __getitem__(self, idx) -> GaussInt:
         r = self.re[idx]
@@ -312,11 +314,11 @@ def _same_shape(a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Entrywise sum; shapes must match exactly."""
     _same_shape(a, b)
-    return Tensor(a.re + b.re, a.im + b.im)
+    return Tensor(a.re + b.re, a.im + b.im, copy=False)
 
 
 def negate(a: Tensor) -> Tensor:
-    return Tensor(-a.re, -a.im)
+    return Tensor(-a.re, -a.im, copy=False)
 
 
 def involute(a: Tensor) -> Tensor:
@@ -326,7 +328,7 @@ def involute(a: Tensor) -> Tensor:
     which is what makes products A * involute(A) encode autocorrelation.
     """
     rev = tuple(slice(None, None, -1) for _ in range(a.rank))
-    return Tensor(a.re[rev], -a.im[rev])
+    return Tensor(a.re[rev], -a.im[rev], copy=False)
 
 
 def _zeros(shape: Sequence[int]) -> np.ndarray:
@@ -455,6 +457,7 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(
         np.kron(a_re, b_re) - np.kron(a_im, b_im),
         np.kron(a_re, b_im) + np.kron(a_im, b_re),
+        copy=False,
     )
 
 
@@ -472,6 +475,7 @@ def concat(a: Tensor, b: Tensor, dim: int) -> Tensor:
     return Tensor(
         np.concatenate([a.re, b.re], axis=dim),
         np.concatenate([a.im, b.im], axis=dim),
+        copy=False,
     )
 
 
@@ -510,7 +514,7 @@ def interleave(a: Tensor, b: Tensor, dim: int) -> Tensor:
     out_im[lanes(0)] = a.im
     out_re[lanes(1)] = b.re
     out_im[lanes(1)] = b.im
-    return Tensor(out_re, out_im)
+    return Tensor(out_re, out_im, copy=False)
 
 
 def checked_superpose(*terms: Tensor) -> Tensor:
@@ -542,7 +546,7 @@ def _exact_div(a: Tensor, k: int, err) -> Tensor:
         if np.any(rem != 0):
             pos = np.argwhere(rem != 0)[0]
             raise err(f"entry at {tuple(int(p) for p in pos)} not divisible by {k}")
-    return Tensor(a.re // k, a.im // k)
+    return Tensor(a.re // k, a.im // k, copy=False)
 
 
 def halve(a: Tensor) -> Tensor:
@@ -573,7 +577,7 @@ def upsample(a: Tensor, factors: Sequence[int]) -> Tensor:
     lanes = tuple(slice(None, None, f) for f in factors)
     out_re[lanes] = a.re
     out_im[lanes] = a.im
-    return Tensor(out_re, out_im)
+    return Tensor(out_re, out_im, copy=False)
 
 
 def reshape_to_sequence(a: Tensor) -> Tensor:
@@ -584,7 +588,7 @@ def reshape_to_sequence(a: Tensor) -> Tensor:
     """
     if a.rank != 2:
         raise RankMismatch(f"expected rank 2, got {a.rank}")
-    return Tensor(a.re.ravel(order="F"), a.im.ravel(order="F"))
+    return Tensor(a.re.ravel(order="F"), a.im.ravel(order="F"), copy=False)
 
 
 def embed(a: Tensor, rank: int, axis: int) -> Tensor:
@@ -595,7 +599,7 @@ def embed(a: Tensor, rank: int, axis: int) -> Tensor:
         raise ShapeMismatch(f"axis {axis} out of range for rank {rank}")
     shape = [1] * rank
     shape[axis] = a.shape[0]
-    return Tensor(a.re.reshape(shape), a.im.reshape(shape))
+    return Tensor(a.re.reshape(shape), a.im.reshape(shape), copy=False)
 
 
 def supports_disjoint(a: Tensor, b: Tensor) -> bool:
@@ -677,7 +681,7 @@ def tensor_from_obj(obj: dict) -> Tensor:
         except OverflowError:
             plane = np.array(values, dtype=object)
         planes.append(plane.reshape(shape))
-    t = Tensor(*planes)
+    t = Tensor(*planes, copy=False)
     tag = obj.get("alphabet")
     if tag is not None:
         declared = Alphabet.from_tag(tag)

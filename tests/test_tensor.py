@@ -100,6 +100,20 @@ class TestConstruction:
                    copy=False)
         assert v.re.dtype == np.int64 and v.im.dtype == object
 
+    def test_op_results_adopt_read_only_planes(self):
+        # the ops keep their fresh planes, or views of their inputs'
+        # read-only planes, without a copy; none can be written
+        a = Tensor.from_entries((2, 3), [1, 2, 3, 4, (5, 1), 6])
+        before = a.entries()
+        results = [Tensor.zeros((2, 3)), Tensor.unit((2, 3)), add(a, a), negate(a),
+                   involute(a), kron(a, a), concat(a, a, 1), interleave(a, a, 0),
+                   halve(add(a, a)), upsample(a, (2, 1)), reshape_to_sequence(a),
+                   embed(seq(1, 2), 2, 1), convolve(a, a), convolve(a, involute(a)),
+                   tensor_from_obj(tensor_to_obj(a))]
+        for t in results:
+            assert not t.re.flags.writeable and not t.im.flags.writeable
+        assert a.entries() == before
+
     def test_entry_coercions(self):
         t = Tensor.sequence([1, -1, 1j, (0, -1), GaussInt(2, 3), np.int8(3),
                              (np.int64(-2), np.uint16(5))])
@@ -291,8 +305,12 @@ class TestConvolveRealPath:
         # entry reaches it with either sign
         widths = []
         unpack = tensor._signed_digits
-        monkeypatch.setattr(tensor, "_signed_digits",
-                            lambda values, n, w: widths.append(w) or unpack(values, n, w))
+
+        def spy(values, n, w):
+            widths.append(w)
+            return unpack(values, n, w)
+
+        monkeypatch.setattr(tensor, "_signed_digits", spy)
         x = 2**31
         a, b = seq(x, sign * x), seq(y, sign * y)
         c = convolve(a, b)
