@@ -170,7 +170,7 @@ class Tensor:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray, copy: bool = True):
+    def __init__(self, re: np.ndarray, im: np.ndarray, *, copy: bool = True):
         re = _as_plane(re, copy)
         im = _as_plane(im, copy)
         if re.shape != im.shape:
@@ -380,7 +380,7 @@ def _digits(parts: np.ndarray, width: int) -> list[int]:
                                         for v in r), "little") - offset
                 for r in parts]
     biased = parts.view(np.uint64)
-    biased += np.uint64(half)  # modulo 2**64: in [0, 2**(8*width)) after
+    biased += np.uint64(half)  # as unsigned: x + half, below 2**(8*width)
     if width in _NATIVE_WIDTHS:
         rows = biased.astype(f"<u{width}")
     else:
