@@ -319,10 +319,6 @@ class TestConvolveRealPath:
         assert c.entries()[1] == GaussInt(sign * 2 * x * y)
         assert not c.im.any()
 
-    def test_one_complex_operand_takes_the_general_path(self):
-        a, b = seq(3, -1, 2), seq((0, 1), 4)
-        assert convolve(a, b) == oracles.naive_convolve(a, b)
-
 
 class TestMaxComponent:
     def test_int64_extremes(self):
