@@ -360,13 +360,10 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise ShapeMismatch(f"cannot pad {a.shape} down to {shape}")
     if shape == a.shape:
         return a
-    planes = []
-    for x in (a.re, a.im):
-        # np.zeros, not np.pad: an object plane's padding must be Python ints
-        padded = np.zeros(shape, dtype=x.dtype)
-        padded[tuple(map(slice, a.shape))] = x
-        planes.append(padded)
-    return Tensor(*planes, copy=False)
+    widths = [(0, t - s) for s, t in zip(a.shape, shape)]
+    # np.pad's default zero would fill an object plane with numpy int64s
+    return Tensor(*(np.pad(x, widths, constant_values=np.zeros((), x.dtype))
+                    for x in (a.re, a.im)), copy=False)
 
 
 def _bounding_shape(arrays: Sequence[Tensor]) -> tuple[int, ...]:
@@ -449,36 +446,32 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     every axis of the output, a * involute(a) has real part
     u * flip(u) - P - flip(P) and imaginary part flip(P) - P; a real
     member's product is re * flip(re).  The sums are kept in int64 only
-    when a bound on every term added (6 * size * max**2 per complex
-    member, 2 * size * max**2 per real one) fits.  Mixed shapes are
-    zero-padded as in `is_gca_set`.
+    when a bound on every term added, 6 * size * max**2 per member,
+    fits.  Mixed shapes are zero-padded as in `is_gca_set`.
     """
     arrays = _one_shape(arrays)
     bounds = [_autocorr_bound(a) for a in arrays]
-    real = [not np.count_nonzero(a.im) for a in arrays]
-    dtype = _exact_dtype(sum(b if r else 3 * b for b, r in zip(bounds, real)))
-    total_re = np.zeros(tuple(2 * s - 1 for s in arrays[0].shape), dtype=dtype)
+    total_re = np.zeros(tuple(2 * s - 1 for s in arrays[0].shape),
+                        dtype=_exact_dtype(3 * sum(bounds)))
     total_im = np.zeros_like(total_re)
     flip = (slice(None, None, -1),) * arrays[0].rank
     zero = _zeros(arrays[0].shape)
 
-    def times_flip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def times_flip(x, y):
         """x * flip(y), for real planes x and y."""
         return convolve(Tensor(x, zero, copy=False),
                         Tensor(y[flip], zero, copy=False)).re
 
-    for a, is_real, bound in zip(arrays, real, bounds):
-        if is_real:
+    for a, bound in zip(arrays, bounds):
+        if not np.count_nonzero(a.im):
             total_re += times_flip(a.re, a.re)
             continue
         u = np.add(a.re, a.im, dtype=_exact_dtype(bound))  # |u| <= 2 * max
         total_re += times_flip(u, u)
         del u  # freed, with each product, before the next is made
         p = times_flip(a.re, a.im)
-        total_re -= p
-        total_re -= p[flip]
-        total_im += p[flip]
-        total_im -= p
+        total_re -= p + p[flip]
+        total_im += p[flip] - p
         del p
     w = sum(map(_weight, arrays, bounds))
     return _judge(total_re, total_im, w).is_complementary
