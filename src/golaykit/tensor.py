@@ -143,40 +143,34 @@ def _validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def _as_plane(values: np.ndarray, copy: bool = True) -> np.ndarray:
-    """int64 when it fits, else object dtype, exactly; a copy unless
-    `copy` is False and the values already have that dtype."""
+def _as_plane(values: np.ndarray) -> np.ndarray:
+    """Copy to int64 when it fits, else to object dtype, exactly."""
     arr = np.asarray(values)
-    kind = arr.dtype.kind
-    if kind == "O":
+    if arr.dtype == object:
         if all(isinstance(v, int) for v in arr.flat):
             big = any(abs(v) > np.iinfo(np.int64).max for v in arr.flat)
-            return arr.astype(object, copy=copy) if big else arr.astype(np.int64)
+            return arr.copy() if big else arr.astype(np.int64)
         raise ParseError("entries must be integers")
-    if kind not in "iu":  # signed or unsigned integers, as np.integer
+    if not np.issubdtype(arr.dtype, np.integer):
         raise ParseError("entries must be integers")
-    return arr.astype(np.int64, copy=copy)
+    return arr.astype(np.int64)
 
 
 class Tensor:
     """Immutable multidimensional array over Z[i].
 
     Stored as two same-shape integer ndarrays `re` and `im`, row-major
-    with the last index varying fastest.  The planes are copied unless
-    `copy` is False, which takes planes of the stored dtype as they are
-    and makes them read-only: for planes that nothing else writes, such
-    as fresh arrays and views of another Tensor's planes.
+    with the last index varying fastest.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: np.ndarray, im: np.ndarray, *, copy: bool = True):
-        re = _as_plane(re, copy)
-        im = _as_plane(im, copy)
+    def __init__(self, re: np.ndarray, im: np.ndarray):
+        re = _as_plane(re)
+        im = _as_plane(im)
         if re.shape != im.shape:
             raise ShapeMismatch("real and imaginary parts must have equal shapes")
-        if re.ndim == 0 or re.size == 0:
-            _validate_shape(re.shape)  # raises, naming what is wrong
+        _validate_shape(re.shape)
         re.flags.writeable = False
         im.flags.writeable = False
         object.__setattr__(self, "re", re)
@@ -224,15 +218,26 @@ class Tensor:
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "Tensor":
         shape = _validate_shape(shape)
-        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64),
-                   copy=False)
+        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
 
     @classmethod
     def unit(cls, shape: Sequence[int]) -> "Tensor":
         """All-ones array (every entry 1)."""
         shape = _validate_shape(shape)
-        return cls(np.ones(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64),
-                   copy=False)
+        return cls(np.ones(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, re: np.ndarray, im: np.ndarray | None = None) -> "Tensor":
+        """A Tensor on `re` and `im` as they are, without a copy or checks:
+        for int64 planes, or object planes of Python ints, just made or
+        viewed from a Tensor.  `im` defaults to a `_zeros` plane."""
+        re = re.view()  # read-only views: the given arrays keep their flags
+        im = _zeros(re.shape) if im is None else im.view()
+        re.flags.writeable = im.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "re", re)
+        object.__setattr__(t, "im", im)
+        return t
 
     def __getitem__(self, idx) -> GaussInt:
         r = self.re[idx]
@@ -314,11 +319,11 @@ def _same_shape(a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Entrywise sum; shapes must match exactly."""
     _same_shape(a, b)
-    return Tensor(a.re + b.re, a.im + b.im, copy=False)
+    return Tensor(a.re + b.re, a.im + b.im)
 
 
 def negate(a: Tensor) -> Tensor:
-    return Tensor(-a.re, -a.im, copy=False)
+    return Tensor(-a.re, -a.im)
 
 
 def involute(a: Tensor) -> Tensor:
@@ -328,13 +333,21 @@ def involute(a: Tensor) -> Tensor:
     which is what makes products A * involute(A) encode autocorrelation.
     """
     rev = tuple(slice(None, None, -1) for _ in range(a.rank))
-    return Tensor(a.re[rev], -a.im[rev], copy=False)
+    return Tensor(a.re[rev], -a.im[rev])
 
 
 def _zeros(shape: Sequence[int]) -> np.ndarray:
     """A read-only int64 zero plane of `shape` that takes no memory: one
     zero, every stride 0."""
     return np.ndarray(shape, dtype=np.int64, buffer=bytes(8), strides=(0,) * len(shape))
+
+
+def _is_zero(plane: np.ndarray) -> bool:
+    """Whether every entry of `plane` is 0: its one stored entry when
+    every stride is 0, as in a `_zeros` plane, else a count."""
+    if not any(plane.strides):
+        return not plane.flat[0]
+    return not np.count_nonzero(plane)
 
 
 def _exact_dtype(bound: int):
@@ -360,9 +373,6 @@ def _layout(planes, out_shape: Sequence[int], dtype=None) -> np.ndarray:
     return out.reshape(rows, -1)
 
 
-_NATIVE_WIDTHS = (1, 2, 4, 8)  # digit widths numpy has unsigned dtypes for
-
-
 def _offset(n: int, width: int) -> int:
     """The integer whose `n` base-2**(8*width) digits are all half a digit."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
@@ -372,21 +382,17 @@ def _digits(parts: np.ndarray, width: int) -> list[int]:
     """Each row of `parts`, entries in [-2**(8*width-1), 2**(8*width-1)),
     as the integer whose base-2**(8*width) digits it holds, lowest first:
     the row plus half a digit, read as unsigned little-endian digits
-    (a cast to a native width, byte views of uint64 for the other widths
-    up to 8, or int.to_bytes), less `_offset`."""
+    (byte views of uint64, or int.to_bytes), less `_offset`.  An int64
+    `parts` is overwritten."""
     half, offset = 1 << (8 * width - 1), _offset(parts.shape[1], width)
     if width > 8:
         return [int.from_bytes(b"".join((int(v) + half).to_bytes(width, "little")
                                         for v in r), "little") - offset
                 for r in parts]
-    biased = parts.view(np.uint64)
+    biased = parts.astype("<i8", copy=False).view("<u8")
     biased += np.uint64(half)  # as unsigned: x + half, below 2**(8*width)
-    if width in _NATIVE_WIDTHS:
-        rows = biased.astype(f"<u{width}")
-    else:
-        rows = biased.astype("<u8", copy=False).view(np.uint8).reshape(
-            len(parts), -1, 8)[..., :width]
-    return [int.from_bytes(r.tobytes(), "little") - offset for r in rows]
+    raw = biased.view(np.uint8).reshape(len(parts), -1, 8)[..., :width]
+    return [int.from_bytes(r.tobytes(), "little") - offset for r in raw]
 
 
 def _signed_digits(values: list[int], n: int, width: int) -> np.ndarray:
@@ -398,14 +404,9 @@ def _signed_digits(values: list[int], n: int, width: int) -> np.ndarray:
         return np.array([int.from_bytes(raw[k:k + width], "little") - half
                          for k in range(0, len(raw), width)],
                         dtype=object).reshape(len(values), n)
-    if width in _NATIVE_WIDTHS:
-        digits = np.frombuffer(raw, dtype=f"<u{width}").astype(np.uint64)
-    else:  # zero-padded to 8 bytes
-        padded = np.zeros((len(values) * n, 8), dtype=np.uint8)
-        padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
-        digits = padded.view("<u8").astype(np.uint64, copy=False)
-    digits -= np.uint64(half)
-    return digits.view(np.int64).reshape(len(values), n)
+    digits = np.zeros((len(values) * n, 8), dtype=np.uint8)
+    digits[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    return (digits.view("<u8") - np.uint64(half)).view(np.int64).reshape(len(values), n)
 
 
 def convolve(a: Tensor, b: Tensor) -> Tensor:
@@ -416,22 +417,16 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     the signed digits of one integer, and big-integer products hold the
     output entries as digits: four products in general, one when both
     operands are real (only their `re` planes are packed, and the
-    output's `im` is zero).  Operands of one shape are laid out
-    together.  The digit width comes from an exact bound on the output:
-    min(size) * ma * mb per product term, ma and mb the largest input
-    components.
+    output's `im` is a `_zeros` plane).  The digit width comes from an
+    exact bound on the output: min(size) * ma * mb per product term, ma
+    and mb the largest components of the packed planes.
     """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
     out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
-    real = not (np.count_nonzero(a.im) or np.count_nonzero(b.im))
-    planes = [(t.re,) if real else (t.re, t.im) for t in (a, b)]
-    if a.shape == b.shape:
-        planes = [planes[0] + planes[1]]
-    rows = [_layout(group, out_shape) for group in planes]
-    peaks = [max(int(hi), -int(lo)) for r in rows
-             for hi, lo in zip(r.max(axis=1), r.min(axis=1))]
-    ma, mb = max(peaks[:len(peaks) // 2]), max(peaks[len(peaks) // 2:])
+    real = _is_zero(a.im) and _is_zero(b.im)
+    rows = [_layout((t.re,) if real else (t.re, t.im), out_shape) for t in (a, b)]
+    ma, mb = (max(int(r.max()), -int(r.min())) for r in rows)
     terms = 1 if real else 2
     # every output entry, and every input entry, fits in a signed digit
     width = (max(terms * min(a.size, b.size) * ma * mb, ma, mb).bit_length() + 8) // 8
@@ -441,10 +436,10 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     if real:
         ar, br = packed
         (re,) = _signed_digits([ar * br], n, width)
-        return Tensor(re.reshape(out_shape), _zeros(out_shape), copy=False)
+        return Tensor._adopt(re.reshape(out_shape))
     ar, ai, br, bi = packed
     re, im = _signed_digits([ar * br - ai * bi, ar * bi + ai * br], n, width)
-    return Tensor(re.reshape(out_shape), im.reshape(out_shape), copy=False)
+    return Tensor._adopt(re.reshape(out_shape), im.reshape(out_shape))
 
 
 def kron(a: Tensor, b: Tensor) -> Tensor:
@@ -457,7 +452,6 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(
         np.kron(a_re, b_re) - np.kron(a_im, b_im),
         np.kron(a_re, b_im) + np.kron(a_im, b_re),
-        copy=False,
     )
 
 
@@ -475,7 +469,6 @@ def concat(a: Tensor, b: Tensor, dim: int) -> Tensor:
     return Tensor(
         np.concatenate([a.re, b.re], axis=dim),
         np.concatenate([a.im, b.im], axis=dim),
-        copy=False,
     )
 
 
@@ -514,7 +507,7 @@ def interleave(a: Tensor, b: Tensor, dim: int) -> Tensor:
     out_im[lanes(0)] = a.im
     out_re[lanes(1)] = b.re
     out_im[lanes(1)] = b.im
-    return Tensor(out_re, out_im, copy=False)
+    return Tensor(out_re, out_im)
 
 
 def checked_superpose(*terms: Tensor) -> Tensor:
@@ -546,7 +539,7 @@ def _exact_div(a: Tensor, k: int, err) -> Tensor:
         if np.any(rem != 0):
             pos = np.argwhere(rem != 0)[0]
             raise err(f"entry at {tuple(int(p) for p in pos)} not divisible by {k}")
-    return Tensor(a.re // k, a.im // k, copy=False)
+    return Tensor(a.re // k, a.im // k)
 
 
 def halve(a: Tensor) -> Tensor:
@@ -577,7 +570,7 @@ def upsample(a: Tensor, factors: Sequence[int]) -> Tensor:
     lanes = tuple(slice(None, None, f) for f in factors)
     out_re[lanes] = a.re
     out_im[lanes] = a.im
-    return Tensor(out_re, out_im, copy=False)
+    return Tensor(out_re, out_im)
 
 
 def reshape_to_sequence(a: Tensor) -> Tensor:
@@ -588,7 +581,7 @@ def reshape_to_sequence(a: Tensor) -> Tensor:
     """
     if a.rank != 2:
         raise RankMismatch(f"expected rank 2, got {a.rank}")
-    return Tensor(a.re.ravel(order="F"), a.im.ravel(order="F"), copy=False)
+    return Tensor(a.re.ravel(order="F"), a.im.ravel(order="F"))
 
 
 def embed(a: Tensor, rank: int, axis: int) -> Tensor:
@@ -599,7 +592,7 @@ def embed(a: Tensor, rank: int, axis: int) -> Tensor:
         raise ShapeMismatch(f"axis {axis} out of range for rank {rank}")
     shape = [1] * rank
     shape[axis] = a.shape[0]
-    return Tensor(a.re.reshape(shape), a.im.reshape(shape), copy=False)
+    return Tensor(a.re.reshape(shape), a.im.reshape(shape))
 
 
 def supports_disjoint(a: Tensor, b: Tensor) -> bool:
@@ -681,7 +674,7 @@ def tensor_from_obj(obj: dict) -> Tensor:
         except OverflowError:
             plane = np.array(values, dtype=object)
         planes.append(plane.reshape(shape))
-    t = Tensor(*planes, copy=False)
+    t = Tensor(*planes)
     tag = obj.get("alphabet")
     if tag is not None:
         declared = Alphabet.from_tag(tag)

@@ -58,7 +58,7 @@ from .errors import (
     ShapeMismatch,
     Trivial,
 )
-from .tensor import GaussInt, Tensor, _exact_dtype, _layout, _zeros, convolve
+from .tensor import GaussInt, Tensor, _exact_dtype, _layout, convolve
 
 __all__ = [
     "AutocorrResult",
@@ -361,9 +361,10 @@ def pad_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     if shape == a.shape:
         return a
     widths = [(0, t - s) for s, t in zip(a.shape, shape)]
-    # np.pad's default zero would fill an object plane with numpy int64s
+    # a zero of the plane's own dtype: np.pad's default fills an object
+    # plane with numpy int64 zeros, which Tensor refuses as entries
     return Tensor(*(np.pad(x, widths, constant_values=np.zeros((), x.dtype))
-                    for x in (a.re, a.im)), copy=False)
+                    for x in (a.re, a.im)))
 
 
 def _bounding_shape(arrays: Sequence[Tensor]) -> tuple[int, ...]:
@@ -446,8 +447,9 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
     every axis of the output, a * involute(a) has real part
     u * flip(u) - P - flip(P) and imaginary part flip(P) - P; a real
     member's product is re * flip(re).  The sums are kept in int64 only
-    when a bound on every term added, 6 * size * max**2 per member,
-    fits.  Mixed shapes are zero-padded as in `is_gca_set`.
+    when a bound on them, 6 * size * max**2 per member, fits; each
+    product is added on its own, in the sums' dtype.  Mixed shapes are
+    zero-padded as in `is_gca_set`.
     """
     arrays = _one_shape(arrays)
     bounds = [_autocorr_bound(a) for a in arrays]
@@ -455,12 +457,10 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
                         dtype=_exact_dtype(3 * sum(bounds)))
     total_im = np.zeros_like(total_re)
     flip = (slice(None, None, -1),) * arrays[0].rank
-    zero = _zeros(arrays[0].shape)
 
     def times_flip(x, y):
         """x * flip(y), for real planes x and y."""
-        return convolve(Tensor(x, zero, copy=False),
-                        Tensor(y[flip], zero, copy=False)).re
+        return convolve(Tensor._adopt(x), Tensor._adopt(y[flip])).re
 
     for a, bound in zip(arrays, bounds):
         if not np.count_nonzero(a.im):
@@ -470,8 +470,10 @@ def gca_check_polynomial(arrays: Sequence[Tensor]) -> bool:
         total_re += times_flip(u, u)
         del u  # freed, with each product, before the next is made
         p = times_flip(a.re, a.im)
-        total_re -= p + p[flip]
-        total_im += p[flip] - p
+        total_re -= p  # term by term: p + flip(p) may not fit p's dtype
+        total_re -= p[flip]
+        total_im += p[flip]
+        total_im -= p
         del p
     w = sum(map(_weight, arrays, bounds))
     return _judge(total_re, total_im, w).is_complementary

@@ -87,32 +87,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.re[0] = 5
 
-    def test_planes_copied_unless_copy_false(self):
+    def test_adopt_takes_planes_without_copy(self):
         re, im = np.array([1, 2]), np.array([0, 3])
-        t = Tensor(re, im)
-        re[0] = 7
-        assert t.re[0] == 1 and re.flags.writeable
-        u = Tensor(re, im, copy=False)
-        assert u.re is re and u.im is im
-        assert not re.flags.writeable
-        # planes of another dtype are still converted
-        v = Tensor(np.array([1, 2], dtype=np.int8), np.array([10**20, 0], dtype=object),
-                   copy=False)
-        assert v.re.dtype == np.int64 and v.im.dtype == object
-
-    def test_op_results_adopt_read_only_planes(self):
-        # the ops keep their fresh planes, or views of their inputs'
-        # read-only planes, without a copy; none can be written
-        a = Tensor.from_entries((2, 3), [1, 2, 3, 4, (5, 1), 6])
-        before = a.entries()
-        results = [Tensor.zeros((2, 3)), Tensor.unit((2, 3)), add(a, a), negate(a),
-                   involute(a), kron(a, a), concat(a, a, 1), interleave(a, a, 0),
-                   halve(add(a, a)), upsample(a, (2, 1)), reshape_to_sequence(a),
-                   embed(seq(1, 2), 2, 1), convolve(a, a), convolve(a, involute(a)),
-                   tensor_from_obj(tensor_to_obj(a))]
-        for t in results:
-            assert not t.re.flags.writeable and not t.im.flags.writeable
-        assert a.entries() == before
+        t = Tensor._adopt(re, im)
+        assert np.shares_memory(t.re, re) and np.shares_memory(t.im, im)
+        assert not t.re.flags.writeable and not t.im.flags.writeable
+        assert re.flags.writeable and im.flags.writeable  # the given arrays keep theirs
+        z = Tensor._adopt(re)
+        assert z == Tensor(re, np.zeros(2, dtype=np.int64))
+        assert not any(z.im.strides) and not z.im.flags.writeable
 
     def test_entry_coercions(self):
         t = Tensor.sequence([1, -1, 1j, (0, -1), GaussInt(2, 3), np.int8(3),
@@ -296,6 +279,15 @@ class TestConvolveRealPath:
         c = convolve(a, b)
         assert c == oracles.naive_convolve(a, b)
         assert not c.im.any()
+
+    def test_repeated_nonzero_im_is_complex(self):
+        # an im plane with every stride 0 is read off its one entry
+        a = Tensor._adopt(np.array([1, -2, 3]), np.broadcast_to(np.int64(2), (3,)))
+        b = seq(2, (1, 1))
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
+        assert convolve(a, a) == oracles.naive_convolve(a, a)
+        r = Tensor._adopt(a.re)
+        assert convolve(r, a) == oracles.naive_convolve(r, a)
 
     @pytest.mark.parametrize("y, width", [(2**31 - 1, 8), (2**31, 9)])
     @pytest.mark.parametrize("sign", [1, -1])

@@ -541,6 +541,22 @@ class TestProductRouteOnGaussianMultiples:
         assert scaled[0].re.dtype == object
         self.check(scaled, GaussInt(0, 1))
 
+    @pytest.mark.parametrize("arrays", complementary_sets() + ((seq(1, 1), seq(1, -1)),))
+    def test_scaled_to_the_int64_edge(self, arrays):
+        # c = k(1 + i), k as large as keeps re * flip(im) in int64
+        # (size * k**2 < 2**63); for a binary set its middle entry is
+        # size * k**2, and twice that, p + flip(p), is past int64
+        size = math.prod(map(max, zip(*(a.shape for a in arrays))))
+        k = math.isqrt((2**63 - 1) // size)
+        self.check([times(a, GaussInt(k, k)) for a in arrays], GaussInt(1))
+
+    @pytest.mark.parametrize("arrays", complementary_sets())
+    def test_scaled_with_small_re_plus_im(self, arrays):
+        # the sums are past int64, so u = re + im is an object plane, but
+        # on binary sets u is +-1 and is packed in one-byte digits
+        self.check([times(a, GaussInt(2**40, 1 - 2**40)) for a in arrays], GaussInt(1))
+
+
 
 class TestRouteIndependence:
     """Each exact route gives its verdict with the other's kernel gone."""
