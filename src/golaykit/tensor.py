@@ -674,7 +674,7 @@ def tensor_from_obj(obj: dict) -> Tensor:
         except OverflowError:
             plane = np.array(values, dtype=object)
         planes.append(plane.reshape(shape))
-    t = Tensor(*planes)
+    t = Tensor._adopt(*planes)  # fresh planes of checked integers
     tag = obj.get("alphabet")
     if tag is not None:
         declared = Alphabet.from_tag(tag)

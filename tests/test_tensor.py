@@ -454,6 +454,13 @@ class TestTensorJson:
         assert all(type(v) is int for e in entries for v in e)
         assert tensor_from_obj(tensor_to_obj(t)) == t
 
+    def test_parsed_planes_int64_unless_past_it(self):
+        t = tensor_from_obj({"format": "gca-tensor/1", "shape": [2],
+                             "entries": [[1, 2**63], [-3, 0]]})
+        assert t.re.dtype == np.int64 and t.im.dtype == object
+        assert t.entries() == [GaussInt(1, 2**63), GaussInt(-3)]
+        assert not t.re.flags.writeable and not t.im.flags.writeable
+
     @pytest.mark.parametrize("field, value", [
         ("entries", [[1.5, 0], [1, 0]]),
         ("entries", [[True, 0], [1, 0]]),
