@@ -356,15 +356,15 @@ def _exact_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
-def _layout(planes, out_shape: Sequence[int], dtype=None) -> np.ndarray:
+def _layout(planes, out_shape: Sequence[int]) -> np.ndarray:
     """Same-shape `planes` (a sequence, or one array stacked on axis 0)
     laid out in the row-major strides of the larger `out_shape`, as
     (rows, L): every axis but the first is zero-padded to its width in
     `out_shape`.  Where out >= 2s - 1 on those axes, sums and differences
     of flat offsets never carry between axes.  The dtype is promoted
-    over all planes unless given; a stacked array that needs no padding
-    comes back as a view."""
-    planes = np.asarray(planes, dtype=dtype)
+    over all planes; a stacked array that needs no padding comes back as
+    a view, a sequence as a new array."""
+    planes = np.asarray(planes)
     rows, shape = planes.shape[0], planes.shape[1:]
     if shape[1:] == tuple(out_shape[1:]):
         return planes.reshape(rows, -1)
