@@ -338,6 +338,25 @@ def test_benchmark_plans_pinned(plan, alphabet, shape, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+# sha256 of the sorted-key report_to_obj JSON lines of every quad
+# m x n, 1 <= m <= n <= 40, binary then quaternary: reasons, witnesses
+# and recipes alike, frozen before pair feasibility was split from
+# recipe building
+QUAD_REPORTS_40 = (
+    "4c92f8a293e543785fd01253515f1a65e24efcf0c092032b3fd262f7aeab95c2")
+
+
+def test_quad_reports_pinned(registry):
+    h = hashlib.sha256()
+    for alphabet in (B, Q):
+        for m in range(1, 41):
+            for n in range(m, 41):
+                rep = plan_quad(alphabet, (m, n), registry)
+                h.update(json.dumps(report_to_obj(rep),
+                                    sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == QUAD_REPORTS_40
+
+
 class TestSizeCap:
     @pytest.mark.parametrize("plan, alphabet, shape", [
         (plan_pair, B, (2 ** 40,)),
