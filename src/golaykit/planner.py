@@ -12,7 +12,10 @@ pair plan needs at least one binder per extra quaternary block, so each
 dimension contributes a surplus (binders minus quaternary blocks) and a
 shape is plannable when the total surplus is at least -1.  The glued
 blocks 10 and 26 count as binders but each must land inside a single
-dimension.
+dimension.  Feasibility first, recipe for the winner: one rule,
+`_pair_feasibility`, gives a shape's witnesses or its refusal and builds
+no recipe; the quad rules test every candidate split with it and call
+`plan_pair`, which adds the recipe, only for the split that wins.
 
 Quad planning tries five rules in order: products of two planned
 pairs or of two zero-tiled quads, sum-extension with a binder pair,
@@ -410,12 +413,11 @@ def report_to_obj(report: FeasibilityReport) -> dict:
 
 # pair planning ------------------------------------------------------------
 
-def _check_shape(role: str, alphabet: Alphabet, shape: Sequence[int]
-                 ) -> tuple[tuple[int, ...], FeasibilityReport | None]:
-    """The shape as a tuple, plus a refusal for requests that planning
-    does not cover, made before any search: other alphabets, and
-    products above the planning cap."""
-    shape = _validate_shape(shape)
+def _refusal(role: str, alphabet: Alphabet, shape: tuple[int, ...]
+             ) -> FeasibilityReport | None:
+    """The refusal of a request that planning does not cover, made
+    before any search: other alphabets, and products above the planning
+    cap."""
     if alphabet not in (Alphabet.BINARY, Alphabet.QUATERNARY):
         reason = (f"{role} planning covers binary and quaternary "
                   f"alphabets, not {alphabet.value}")
@@ -423,8 +425,8 @@ def _check_shape(role: str, alphabet: Alphabet, shape: Sequence[int]
         reason = (f"product {math.prod(shape)} exceeds the planning cap "
                   f"{_PRODUCT_CAP}")
     else:
-        return shape, None
-    return shape, FeasibilityReport(False, alphabet, shape, reason=reason)
+        return None
+    return FeasibilityReport(False, alphabet, shape, reason=reason)
 
 
 def _seed_leaf(alphabet: Alphabet, length: int, axis: int,
@@ -456,97 +458,90 @@ def plan_pair(alphabet: Alphabet, shape: Sequence[int]) -> FeasibilityReport:
     with total binder surplus >= -1; glued 10/26 blocks must fit inside
     single dimensions.  Feasible reports carry an executable recipe.
     """
-    shape, refusal = _check_shape("pair", alphabet, shape)
-    if refusal is not None:
-        return refusal
-    if alphabet is Alphabet.BINARY:
-        return _plan_pair_binary(shape)
-    return _plan_pair_quaternary(shape)
+    report = _pair_feasibility(alphabet, _validate_shape(shape))
+    if report.feasible:
+        if alphabet is Alphabet.BINARY:
+            blocks = [[2] * w.a + [10] * w.b + [26] * w.c
+                      for w in report.witness]
+        else:
+            blocks = report.witness["blocks_per_dimension"]
+        report.recipe = _pair_recipe(blocks)
+    return report
 
 
 _RULED_OUT_PAIR_SHAPES = ((2, 5), (2, 13))
 
 
-def _plan_pair_binary(shape: tuple[int, ...]) -> FeasibilityReport:
-    wits = []
-    for s in shape:
-        wit = is_binary_golay_number(s)
-        if wit is None:
-            ruled_out = tuple(sorted(shape)) in _RULED_OUT_PAIR_SHAPES
-            reason = (f"dimension {s} is not a binary Golay number "
-                      f"(2^a 10^b 26^c)")
-            if ruled_out:
-                reason += ("; this exact shape is exhaustively ruled out, "
-                           "no binary pair of it exists")
-            return FeasibilityReport(
-                False, Alphabet.BINARY, shape,
-                reason=reason, nonexistent=ruled_out,
-            )
-        wits.append(wit)
-    leaves = []
-    for axis, wit in enumerate(wits):
-        blocks = [2] * wit.a + [10] * wit.b + [26] * wit.c
-        for g in sorted(blocks):
-            leaves.append(_seed_leaf(
-                Alphabet.BINARY, g, axis, len(shape),
-                _oriented(len(shape), axis, g)))
-    recipe = _turyn_chain(leaves, len(shape))
-    return FeasibilityReport(
-        True, Alphabet.BINARY, shape, witness=tuple(wits), recipe=recipe,
-    )
-
-
-def _plan_pair_quaternary(shape: tuple[int, ...]) -> FeasibilityReport:
+def _pair_feasibility(alphabet: Alphabet,
+                      shape: tuple[int, ...]) -> FeasibilityReport:
+    """The pair feasibility rule: `plan_pair`'s report without the
+    recipe.  A feasible report's witness holds the per-dimension
+    witnesses (binary) or block assignment (quaternary); the recipe
+    follows from those alone, so quad rules test candidate splits here
+    and call `plan_pair` only for the one that wins."""
+    refusal = _refusal("pair", alphabet, shape)
+    if refusal is not None:
+        return refusal
+    if alphabet is Alphabet.BINARY:
+        wits = tuple(map(is_binary_golay_number, shape))
+        if all(wits):
+            return FeasibilityReport(True, alphabet, shape, witness=wits)
+        s = next(s for s, w in zip(shape, wits) if w is None)
+        ruled_out = tuple(sorted(shape)) in _RULED_OUT_PAIR_SHAPES
+        reason = (f"dimension {s} is not a binary Golay number "
+                  f"(2^a 10^b 26^c)")
+        if ruled_out:
+            reason += ("; this exact shape is exhaustively ruled out, "
+                       "no binary pair of it exists")
+        return FeasibilityReport(False, alphabet, shape, reason=reason,
+                                 nonexistent=ruled_out)
     n = math.prod(shape)
     product_wit = is_quaternary_golay_number(n)
     per_dim = [_best_blocks(s) for s in shape]
-    assignable = all(p is not None for p in per_dim)
+    assignable = None not in per_dim
     surplus = sum(p[0] for p in per_dim) if assignable else None
-    if not assignable or surplus < -1:
-        if product_wit is None:
-            return FeasibilityReport(
-                False, Alphabet.QUATERNARY, shape, nonexistent=True,
-                reason=(f"product {n} is not a quaternary Golay number "
-                        f"(2^(a+u) 3^b 5^c 11^d 13^e with "
-                        f"b+c+d+e <= a+2u+1, u <= c+e)"),
-            )
-        glued = [g for g in (10, 26) if n % g == 0]
-        stuck = [g for g in glued if not any(s % g == 0 for s in shape)]
-        if stuck:
-            names = " or ".join(str(g) for g in stuck)
-            reason = (f"product {n} is a quaternary Golay number only with "
-                      f"a glued factor {names}, but {names} divides no "
-                      f"single dimension of {shape}; the factor {stuck[0]} "
-                      f"block would be split across different dimensions")
-        else:
-            reason = (f"best per-dimension block factorization has binder "
-                      f"surplus {surplus}, below the -1 needed to glue the "
-                      f"quaternary blocks together")
+    if assignable and surplus >= -1:
+        return FeasibilityReport(True, alphabet, shape, witness={
+            "product": product_wit,
+            "blocks_per_dimension": [sorted(p[1]) for p in per_dim],
+            "surplus": surplus,
+        })
+    if product_wit is None:
         return FeasibilityReport(
-            False, Alphabet.QUATERNARY, shape, witness=product_wit,
-            reason=reason,
+            False, alphabet, shape, nonexistent=True,
+            reason=(f"product {n} is not a quaternary Golay number "
+                    f"(2^(a+u) 3^b 5^c 11^d 13^e with "
+                    f"b+c+d+e <= a+2u+1, u <= c+e)"),
         )
-    rank = len(shape)
-    blocks_per_dim = [sorted(p[1]) for p in per_dim]
-    quater, binders = [], []
-    for axis, blocks in enumerate(blocks_per_dim):
-        for g in blocks:
+    glued = [g for g in (10, 26) if n % g == 0]
+    stuck = [g for g in glued if not any(s % g == 0 for s in shape)]
+    if stuck:
+        names = " or ".join(str(g) for g in stuck)
+        reason = (f"product {n} is a quaternary Golay number only with "
+                  f"a glued factor {names}, but {names} divides no "
+                  f"single dimension of {shape}; the factor {stuck[0]} "
+                  f"block would be split across different dimensions")
+    else:
+        reason = (f"best per-dimension block factorization has binder "
+                  f"surplus {surplus}, below the -1 needed to glue the "
+                  f"quaternary blocks together")
+    return FeasibilityReport(False, alphabet, shape, witness=product_wit,
+                             reason=reason)
+
+
+def _pair_recipe(blocks: list[list[int]]) -> Recipe:
+    """The recipe for sorted seed blocks per dimension: quaternary blocks
+    glued by binary binders, each leaf along its own axis."""
+    rank = len(blocks)
+    quater, binders = [], []  # (axis, block, leaf), ascending
+    for axis, dim_blocks in enumerate(blocks):
+        for g in dim_blocks:
             alph = (Alphabet.BINARY if g in _BINARY_BLOCKS
                     else Alphabet.QUATERNARY)
             leaf = _seed_leaf(alph, g, axis, rank, _oriented(rank, axis, g))
             (binders if alph is Alphabet.BINARY else quater).append(
                 (axis, g, leaf))
-    quater.sort(key=lambda t: t[:2])
-    binders.sort(key=lambda t: t[:2])
-    witness = {
-        "product": product_wit,
-        "blocks_per_dimension": blocks_per_dim,
-        "surplus": surplus,
-    }
-    recipe = _assemble_glue_tree(quater, binders, rank)
-    return FeasibilityReport(
-        True, Alphabet.QUATERNARY, shape, witness=witness, recipe=recipe,
-    )
+    return _assemble_glue_tree(quater, binders, rank)
 
 
 def _turyn_chain(leaves: list[Recipe], rank: int) -> Recipe:
@@ -617,7 +612,8 @@ def plan_quad(alphabet: Alphabet, shape: Sequence[int],
     zero-concatenated planned quad.  The first hit wins; `registry`
     (bundled by default) gates which base-sequence tiles are available.
     """
-    shape, refusal = _check_shape("quad", alphabet, shape)
+    shape = _validate_shape(shape)
+    refusal = _refusal("quad", alphabet, shape)
     if refusal is not None:
         return refusal
     if len(shape) > 2:
@@ -653,14 +649,12 @@ def _quad_cross(alphabet, shape, registry, misses, depth):
         key = (sum(abs(a - b) for a, b in zip(u, v)), u, v)
         splits.append(key)
     for _, u, v in sorted(splits):
-        left = plan_pair(alphabet, u)
-        if not left.feasible:
-            continue
-        right = plan_pair(alphabet, v)
-        if not right.feasible:
+        if not (_pair_feasibility(alphabet, u).feasible
+                and _pair_feasibility(alphabet, v).feasible):
             continue
         recipe = Recipe("cross_set", {"shape": list(shape)},
-                        [left.recipe, right.recipe])
+                        [plan_pair(alphabet, u).recipe,
+                         plan_pair(alphabet, v).recipe])
         return recipe, {"strategy": "pair-product", "left": list(u),
                         "right": list(v)}
     return None
@@ -697,8 +691,8 @@ def _tile_quad(size: int, axis: int, rank: int, alphabet,
         if (is_binary_golay_number(g) is None
                 or is_binary_golay_number(g2) is None):
             continue
-        p1 = _plan_pair_binary(_oriented(rank, axis, g))
-        p2 = _plan_pair_binary(_oriented(rank, axis, g2))
+        p1 = plan_pair(Alphabet.BINARY, _oriented(rank, axis, g))
+        p2 = plan_pair(Alphabet.BINARY, _oriented(rank, axis, g2))
         recipe = Recipe("concat_zero_quad", {"dim": axis, "shape": shape},
                         [p1.recipe, p2.recipe])
         return recipe, {"tile": size, "halves": [g, g2]}
@@ -736,52 +730,48 @@ def _quad_lagrange(alphabet, shape, registry, misses, depth):
 
 
 def _quad_compromise(alphabet, shape, registry, misses, depth):
-    """Sum-extension: two pairs sharing one dimension, plus a binder."""
+    """Sum-extension: two pairs sharing one dimension, plus a binder.
+    Each binder shape is tested once per split of the summed axis."""
     rank = len(shape)
+
+    def feasible(pshape: tuple[int, ...]) -> bool:
+        return _pair_feasibility(alphabet, pshape).feasible
+
     for j in range(rank):
-        total_j = shape[j]
-        for t_j in _divisors(total_j):
-            summed = total_j // t_j
+        def put(at_j: int, off: int) -> tuple[int, ...]:
+            if rank == 1:
+                return (at_j,)
+            return (at_j, off) if j == 0 else (off, at_j)
+
+        if rank == 1:
+            off_choices = [(1, 1)]
+        else:
+            o = 1 - j
+            off_choices = [(t_o, shape[o] // t_o)
+                           for t_o in _divisors(shape[o])]
+        for t_j in _divisors(shape[j]):
+            summed = shape[j] // t_j
             if summed < 2:
                 continue
+            binders = [(t_off, s_off) for t_off, s_off in off_choices
+                       if feasible(put(t_j, t_off))]
             for s2 in range(1, summed // 2 + 1):
                 s3 = summed - s2
                 if not _decomposable(s2) or not _decomposable(s3):
                     continue
-                if rank == 1:
-                    off_choices = [(1, 1)]
-                else:
-                    o = 1 - j
-                    off_choices = [(t_o, shape[o] // t_o)
-                                   for t_o in _divisors(shape[o])]
-
-                def put(at_j: int, off: int) -> tuple[int, ...]:
-                    if rank == 1:
-                        return (at_j,)
-                    return (at_j, off) if j == 0 else (off, at_j)
-
-                for t_off, s_off in off_choices:
-                    pshape2 = put(s2, s_off)
-                    pshape3 = put(s3, s_off)
-                    bshape = put(t_j, t_off)
-                    r2 = plan_pair(alphabet, pshape2)
-                    if not r2.feasible:
-                        continue
-                    r3 = plan_pair(alphabet, pshape3)
-                    if not r3.feasible:
-                        continue
-                    rb = plan_pair(alphabet, bshape)
-                    if not rb.feasible:
+                for t_off, s_off in binders:
+                    parts = (put(s2, s_off), put(s3, s_off), put(t_j, t_off))
+                    if not (feasible(parts[0]) and feasible(parts[1])):
                         continue
                     recipe = Recipe(
                         "compromise_quad",
                         {"dim": j, "shape": list(shape)},
-                        [r2.recipe, r3.recipe, rb.recipe])
+                        [plan_pair(alphabet, p).recipe for p in parts])
                     return recipe, {
                         "strategy": "sum-extension",
                         "sum_axis": j,
-                        "pair_shapes": [list(pshape2), list(pshape3)],
-                        "binder_shape": list(bshape),
+                        "pair_shapes": [list(parts[0]), list(parts[1])],
+                        "binder_shape": list(parts[2]),
                     }
     return None
 
@@ -793,15 +783,14 @@ def _quad_expand(alphabet, shape, registry, misses, depth):
     for t in _divisor_tuples(shape):
         if all(x == 1 for x in t):
             continue
-        binder = _plan_pair_binary(t)
-        if not binder.feasible:
+        if not _pair_feasibility(Alphabet.BINARY, t).feasible:
             continue
         inner = tuple(s // x for s, x in zip(shape, t))
         sub = plan_quad(alphabet, inner, registry, _depth=depth - 1)
         if not sub.feasible:
             continue
         dis = Recipe("disjoint_from_pair", {"shape": list(t)},
-                     [binder.recipe])
+                     [plan_pair(Alphabet.BINARY, t).recipe])
         recipe = Recipe("expand_quad", {"shape": list(shape)},
                         [sub.recipe, dis])
         return recipe, {"strategy": "expansion", "factor": list(t),

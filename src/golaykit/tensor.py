@@ -443,16 +443,30 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
 
 
 def kron(a: Tensor, b: Tensor) -> Tensor:
-    """Kronecker product; index k_l = i_l * t_l + j_l, dims multiply."""
+    """Kronecker product; index k_l = i_l * t_l + j_l, dims multiply.
+
+    One broadcast product per pair of planes: `a` as (s1, 1, s2, 1, ...)
+    times `b` as (1, t1, 1, t2, ...), read row-major as (s1 t1, s2 t2,
+    ...).  Two real operands make one product and a `_zeros` imaginary
+    plane.  int64 results are adopted without a copy; object results
+    (a bound past int64) go through `Tensor`, so planes come back int64
+    whenever their entries fit.
+    """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    # an output entry is a sum of two products of entries
-    dtype = _exact_dtype(2 * a.max_component() * b.max_component())
-    a_re, a_im, b_re, b_im = (p.astype(dtype) for p in (a.re, a.im, b.re, b.im))
-    return Tensor(
-        np.kron(a_re, b_re) - np.kron(a_im, b_im),
-        np.kron(a_re, b_im) + np.kron(a_im, b_re),
-    )
+    real = _is_zero(a.im) and _is_zero(b.im)
+    # an output entry is one product of entries, or a sum of two
+    dtype = _exact_dtype((1 if real else 2) * a.max_component() * b.max_component())
+    sa = [d for s in a.shape for d in (s, 1)]
+    sb = [d for t in b.shape for d in (1, t)]
+    xr, xi = (p.astype(dtype, copy=False).reshape(sa) for p in (a.re, a.im))
+    yr, yi = (p.astype(dtype, copy=False).reshape(sb) for p in (b.re, b.im))
+    out = tuple(s * t for s, t in zip(a.shape, b.shape))
+    if real:
+        planes = [(xr * yr).reshape(out), _zeros(out)]
+    else:
+        planes = [(xr * yr - xi * yi).reshape(out), (xr * yi + xi * yr).reshape(out)]
+    return Tensor(*planes) if dtype is object else Tensor._adopt(*planes)
 
 
 def concat(a: Tensor, b: Tensor, dim: int) -> Tensor:

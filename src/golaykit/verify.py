@@ -267,7 +267,7 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
     out = tuple(2 * s - 1 for s in arrays[0].shape)
     p = mod.p[:, :, None]
     planes = _layout([a.re for a in arrays] + [a.im for a in arrays], out)
-    planes = (planes % p.astype(planes.dtype)).astype(np.int64)
+    planes = (planes % p.astype(planes.dtype)).astype(np.int64, copy=False)
     re, im = planes[:, :m], planes[:, m:]
     real = not im.any()
     if not real:

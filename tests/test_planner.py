@@ -357,6 +357,43 @@ def test_quad_reports_pinned(registry):
     assert h.hexdigest() == QUAD_REPORTS_40
 
 
+class TestPairFeasibilityRule:
+    """`_pair_feasibility` is `plan_pair` without the recipe; the quad
+    rules ask it about every candidate and plan only the winner."""
+
+    SHAPES = ([(m, n) for m in range(1, 79) for n in range(m, 79)]
+              + [(n,) for n in range(1, 1001)]
+              + [(10 ** 4, 10 ** 4), (2 ** 24,)])  # the last two over the cap
+
+    @pytest.mark.parametrize("alphabet", [B, Q])
+    def test_agrees_with_plan_pair(self, alphabet):
+        for shape in self.SHAPES:
+            rule = planner._pair_feasibility(alphabet, shape)
+            rep = plan_pair(alphabet, shape)
+            assert rule.feasible == rep.feasible, shape
+            assert rule.recipe is None and (rep.recipe is not None) == rep.feasible
+            with_recipe = report_to_obj(rep)
+            with_recipe.pop("recipe", None)
+            assert report_to_obj(rule) == with_recipe, shape
+
+    @pytest.mark.parametrize("alphabet", [B, Q])
+    def test_quads_plan_only_winning_pairs(self, alphabet, registry,
+                                           monkeypatch):
+        verdicts = []
+        plan = planner.plan_pair
+
+        def spy(*args):
+            rep = plan(*args)
+            verdicts.append(rep.feasible)
+            return rep
+
+        monkeypatch.setattr(planner, "plan_pair", spy)
+        for m in range(1, 25):
+            for n in range(m, 25):
+                plan_quad(alphabet, (m, n), registry)
+        assert verdicts and all(verdicts)
+
+
 class TestSizeCap:
     @pytest.mark.parametrize("plan, alphabet, shape", [
         (plan_pair, B, (2 ** 40,)),

@@ -312,6 +312,96 @@ class TestConvolveRealPath:
         assert not c.im.any()
 
 
+@st.composite
+def kron_operands(draw, real_a, real_b, max_component=2):
+    """Two tensors of one rank, 1 to 3, each real or complex as asked."""
+    rank = draw(st.integers(1, 3))
+    dims = st.lists(st.integers(1, 4), min_size=rank, max_size=rank).map(tuple)
+    return tuple(draw(tensors(shape=draw(dims), max_component=max_component,
+                              real=real))
+                 for real in (real_a, real_b))
+
+
+def _read_only(t: Tensor) -> bool:
+    return not t.re.flags.writeable and not t.im.flags.writeable
+
+
+class TestKronBroadcast:
+    """kron as one broadcast product per pair of planes, against the
+    index-map oracle."""
+
+    KINDS = pytest.mark.parametrize("real_a, real_b", [
+        (True, True), (True, False), (False, True), (False, False)])
+
+    @KINDS
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_int64_matches_reference(self, real_a, real_b, data):
+        a, b = data.draw(kron_operands(real_a, real_b))
+        c = kron(a, b)
+        assert c == oracles.naive_kron(a, b)
+        assert c.re.dtype == c.im.dtype == np.int64 and _read_only(c)
+        if real_a and real_b:
+            assert not any(c.im.strides)  # a `_zeros` plane
+
+    @KINDS
+    @given(data=st.data())
+    @settings(max_examples=20)
+    def test_bigint_matches_reference(self, real_a, real_b, data):
+        a, b = data.draw(kron_operands(real_a, real_b, max_component=2**70))
+        c = kron(a, b)
+        assert c == oracles.naive_kron(a, b)
+        assert _read_only(c)
+
+    def test_scaled_by_2_70_is_object(self):
+        a, b = seq(2**70, (3, -1)), seq((1, 2**70), -5)
+        c = kron(a, b)
+        assert c == oracles.naive_kron(a, b)
+        assert c.re.dtype == object and c.im.dtype == object
+
+    @pytest.mark.parametrize("a, b", [
+        # complex: bound 2 * 2**32 * 2**30 = 2**63, entries below 2**62
+        (seq((2**32, 1), -1), seq((2**30, 1), 1)),
+        # real times complex: the same bound, entries at most 2**62
+        (seq(-2**32, 1), seq((2**30, 1), 3)),
+    ])
+    def test_bound_past_int64_small_entries(self, a, b):
+        c = kron(a, b)
+        assert c == oracles.naive_kron(a, b)
+        assert c.re.dtype == c.im.dtype == np.int64 and _read_only(c)
+
+    def test_planes_are_read_only(self):
+        for a, b in [(seq(1, -1), seq(1, 1)), (seq(1, 1j), seq(1, -1)),
+                     (seq(2**70, 1), seq(1, 1))]:
+            c = kron(a, b)
+            for plane in (c.re, c.im):
+                with pytest.raises(ValueError):
+                    plane[0] = 7
+
+    def test_zeros_im_passes_through_structure_ops(self):
+        a = Tensor.from_entries((2, 1), [1, -1])
+        b = Tensor.from_entries((1, 3), [1, 1, -1])
+        k = kron(a, b)
+        m = Tensor(k.re, np.zeros(k.shape, dtype=np.int64))
+        assert not any(k.im.strides) and any(m.im.strides)
+        assert concat(k, k, 0) == concat(m, m, 0)
+        assert concat(k, m, 1) == concat(m, m, 1)
+        assert interleave(k, k, 1) == interleave(m, m, 1)
+        assert interleave(k, Tensor.zeros((1, 3)), 0) == interleave(
+            m, Tensor.zeros((1, 3)), 0)
+        assert involute(k) == involute(m)
+        assert negate(k) == negate(m)
+        top = kron(Tensor.from_entries((2, 1), [1, 0]), b)
+        low = kron(Tensor.from_entries((2, 1), [0, -1]), b)
+        assert not any(top.im.strides) and not any(low.im.strides)
+        assert checked_superpose(top, low) == checked_superpose(
+            Tensor(top.re, np.zeros(k.shape, dtype=np.int64)), low) == m
+        with pytest.raises(Collision):
+            checked_superpose(k, top)
+        assert tensor_to_obj(k) == tensor_to_obj(m)
+        assert alphabet_of(k) is alphabet_of(m) is Alphabet.BINARY
+
+
 class TestMaxComponent:
     def test_int64_extremes(self):
         t = Tensor(np.array([-2**63, 5]), np.array([0, 2**63 - 1]))
