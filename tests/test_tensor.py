@@ -213,12 +213,14 @@ class TestRingOps:
 
 @st.composite
 def same_rank_pairs(draw, max_component=2, real=False):
-    """Two tensors of one rank, 1 to 3, whose shapes may differ."""
+    """Two tensors of one rank, 1 to 3, whose shapes may differ; `real`
+    holds for both, or is a (first, second) pair of flags."""
     rank = draw(st.integers(1, 3))
     dims = st.lists(st.integers(1, 4), min_size=rank, max_size=rank).map(tuple)
+    reals = real if isinstance(real, tuple) else (real, real)
     return tuple(draw(tensors(shape=draw(dims), max_component=max_component,
-                              real=real))
-                 for _ in range(2))
+                              real=r))
+                 for r in reals)
 
 
 class TestConvolveKernel:
@@ -312,16 +314,6 @@ class TestConvolveRealPath:
         assert not c.im.any()
 
 
-@st.composite
-def kron_operands(draw, real_a, real_b, max_component=2):
-    """Two tensors of one rank, 1 to 3, each real or complex as asked."""
-    rank = draw(st.integers(1, 3))
-    dims = st.lists(st.integers(1, 4), min_size=rank, max_size=rank).map(tuple)
-    return tuple(draw(tensors(shape=draw(dims), max_component=max_component,
-                              real=real))
-                 for real in (real_a, real_b))
-
-
 def _read_only(t: Tensor) -> bool:
     return not t.re.flags.writeable and not t.im.flags.writeable
 
@@ -337,7 +329,7 @@ class TestKronBroadcast:
     @given(data=st.data())
     @settings(max_examples=40)
     def test_int64_matches_reference(self, real_a, real_b, data):
-        a, b = data.draw(kron_operands(real_a, real_b))
+        a, b = data.draw(same_rank_pairs(real=(real_a, real_b)))
         c = kron(a, b)
         assert c == oracles.naive_kron(a, b)
         assert c.re.dtype == c.im.dtype == np.int64 and _read_only(c)
@@ -348,7 +340,8 @@ class TestKronBroadcast:
     @given(data=st.data())
     @settings(max_examples=20)
     def test_bigint_matches_reference(self, real_a, real_b, data):
-        a, b = data.draw(kron_operands(real_a, real_b, max_component=2**70))
+        a, b = data.draw(same_rank_pairs(max_component=2**70,
+                                         real=(real_a, real_b)))
         c = kron(a, b)
         assert c == oracles.naive_kron(a, b)
         assert _read_only(c)
