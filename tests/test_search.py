@@ -3,6 +3,7 @@ engine agreement and budget semantics."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 import tracemalloc
 
@@ -120,6 +121,38 @@ class TestPinnedTables:
         assert a.im.tolist() == [[0, 0, 0], [0, 1, 0]]
         assert b.re.tolist() == [[1, 1, -1], [-1, 0, -1]]
         assert b.im.tolist() == [[0, 0, 0], [0, -1, 0]]
+
+
+_B, _Q = Alphabet.BINARY, Alphabet.QUATERNARY
+
+# every table search with its budget left out, and the small counts
+_PINNED_SEARCHES = (
+    [(f"pair {a.value} {n}", search_pair_arrays, ((n,), a))
+     for a, top in ((_B, 20), (_Q, 11)) for n in range(1, top + 1)]
+    + [(f"pair {a.value} {s}", search_pair_arrays, (s, a))
+       for a in (_B, _Q) for s in ((2, 3), (1, 5))]
+    + [("pair binary (2, 2, 2)", search_pair_arrays, ((2, 2, 2), _B))]
+    + [(f"base {m}", search_base_arrays, (m,)) for m in range(1, 11)]
+)
+_PINNED_COUNTS = [(n, a) for a, top in ((_B, 20), (_Q, 9))
+                  for n in range(1, top + 1)]
+
+
+class TestPinnedOutcomes:
+    def test_digest(self):
+        # (status, nodes, entries) of each search and each count, hashed
+        # in order: any change of a result, a node count or a count shows
+        digest = hashlib.sha256()
+        for label, fn, args in _PINNED_SEARCHES:
+            out = fn(*args)
+            arrays = [(t.shape, _entries(t)) for t in out.arrays or ()]
+            digest.update(repr(
+                (label, out.status.value, out.nodes, arrays)).encode())
+        for n, a in _PINNED_COUNTS:
+            digest.update(repr(
+                (f"count {a.value} {n}", count_pairs_1d(n, a))).encode())
+        assert digest.hexdigest() == (
+            "fcc848c4e4ebf78155e6867331be6d30c0af741029d74f6aa323bd4187eaf8a2")
 
 
 _CODE_OF = {(1, 0): 0, (-1, 0): 1, (0, 1): 2, (0, -1): 3}
