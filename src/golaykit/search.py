@@ -22,13 +22,38 @@ Two engines share the work:
 * a depth-first ends-inward assignment search with partial-sum pruning
   for larger 1-D instances, written as plain Python (`_dfskernels`).
 
+Before anything is sorted or matched, a table drops the rows that no
+solution can hold:
+
+* **Power filter.**  A set of total weight W (2n for a pair, 4m + 2 for
+  base sequences) has sum_j |X_j(w)|**2 = W at every w on the unit
+  circle, X_j the polynomial of member j on its flat layout (so this
+  holds for N-d shapes too).  So a row, one member or a joint (X, Y),
+  is kept only when its power is at most W + W/4096 at 16 points
+  (`_filter`).  Powers are float32: X = H + L with the half sums H and
+  L summed in float64 and rounded once, so for a member of n unit
+  entries |X^ - X| <= 2.01 n u (u = 2**-24), and the squares and sums
+  add at most a factor (1 + u)**3.  A row whose true powers total at
+  most W >= 2n therefore reads at most W (1 + 4.02 u sqrt(n) + 4u),
+  under the rounded threshold by a factor of more than 10 for any n up
+  to 10**4 (a table holds at most 22 entries).  The filter only drops
+  rows, and `_confirmed`'s exact tails still decide every result.
+* **Swap rule.**  (B, A, C, D) and (A, B, D, C) solve whenever
+  (A, B, C, D) does, so the lexicographically smallest solution has
+  A <= B and C <= D, and the base tables keep only rows with X <= Y.
+  A pair table holds single sequences and has no such rule.
+
+Rows are kept in lexicographic order with their full-grid keys.  The
+`nodes` of a table search is the code space it covers, not the rows
+kept: 2 phases**(n - 1) for a pair (the table as queries and as table)
+and 4**m + 4**(m - 1) for base sequences.
+
 Normalization fixes the first entry of each sequence to 1 (a global
 phase per member, losing no solutions up to equivalence).  Entry order
 everywhere is 1, -1, i, -i.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -61,9 +86,16 @@ _RE, _IM = _CODE_PLANES.astype(np.int64)
 _PRODUCTS = np.stack([np.outer(_RE, _RE) + np.outer(_IM, _IM),
                       np.outer(_RE, _IM) - np.outer(_IM, _RE)]).view(np.uint64)
 
+# the entry codes as complex units, for the power filter
+_UNITS = _RE + 1j * _IM
+
 # query rows confirmed at a time: a find reads only as far as its first
 # confirmed query
 _CONFIRM_QUERIES = 1 << 10
+
+# grid entries the power filter tests at a time: few enough to stay in
+# cache
+_BLOCK = 1 << 15
 
 
 class SearchStatus(Enum):
@@ -123,6 +155,14 @@ def _grid(shape: tuple[int, ...], phases: int,
     return (1 if fix_first else phases,) + (phases,) * (math.prod(shape) - 1)
 
 
+def _positions(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat offsets of the entries of `shape`, laid out in the strides
+    of 2s - 1."""
+    n, out = math.prod(shape), tuple(2 * s - 1 for s in shape)
+    return np.flatnonzero(_layout(np.arange(1, n + 1).reshape((1,) + shape),
+                                  out))
+
+
 def _member_keys(shape: tuple[int, ...], phases: int,
                  fix_first: bool) -> np.ndarray:
     """K of the tails of every code row over `shape`, in lexicographic
@@ -130,14 +170,13 @@ def _member_keys(shape: tuple[int, ...], phases: int,
     to shift d = pos[b] - pos[a], so each pair of entries adds one
     phases x phases table of weighted products along its two grid axes;
     the grid grows one entry's axis at a time."""
-    n, out = math.prod(shape), tuple(2 * s - 1 for s in shape)
-    pos = np.flatnonzero(_layout(np.arange(1, n + 1).reshape((1,) + shape),
-                                 out))
-    weights = _weights(math.prod(out) - 1).reshape(-1, 2, 1, 1)
+    pos = _positions(shape)
+    weights = _weights(math.prod(2 * s - 1 for s in shape) - 1).reshape(
+        -1, 2, 1, 1)
     grid = _grid(shape, phases, fix_first)
     keys = np.zeros(grid[:1], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for b in range(1, n):
+        for b in range(1, len(pos)):
             keys = np.repeat(keys[..., None], phases, axis=-1)
             for a in range(b):
                 d = pos[b] - pos[a]
@@ -148,17 +187,85 @@ def _member_keys(shape: tuple[int, ...], phases: int,
     return keys.ravel()
 
 
+def _filter(phases: int, weight: int | None):
+    """The power filter's points, as turns, and its float32 threshold
+    W + W/4096: 16 points half a step off 0 around the circle, or around
+    its upper half for binary members (|X| is even in the angle).  No
+    points without a weight."""
+    if weight is None:
+        return np.zeros(0), None
+    return ((np.arange(16) + 0.5) / (32 if phases == 2 else 16),
+            np.float32(weight * (1 + 2**-12)))
+
+
+def _powers(shape: tuple[int, ...], axes, turns: np.ndarray, bound):
+    """Ids, in the grid of `axes` (the codes each entry takes), of the
+    code rows over `shape` whose power |X(w)|**2 is at most `bound` at
+    every point w = exp(2 pi i turn), and their powers there, (points,
+    rows) float32.  X = H + L, the sums over the first and the last half
+    of the entries, each summed in float64 and rounded once to float32;
+    a grid id is h * len(L) + l.  The grid is tested a block of H's rows
+    at a time."""
+    terms = np.exp(2j * np.pi * np.multiply.outer(turns, _positions(shape)))
+    half = (len(axes) + 1) // 2
+    sides = []
+    for entries in (range(half), range(half, len(axes))):
+        x = np.zeros((len(turns), 1))
+        for e in entries:
+            x = x[:, :, None] + terms[:, e, None, None] * _UNITS[axes[e]]
+            x = x.reshape(len(turns), x.shape[1] * x.shape[2])
+        sides.append(np.stack([x.real, x.imag], axis=1).astype(np.float32))
+    h, l = sides
+    keep = np.ones((h.shape[2], l.shape[2]), dtype=bool)
+    rows = max(1, _BLOCK // l.shape[2])
+    planes = np.empty((2, rows, l.shape[2]), dtype=np.float32)
+    for at in range(0, len(keep), rows):
+        block = keep[at:at + rows]
+        r, i = planes[:, :len(block)]
+        for (hr, hi), (lr, li) in zip(h[:, :, at:at + rows], l):
+            np.add(hr[:, None], lr, out=r)
+            np.add(hi[:, None], li, out=i)
+            r *= r
+            i *= i
+            r += i
+            block &= r <= bound
+    ids = np.flatnonzero(keep)
+    x = h[:, :, ids // l.shape[2]] + l[:, :, ids % l.shape[2]]
+    return ids, x[:, 0] ** 2 + x[:, 1] ** 2
+
+
 class _Table:
     """One row per tuple of code rows, one member of each shape in
     `shapes`, in lexicographic order (first member major), keyed by K of
-    the members' summed tails: the broadcast sum of the member keys."""
+    the members' summed tails: the sum of the member keys.  With a
+    `weight` W, only the rows whose summed power is at most W plus the
+    margin at every point of `_filter` (members' powers from `_powers`,
+    added in float32); with `swap`, only those whose members' codes do
+    not decrease (members of one shape).  `rows` holds the lexicographic
+    ids of the rows kept, `keys` their keys."""
 
-    def __init__(self, shapes, phases: int, fix_first: bool = True):
+    def __init__(self, shapes, phases: int, fix_first: bool = True,
+                 weight: int | None = None, swap: bool = False):
         self.shapes = [tuple(s) for s in shapes]
         self.grids = [_grid(s, phases, fix_first) for s in self.shapes]
-        members = [_member_keys(s, phases, fix_first) for s in self.shapes]
-        with np.errstate(over="ignore"):
-            self.keys = functools.reduce(np.add.outer, members).ravel()
+        turns, bound = _filter(phases, weight)
+        self.rows = np.zeros(1, dtype=np.int64)
+        self.keys = np.zeros(1, dtype=np.uint64)
+        power = np.zeros((len(turns), 1), dtype=np.float32)
+        for shape, grid in zip(self.shapes, self.grids):
+            ids, member = _powers(shape, [np.arange(g) for g in grid],
+                                  turns, bound)
+            size = math.prod(grid)
+            last = self.rows % size if swap else np.zeros_like(self.rows)
+            i, j = np.nonzero(last[:, None] <= ids)
+            for p, q in zip(power, member):
+                ok = p[i] + q[j] <= bound
+                i, j = i[ok], j[ok]
+            keys = _member_keys(shape, phases, fix_first)[ids[j]]
+            with np.errstate(over="ignore"):
+                self.keys = self.keys[i] + keys
+            self.rows = self.rows[i] * size + ids[j]
+            power = power[:, i] + member[:, j]
         self.width = max(math.prod(2 * x - 1 for x in s) - 1
                          for s in self.shapes)
 
@@ -188,12 +295,15 @@ def _codes_to_tensor(codes: np.ndarray, shape: tuple[int, ...]) -> Tensor:
 
 
 def _confirmed(queries: _Table, table: _Table):
-    """Query and table rows whose exact tails sum to zero, yielded a chunk
-    of queries at a time: ascending query rows, and ascending table rows
-    within a query.  Candidates are the rows whose keys sum to zero mod
-    2**64, found by matching the sorted table keys against the sorted
-    negated query keys; each is confirmed with `_tails` only when its
-    chunk is read.  Equal tails give equal keys, so none is missed."""
+    """Ids of the query and table rows whose exact tails sum to zero,
+    yielded a chunk of queries at a time: ascending query rows, and
+    ascending table rows within a query.  Candidates are the rows whose
+    keys sum to zero mod 2**64, found by matching the sorted table keys
+    against the sorted negated query keys; each is confirmed with
+    `_tails` only when its chunk is read.  Equal tails give equal keys,
+    so none is missed."""
+    if not len(table.keys):
+        return
     order = np.argsort(table.keys)
     keys = table.keys[order]
     with np.errstate(over="ignore"):
@@ -210,13 +320,15 @@ def _confirmed(queries: _Table, table: _Table):
     runs = np.searchsorted(keys, wanted[hit], "right") - lo[hit]
     hits = asked[hit]
     by_query = np.argsort(hits)
-    hits, lo, runs = hits[by_query], lo[hit][by_query], runs[by_query]
+    hits, lo, runs = (queries.rows[hits[by_query]], lo[hit][by_query],
+                      runs[by_query])
+    ids = table.rows[order]
     width = max(queries.width, table.width)
     for at in range(0, len(hits), _CONFIRM_QUERIES):
         part = slice(at, at + _CONFIRM_QUERIES)
         q = np.repeat(hits[part], runs[part])
         start = np.cumsum(runs[part]) - runs[part]
-        r = order[np.arange(len(q)) + np.repeat(lo[part] - start, runs[part])]
+        r = ids[np.arange(len(q)) + np.repeat(lo[part] - start, runs[part])]
         tails = np.repeat(queries.tails(hits[part], width), runs[part], axis=0)
         ok = ~(tails + table.tails(r, width)).any(axis=1)
         q, r = q[ok], r[ok]
@@ -254,7 +366,7 @@ def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
 
 def count_pairs_1d(n: int, alphabet: Alphabet, fix_first: bool = True) -> int:
     """Count complementary pair solutions of length n, for small n."""
-    table = _Table(((n,),), _phase_count(alphabet), fix_first)
+    table = _Table(((n,),), _phase_count(alphabet), fix_first, 2 * n)
     return sum(len(q) for q, _ in _confirmed(table, table))
 
 
@@ -284,7 +396,7 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     space = phases ** (n - 1)
     # the table counts its rows twice, as queries and as the table
     if space <= _MITM_CAP and (budget is None or budget >= 2 * space):
-        table = _Table((shape,), phases)
+        table = _Table((shape,), phases, weight=2 * n)
         return _found(table, table, 2 * space)
     if len(shape) != 1:
         if space > _MITM_CAP and (budget is None or budget >= space):
@@ -321,5 +433,6 @@ def search_base_arrays(m: int, budget: int | None = None) -> SearchOutcome:
 
     # the (C, D) rows have no shift m: zero there when confirmed, and
     # nothing in their keys
-    ab, cd = _Table(((p,), (p,)), 2), _Table(((m,), (m,)), 2)
-    return _found(ab, cd, len(ab.keys) + len(cd.keys))
+    ab, cd = (_Table(((k,), (k,)), 2, weight=4 * m + 2, swap=True)
+              for k in (p, m))
+    return _found(ab, cd, projected)

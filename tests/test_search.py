@@ -9,11 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from golaykit import _dfskernels, search
 from golaykit.errors import ShapeMismatch
+from golaykit.seeds import PAIR_KIND, load_bundled
 from golaykit.search import (
     SearchStatus,
     _codes_to_tensor,
@@ -284,6 +285,101 @@ class TestSelfMatch:
         want = [(q.tolist(), r.tolist())
                 for q, r in search._confirmed(other, table)]
         assert got == want
+
+
+def _matches(queries, table):
+    return [(int(q), int(r)) for qs, rs in search._confirmed(queries, table)
+            for q, r in zip(qs, rs)]
+
+
+def _row_powers(shape, codes, weight, phases):
+    """Float32 powers of one code row at the filter's points, or None
+    when the filter drops it alone."""
+    turns, bound = search._filter(phases, weight)
+    ids, power = search._powers(shape, [[c] for c in codes], turns, bound)
+    return power[:, 0] if len(ids) else None
+
+
+class TestFilter:
+    """The power filter and the swap rule drop only rows that no
+    solution holds: every confirmed match of the full table survives."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_same_matches_as_full_table(self, data):
+        shape = data.draw(oracles.shapes(max_rank=3, max_dim=8).filter(
+            lambda s: math.prod(s) <= 8))
+        phases = data.draw(st.sampled_from([2, 4]))
+        fix_first = data.draw(st.booleans())
+        equal = data.draw(st.booleans())
+        n = math.prod(shape)
+        # colliding keys make every key-equal pair a candidate: keep
+        # those tables small
+        assume(not equal or phases ** (n - fix_first) <= 1 << 12)
+        with pytest.MonkeyPatch.context() as patch:
+            if equal:
+                patch.setattr(search, "_weights", _equal_weights)
+            full = search._Table((shape,), phases, fix_first)
+            kept = search._Table((shape,), phases, fix_first, 2 * n)
+            assert np.all(np.diff(kept.rows) > 0)
+            assert np.array_equal(kept.keys, full.keys[kept.rows])
+            assert _matches(kept, kept) == _matches(full, full)
+
+    @pytest.mark.parametrize("shape,phases", [
+        ((14,), 2), ((8,), 4), ((2, 3), 4), ((2, 2, 2), 2), ((1, 5), 4)])
+    def test_keeps_every_row_within_the_weight(self, shape, phases):
+        # the margin covers float32 rounding: a row whose power, made in
+        # float64 straight from its codes, is at most W at every point
+        # is kept
+        n = math.prod(shape)
+        turns, _ = search._filter(phases, 2 * n)
+        table = search._Table((shape,), phases, weight=2 * n)
+        grid = search._grid(shape, phases, True)
+        codes = np.stack(np.unravel_index(np.arange(math.prod(grid)), grid),
+                         axis=1)
+        values = search._UNITS[codes] @ np.exp(2j * np.pi * np.multiply.outer(
+            search._positions(shape), turns))
+        exact = (np.abs(values) ** 2).T
+        within = np.flatnonzero((exact <= 2 * n).all(axis=0))
+        assert np.isin(within, table.rows).all()
+        assert len(table.rows) < len(codes)
+        # every float32 power is off by under a tenth of the margin
+        ids, power = search._powers(shape, [np.arange(g) for g in grid],
+                                    turns, np.float32(np.inf))
+        assert np.array_equal(ids, np.arange(len(codes)))
+        assert np.abs(power - exact).max() < 2 * n * 2**-12 / 10
+
+    def test_bundled_records_pass(self):
+        # every bundled set is a solution: each pair member, and each
+        # (A, B) and (C, D) row of base sequences, passes the filter,
+        # though at some points its power is the whole weight
+        records = load_bundled().records.values()
+        assert len(records) > 20
+        for rec in records:
+            codes = [[_CODE_OF[e] for e in _entries(t)] for t in rec.tensors]
+            weight = sum(t.size for t in rec.tensors) * 2
+            phases = 2 if rec.alphabet is Alphabet.BINARY else 4
+            if rec.kind == PAIR_KIND:
+                for c, t in zip(codes, rec.tensors):
+                    assert _row_powers(t.shape, c, weight, phases) is not None
+                continue
+            for x, y in ((0, 1), (2, 3)):
+                px, py = (_row_powers(rec.tensors[k].shape, codes[k],
+                                      weight, 2) for k in (x, y))
+                assert px is not None and py is not None, rec.key
+                assert np.all(px + py <= search._filter(2, weight)[1])
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_swap_rule_keeps_the_first_match(self, m):
+        want = search._found(search._Table(((m + 1,), (m + 1,)), 2),
+                             search._Table(((m,), (m,)), 2), 0)
+        for weight in (None, 4 * m + 2):
+            got = search._found(*(
+                search._Table(((k,), (k,)), 2, weight=weight, swap=True)
+                for k in (m + 1, m)), 0)
+            assert [_entries(t) for t in got.arrays] == [
+                _entries(t) for t in want.arrays]
+        assert search_base_arrays(m).nodes == 4**m + 4**(m - 1)
 
 
 class TestCounts:
