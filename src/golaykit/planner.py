@@ -472,13 +472,15 @@ def plan_pair(alphabet: Alphabet, shape: Sequence[int]) -> FeasibilityReport:
 _RULED_OUT_PAIR_SHAPES = ((2, 5), (2, 13))
 
 
-def _pair_feasibility(alphabet: Alphabet,
-                      shape: tuple[int, ...]) -> FeasibilityReport:
+def _pair_feasibility(alphabet: Alphabet, shape: tuple[int, ...],
+                      explain: bool = True) -> FeasibilityReport:
     """The pair feasibility rule: `plan_pair`'s report without the
     recipe.  A feasible report's witness holds the per-dimension
     witnesses (binary) or block assignment (quaternary); the recipe
     follows from those alone, so quad rules test candidate splits here
-    and call `plan_pair` only for the one that wins."""
+    and call `plan_pair` only for the one that wins.  The quad rules read
+    only `feasible` and pass `explain=False`: a refusal's reason is
+    written only for a report that leaves the planner."""
     refusal = _refusal("pair", alphabet, shape)
     if refusal is not None:
         return refusal
@@ -486,11 +488,13 @@ def _pair_feasibility(alphabet: Alphabet,
         wits = tuple(map(is_binary_golay_number, shape))
         if all(wits):
             return FeasibilityReport(True, alphabet, shape, witness=wits)
-        s = next(s for s, w in zip(shape, wits) if w is None)
         ruled_out = tuple(sorted(shape)) in _RULED_OUT_PAIR_SHAPES
-        reason = (f"dimension {s} is not a binary Golay number "
-                  f"(2^a 10^b 26^c)")
-        if ruled_out:
+        reason = ""
+        if explain:
+            s = next(s for s, w in zip(shape, wits) if w is None)
+            reason = (f"dimension {s} is not a binary Golay number "
+                      f"(2^a 10^b 26^c)")
+        if explain and ruled_out:
             reason += ("; this exact shape is exhaustively ruled out, "
                        "no binary pair of it exists")
         return FeasibilityReport(False, alphabet, shape, reason=reason,
@@ -511,8 +515,10 @@ def _pair_feasibility(alphabet: Alphabet,
             False, alphabet, shape, nonexistent=True,
             reason=(f"product {n} is not a quaternary Golay number "
                     f"(2^(a+u) 3^b 5^c 11^d 13^e with "
-                    f"b+c+d+e <= a+2u+1, u <= c+e)"),
+                    f"b+c+d+e <= a+2u+1, u <= c+e)") if explain else "",
         )
+    if not explain:
+        return FeasibilityReport(False, alphabet, shape, witness=product_wit)
     glued = [g for g in (10, 26) if n % g == 0]
     stuck = [g for g in glued if not any(s % g == 0 for s in shape)]
     if stuck:
@@ -649,8 +655,8 @@ def _quad_cross(alphabet, shape, registry, misses, depth):
         key = (sum(abs(a - b) for a, b in zip(u, v)), u, v)
         splits.append(key)
     for _, u, v in sorted(splits):
-        if not (_pair_feasibility(alphabet, u).feasible
-                and _pair_feasibility(alphabet, v).feasible):
+        if not (_pair_feasibility(alphabet, u, explain=False).feasible
+                and _pair_feasibility(alphabet, v, explain=False).feasible):
             continue
         recipe = Recipe("cross_set", {"shape": list(shape)},
                         [plan_pair(alphabet, u).recipe,
@@ -735,7 +741,7 @@ def _quad_compromise(alphabet, shape, registry, misses, depth):
     rank = len(shape)
 
     def feasible(pshape: tuple[int, ...]) -> bool:
-        return _pair_feasibility(alphabet, pshape).feasible
+        return _pair_feasibility(alphabet, pshape, explain=False).feasible
 
     for j in range(rank):
         def put(at_j: int, off: int) -> tuple[int, ...]:
@@ -783,7 +789,7 @@ def _quad_expand(alphabet, shape, registry, misses, depth):
     for t in _divisor_tuples(shape):
         if all(x == 1 for x in t):
             continue
-        if not _pair_feasibility(Alphabet.BINARY, t).feasible:
+        if not _pair_feasibility(Alphabet.BINARY, t, explain=False).feasible:
             continue
         inner = tuple(s // x for s, x in zip(shape, t))
         sub = plan_quad(alphabet, inner, registry, _depth=depth - 1)

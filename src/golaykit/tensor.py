@@ -448,23 +448,28 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     One broadcast product per pair of planes: `a` as (s1, 1, s2, 1, ...)
     times `b` as (1, t1, 1, t2, ...), read row-major as (s1 t1, s2 t2,
     ...).  Two real operands make one product and a `_zeros` imaginary
-    plane.  int64 results are adopted without a copy; object results
-    (a bound past int64) go through `Tensor`, so planes come back int64
-    whenever their entries fit.
+    plane; their `im` planes are neither bounded nor cast.  int64
+    results are adopted without a copy; object results (a bound past
+    int64) go through `Tensor`, so planes come back int64 whenever their
+    entries fit.
     """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
     real = _is_zero(a.im) and _is_zero(b.im)
-    # an output entry is one product of entries, or a sum of two
-    dtype = _exact_dtype((1 if real else 2) * a.max_component() * b.max_component())
+    # only the planes multiplied are bounded and cast: an output entry
+    # is one product of their entries, or a sum of two
+    pa, pb = ((t.re,) if real else (t.re, t.im) for t in (a, b))
+    ma, mb = (max(max(int(p.max()), -int(p.min())) for p in ps) for ps in (pa, pb))
+    dtype = _exact_dtype(len(pa) * ma * mb)
     sa = [d for s in a.shape for d in (s, 1)]
     sb = [d for t in b.shape for d in (1, t)]
-    xr, xi = (p.astype(dtype, copy=False).reshape(sa) for p in (a.re, a.im))
-    yr, yi = (p.astype(dtype, copy=False).reshape(sb) for p in (b.re, b.im))
+    x = [p.astype(dtype, copy=False).reshape(sa) for p in pa]
+    y = [p.astype(dtype, copy=False).reshape(sb) for p in pb]
     out = tuple(s * t for s, t in zip(a.shape, b.shape))
     if real:
-        planes = [(xr * yr).reshape(out), _zeros(out)]
+        planes = [(x[0] * y[0]).reshape(out), _zeros(out)]
     else:
+        (xr, xi), (yr, yi) = x, y
         planes = [(xr * yr - xi * yi).reshape(out), (xr * yi + xi * yr).reshape(out)]
     return Tensor(*planes) if dtype is object else Tensor._adopt(*planes)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -375,6 +376,20 @@ class TestPairFeasibilityRule:
             with_recipe = report_to_obj(rep)
             with_recipe.pop("recipe", None)
             assert report_to_obj(rule) == with_recipe, shape
+
+    @pytest.mark.parametrize("alphabet", [B, Q])
+    def test_unexplained_reports_lack_only_the_reason(self, alphabet):
+        # the quad rules' quiet calls: same verdict, witness and
+        # nonexistence, and no reason written by the rule itself (the
+        # cap refusal made before it is shared with plan_quad)
+        for shape in self.SHAPES:
+            quiet = planner._pair_feasibility(alphabet, shape, explain=False)
+            full = planner._pair_feasibility(alphabet, shape)
+            capped = math.prod(shape) > planner._PRODUCT_CAP
+            assert quiet.reason == (full.reason if capped else "")
+            assert (full.reason == "") == full.feasible
+            quiet.reason = full.reason
+            assert report_to_obj(quiet) == report_to_obj(full), shape
 
     @pytest.mark.parametrize("alphabet", [B, Q])
     def test_quads_plan_only_winning_pairs(self, alphabet, registry,
