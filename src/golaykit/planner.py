@@ -494,9 +494,9 @@ def _pair_feasibility(alphabet: Alphabet, shape: tuple[int, ...],
             s = next(s for s, w in zip(shape, wits) if w is None)
             reason = (f"dimension {s} is not a binary Golay number "
                       f"(2^a 10^b 26^c)")
-        if explain and ruled_out:
-            reason += ("; this exact shape is exhaustively ruled out, "
-                       "no binary pair of it exists")
+            if ruled_out:
+                reason += ("; this exact shape is exhaustively ruled out, "
+                           "no binary pair of it exists")
         return FeasibilityReport(False, alphabet, shape, reason=reason,
                                  nonexistent=ruled_out)
     n = math.prod(shape)

@@ -86,9 +86,6 @@ _RE, _IM = _CODE_PLANES.astype(np.int64)
 _PRODUCTS = np.stack([np.outer(_RE, _RE) + np.outer(_IM, _IM),
                       np.outer(_RE, _IM) - np.outer(_IM, _RE)]).view(np.uint64)
 
-# the entry codes as complex units, for the power filter
-_UNITS = _RE + 1j * _IM
-
 # query rows confirmed at a time: a find reads only as far as its first
 # confirmed query
 _CONFIRM_QUERIES = 1 << 10
@@ -207,12 +204,13 @@ def _powers(shape: tuple[int, ...], axes, turns: np.ndarray, bound):
     a grid id is h * len(L) + l.  The grid is tested a block of H's rows
     at a time."""
     terms = np.exp(2j * np.pi * np.multiply.outer(turns, _positions(shape)))
+    units = _RE + 1j * _IM
     half = (len(axes) + 1) // 2
     sides = []
     for entries in (range(half), range(half, len(axes))):
         x = np.zeros((len(turns), 1))
         for e in entries:
-            x = x[:, :, None] + terms[:, e, None, None] * _UNITS[axes[e]]
+            x = x[:, :, None] + terms[:, e, None, None] * units[axes[e]]
             x = x.reshape(len(turns), x.shape[1] * x.shape[2])
         sides.append(np.stack([x.real, x.imag], axis=1).astype(np.float32))
     h, l = sides
@@ -302,7 +300,7 @@ def _confirmed(queries: _Table, table: _Table):
     against the sorted negated query keys; each is confirmed with
     `_tails` only when its chunk is read.  Equal tails give equal keys,
     so none is missed."""
-    if not len(table.keys):
+    if not len(table.keys):  # the filter can empty a table: binary 6
         return
     order = np.argsort(table.keys)
     keys = table.keys[order]
@@ -376,7 +374,7 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
 
     Small instances run the exhaustive meet-in-the-middle pass (result
     is the lexicographically smallest normalized pair) when the budget
-    covers its nodes, the table's rows counted on both sides; larger
+    covers its nodes, the code space counted on both sides; larger
     1-D instances, or a smaller budget, run the pruned depth-first
     search, which returns its first find in a deterministic order.  A
     multidimensional space beyond the table cap is out of reach:
@@ -394,7 +392,7 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
         one = Tensor.unit(shape)
         return SearchOutcome(SearchStatus.FOUND, (one, one), 1)
     space = phases ** (n - 1)
-    # the table counts its rows twice, as queries and as the table
+    # the table counts its code space twice, as queries and as the table
     if space <= _MITM_CAP and (budget is None or budget >= 2 * space):
         table = _Table((shape,), phases, weight=2 * n)
         return _found(table, table, 2 * space)

@@ -337,7 +337,7 @@ class TestFilter:
         grid = search._grid(shape, phases, True)
         codes = np.stack(np.unravel_index(np.arange(math.prod(grid)), grid),
                          axis=1)
-        values = search._UNITS[codes] @ np.exp(2j * np.pi * np.multiply.outer(
+        values = np.array([1, -1, 1j, -1j])[codes] @ np.exp(2j * np.pi * np.multiply.outer(
             search._positions(shape), turns))
         exact = (np.abs(values) ** 2).T
         within = np.flatnonzero((exact <= 2 * n).all(axis=0))
