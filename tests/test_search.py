@@ -337,8 +337,9 @@ class TestFilter:
         grid = search._grid(shape, phases, True)
         codes = np.stack(np.unravel_index(np.arange(math.prod(grid)), grid),
                          axis=1)
-        values = np.array([1, -1, 1j, -1j])[codes] @ np.exp(2j * np.pi * np.multiply.outer(
+        points = np.exp(2j * np.pi * np.multiply.outer(
             search._positions(shape), turns))
+        values = np.array([1, -1, 1j, -1j])[codes] @ points
         exact = (np.abs(values) ** 2).T
         within = np.flatnonzero((exact <= 2 * n).all(axis=0))
         assert np.isin(within, table.rows).all()
@@ -350,9 +351,10 @@ class TestFilter:
         assert np.abs(power - exact).max() < 2 * n * 2**-12 / 10
 
     def test_bundled_records_pass(self):
-        # every bundled set is a solution: each pair member, and each
-        # (A, B) and (C, D) row of base sequences, passes the filter,
-        # though at some points its power is the whole weight
+        # every bundled set is a solution, so each pair member and each
+        # (A, B) and (C, D) row of base sequences passes the filter:
+        # rows where the bound is tight, since their powers and their
+        # partners' add up to the weight at every point
         records = load_bundled().records.values()
         assert len(records) > 20
         for rec in records:
