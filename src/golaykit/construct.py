@@ -36,7 +36,6 @@ from .tensor import (
     alphabet_of,
     checked_superpose,
     concat,
-    embed,
     halve,
     interleave,
     involute,
@@ -63,7 +62,6 @@ __all__ = [
     "pair",
     "quad",
     "binary_turyn_pair",
-    "rank1_pair",
     "concat_pair",
     "disjoint_mask_pair",
     "disjoint_from_pair",
@@ -202,27 +200,6 @@ def binary_turyn_pair(ab: GcaSet, cd: GcaSet) -> GcaSet:
     if out.alphabet is not Alphabet.BINARY:
         raise NonPolyphase("binary_turyn_pair: a zero or non-binary entry survived")
     return out
-
-
-def rank1_pair(ab: GcaSet, cd: GcaSet) -> GcaSet:
-    """Stacked outer-product pair of size 2L x M from two 1-D pairs."""
-    _require_role(ab, "pair", "first input")
-    _require_role(cd, "pair", "second input")
-    if ab.rank != 1 or cd.rank != 1:
-        raise RankMismatch("rank1_pair expects 1-D pairs")
-    a, b = ab.arrays
-    c, d = cd.arrays
-
-    def outer(col: Tensor, row: Tensor) -> Tensor:
-        return kron(embed(col, 2, 0), embed(row, 2, 1))
-
-    top_a = outer(a, c)
-    bot_a = outer(b, d)
-    top_b = negate(outer(a, involute(d)))
-    bot_b = outer(b, involute(c))
-    e = concat(top_a, bot_a, 0)
-    f = concat(top_b, bot_b, 0)
-    return assemble([e, f], "rank1_pair")
 
 
 def concat_pair(ab: GcaSet, cd: GcaSet, dim: int) -> GcaSet:

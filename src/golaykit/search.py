@@ -7,10 +7,10 @@ Two engines share the work:
   keyed by a linear 64-bit hash of the tuple's summed autocorrelation
   tails: K(t) = sum_c w_c t_c mod 2**64 with fixed odd weights (each
   member laid out in the strides of 2s - 1, so a positive shift is a
-  flat offset).  K(-t) = -K(t), a tuple's key is the sum of its
-  members' keys, and a member's keys are built by broadcast adds on
-  its code grid, one phases x phases table per pair of entries, with
-  no code or tail matrix.  `_confirmed` matches the sorted table keys
+  flat offset).  K(-t) = -K(t), and a tuple's key is the sum of its
+  members' keys.  `_keys` is the one place K is computed: from the
+  exact tails (`_tails`) of a member's code rows, only at the rows the
+  filter below keeps.  `_confirmed` matches the sorted table keys
   against the sorted negated query keys and confirms each key-equal
   candidate exactly with the integer tails of its code rows
   (`_tails`), in ascending query order and only as far as it is read.
@@ -43,10 +43,11 @@ solution can hold:
   A <= B and C <= D, and the base tables keep only rows with X <= Y.
   A pair table holds single sequences and has no such rule.
 
-Rows are kept in lexicographic order with their full-grid keys.  The
-`nodes` of a table search is the code space it covers, not the rows
-kept: 2 phases**(n - 1) for a pair (the table as queries and as table)
-and 4**m + 4**(m - 1) for base sequences.
+Rows are kept in lexicographic order, and keys are computed only for
+the member rows the filter keeps.  The `nodes` of a table search is
+the code space it covers, not the rows kept: 2 phases**(n - 1) for a
+pair (the table as queries and as table) and 4**m + 4**(m - 1) for
+base sequences.
 
 Normalization fixes the first entry of each sequence to 1 (a global
 phase per member, losing no solutions up to equivalence).  Entry order
@@ -79,12 +80,6 @@ _MITM_CAP = 1 << 21
 # (re, im) planes of the entry codes, shared with the depth-first kernels
 _CODE_PLANES = np.array([_dfskernels.CODE_RE, _dfskernels.CODE_IM],
                         dtype=np.int16)
-
-# (re, im) of u_b conj(u_a), indexed [part, code a, code b], as uint64
-# (a -1 wraps), so that key arithmetic stays in uint64 under every numpy
-_RE, _IM = _CODE_PLANES.astype(np.int64)
-_PRODUCTS = np.stack([np.outer(_RE, _RE) + np.outer(_IM, _IM),
-                      np.outer(_RE, _IM) - np.outer(_IM, _RE)]).view(np.uint64)
 
 # query rows confirmed at a time: a find reads only as far as its first
 # confirmed query
@@ -145,6 +140,12 @@ def _tails(codes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return tails
 
 
+def _keys(tails: np.ndarray) -> np.ndarray:
+    """K(t) = sum_c w_c t_c mod 2**64 of each row of `tails`: the casts
+    to uint64 and the products wrap, so a negative entry is exact."""
+    return tails.astype(np.uint64) @ _weights(tails.shape[1])
+
+
 def _grid(shape: tuple[int, ...], phases: int,
           fix_first: bool) -> tuple[int, ...]:
     """Axes of the lexicographic code grid over `shape`: one per entry,
@@ -158,30 +159,6 @@ def _positions(shape: tuple[int, ...]) -> np.ndarray:
     n, out = math.prod(shape), tuple(2 * s - 1 for s in shape)
     return np.flatnonzero(_layout(np.arange(1, n + 1).reshape((1,) + shape),
                                   out))
-
-
-def _member_keys(shape: tuple[int, ...], phases: int,
-                 fix_first: bool) -> np.ndarray:
-    """K of the tails of every code row over `shape`, in lexicographic
-    order.  Entries a < b at flat offsets pos[a] < pos[b] add u_b conj(u_a)
-    to shift d = pos[b] - pos[a], so each pair of entries adds one
-    phases x phases table of weighted products along its two grid axes;
-    the grid grows one entry's axis at a time."""
-    pos = _positions(shape)
-    weights = _weights(math.prod(2 * s - 1 for s in shape) - 1).reshape(
-        -1, 2, 1, 1)
-    grid = _grid(shape, phases, fix_first)
-    keys = np.zeros(grid[:1], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for b in range(1, len(pos)):
-            keys = np.repeat(keys[..., None], phases, axis=-1)
-            for a in range(b):
-                d = pos[b] - pos[a]
-                w = (_PRODUCTS[:, :grid[a], :phases] * weights[d - 1]).sum(0)
-                axes = [1] * (b + 1)
-                axes[a], axes[b] = w.shape
-                keys += w.reshape(axes)
-    return keys.ravel()
 
 
 def _filter(phases: int, weight: int | None):
@@ -204,7 +181,7 @@ def _powers(shape: tuple[int, ...], axes, turns: np.ndarray, bound):
     a grid id is h * len(L) + l.  The grid is tested a block of H's rows
     at a time."""
     terms = np.exp(2j * np.pi * np.multiply.outer(turns, _positions(shape)))
-    units = _RE + 1j * _IM
+    units = _CODE_PLANES[0] + 1j * _CODE_PLANES[1]
     half = (len(axes) + 1) // 2
     sides = []
     for entries in (range(half), range(half, len(axes))):
@@ -235,7 +212,8 @@ def _powers(shape: tuple[int, ...], axes, turns: np.ndarray, bound):
 class _Table:
     """One row per tuple of code rows, one member of each shape in
     `shapes`, in lexicographic order (first member major), keyed by K of
-    the members' summed tails: the sum of the member keys.  With a
+    the members' summed tails: the sum of the member keys, each
+    member's from the `_tails` of the code rows the filter kept.  With a
     `weight` W, only the rows whose summed power is at most W plus the
     margin at every point of `_filter` (members' powers from `_powers`,
     added in float32); with `swap`, only those whose members' codes do
@@ -250,7 +228,7 @@ class _Table:
         self.rows = np.zeros(1, dtype=np.int64)
         self.keys = np.zeros(1, dtype=np.uint64)
         power = np.zeros((len(turns), 1), dtype=np.float32)
-        for shape, grid in zip(self.shapes, self.grids):
+        for k, (shape, grid) in enumerate(zip(self.shapes, self.grids)):
             ids, member = _powers(shape, [np.arange(g) for g in grid],
                                   turns, bound)
             size = math.prod(grid)
@@ -259,11 +237,12 @@ class _Table:
             for p, q in zip(power, member):
                 ok = p[i] + q[j] <= bound
                 i, j = i[ok], j[ok]
-            keys = _member_keys(shape, phases, fix_first)[ids[j]]
+            codes = np.stack(np.unravel_index(ids, grid), axis=1)
             with np.errstate(over="ignore"):
-                self.keys = self.keys[i] + keys
+                self.keys = self.keys[i] + _keys(_tails(codes, shape))[j]
             self.rows = self.rows[i] * size + ids[j]
-            power = power[:, i] + member[:, j]
+            if k + 1 < len(self.shapes):
+                power = power[:, i] + member[:, j]
         self.width = max(math.prod(2 * x - 1 for x in s) - 1
                          for s in self.shapes)
 

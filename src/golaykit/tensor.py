@@ -366,11 +366,13 @@ def _layout(planes, out_shape: Sequence[int]) -> np.ndarray:
     a view, a sequence as a new array."""
     planes = np.asarray(planes)
     rows, shape = planes.shape[0], planes.shape[1:]
+    # the row length is explicit: reshape cannot infer it with no rows
+    length = shape[0] * math.prod(out_shape[1:])
     if shape[1:] == tuple(out_shape[1:]):
-        return planes.reshape(rows, -1)
+        return planes.reshape(rows, length)
     out = np.zeros((rows, shape[0]) + tuple(out_shape[1:]), dtype=planes.dtype)
     out[(slice(None),) + tuple(map(slice, shape))] = planes
-    return out.reshape(rows, -1)
+    return out.reshape(rows, length)
 
 
 def _offset(n: int, width: int) -> int:

@@ -208,6 +208,28 @@ def test_criterion_06_coverage_scan():
     ok(6, f"uncovered within 1000 = {{799, 959}}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
+def test_criterion_06_quads_built_slow(registry):
+    # the abstract's quaternary claim as built, not as a sum rule: every
+    # length n <= 1000 has a quaternary m x n quad, m <= 8, that plans,
+    # builds and passes both routes
+    t0 = time.time()
+    served = {}
+    for n in range(1, 1001):
+        for m in range(1, 9):
+            rep = plan_quad(Q, (m, n), registry)
+            if rep.feasible:
+                break
+        assert rep.feasible, f"no quaternary m x {n} quad with m <= 8"
+        gs = execute(rep.recipe, registry)
+        assert gs.shape == (m, n) and gs.role == "quad"
+        assert both_oracles(gs.arrays).total_weight == 4 * m * n
+        served[m] = served.get(m, 0) + 1
+    elapsed = time.time() - t0
+    ok(6, f"every n <= 1000 built as a quaternary m x n quad, lengths "
+          f"served per m {dict(sorted(served.items()))}, {elapsed:.1f}s")
+
+
 def test_criterion_07_quad_959(registry):
     t0 = time.time()
     rep = plan_quad(Q, (12, 959), registry)

@@ -11,7 +11,6 @@ from golaykit.errors import (
     NotComplementary,
     NotDisjoint,
     ParseError,
-    RankMismatch,
     ShapeMismatch,
     StructureFailed,
     VerificationFailed,
@@ -33,7 +32,6 @@ from golaykit.construct import (
     lagrange_quad,
     pair,
     quad,
-    rank1_pair,
     set_from_obj,
     set_to_obj,
 )
@@ -203,22 +201,6 @@ class TestBinaryTurynPair:
         b = orient(p2, 1)
         out = binary_turyn_pair(a, b)
         assert out.shape == (2, 2)
-
-
-class TestRank1Pair:
-    def test_shape(self, p2):
-        out = rank1_pair(p2, p2)
-        assert out.shape == (4, 2)
-        assert out.alphabet is Alphabet.BINARY
-
-    def test_rejects_2d_inputs(self, p2):
-        with pytest.raises(RankMismatch):
-            rank1_pair(orient(p2, 0), p2)
-
-    def test_quaternary_inputs(self, q2_quaternary):
-        out = rank1_pair(q2_quaternary, q2_quaternary)
-        assert out.shape == (4, 2)
-        assert out.alphabet is Alphabet.QUATERNARY
 
 
 class TestConcatPair:

@@ -165,39 +165,28 @@ class TestTable:
     def test_tails_match_oracle(self, data):
         # positive shifts in the row-major order of the oracle's 2s - 1
         # array, which is lexicographic order of the shift
-        shape = data.draw(oracles.shapes(max_rank=3, max_dim=3))
-        n = math.prod(shape)
-        codes = np.array(data.draw(st.lists(
-            st.lists(st.integers(0, 3), min_size=n, max_size=n),
-            min_size=1, max_size=5)), dtype=np.int8)
+        shape, codes = data.draw(_code_rows())
         tails = search._tails(codes, shape)
         for row, code in zip(tails, codes):
-            r = oracles.naive_autocorr(_codes_to_tensor(code, shape))
-            after = slice((r.size + 1) // 2, None)
-            want = np.stack([r.re.ravel()[after], r.im.ravel()[after]], axis=1)
-            assert row.tolist() == want.ravel().tolist()
+            assert row.tolist() == _oracle_tails(code, shape).ravel().tolist()
 
     @given(st.data())
     @settings(max_examples=40)
     def test_keys_match_oracle(self, data):
-        # a member's key on its code grid is K of the oracle's tails
-        shape = data.draw(oracles.shapes(max_rank=3, max_dim=3).filter(
-            lambda s: math.prod(s) <= 8))
-        phases = data.draw(st.sampled_from([2, 4]))
-        fix_first = data.draw(st.booleans())
-        n = math.prod(shape)
-        keys = search._member_keys(shape, phases, fix_first)
-        assert keys.shape == (phases ** (n - fix_first),)
-        for _ in range(3):
-            code = data.draw(st.lists(st.integers(0, phases - 1),
-                                      min_size=n, max_size=n))
-            if fix_first:
-                code[0] = 0
-            r = oracles.naive_autocorr(_codes_to_tensor(np.array(code), shape))
-            after = slice((r.size + 1) // 2, None)
-            want = np.stack([r.re.ravel()[after], r.im.ravel()[after]], axis=1)
-            row = int("".join(map(str, code[fix_first:])) or "0", phases)
-            assert keys[row] == _key(want)
+        # K of a code row's exact tails is K of the oracle's tails
+        shape, codes = data.draw(_code_rows())
+        keys = search._keys(search._tails(codes, shape))
+        assert keys.dtype == np.uint64 and keys.shape == (len(codes),)
+        for key, code in zip(keys, codes):
+            assert key == _key(_oracle_tails(code, shape))
+
+    def test_no_rows(self):
+        # the filter can keep no member: binary 6 keeps none
+        tails = search._tails(np.zeros((0, 6), dtype=np.int64), (6,))
+        assert tails.shape == (0, 10)
+        assert search._keys(tails).shape == (0,)
+        table = search._Table(((6,),), 2, weight=12)
+        assert len(table.rows) == len(table.keys) == 0
 
     @pytest.mark.parametrize("fix_first", [True, False])
     def test_rows_and_padded_sums(self, fix_first):
@@ -221,6 +210,24 @@ class TestTable:
             assert table.tails(np.array([r]), width)[0].tolist() == (
                 want.ravel().tolist())
             assert table.keys[r] == _key(want)
+
+
+@st.composite
+def _code_rows(draw):
+    """A shape of rank <= 3 and one to five quaternary code rows over it."""
+    shape = draw(oracles.shapes(max_rank=3, max_dim=3))
+    n = math.prod(shape)
+    codes = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                          min_size=1, max_size=5))
+    return shape, np.array(codes, dtype=np.int8)
+
+
+def _oracle_tails(code, shape) -> np.ndarray:
+    """The oracle's autocorrelation of one code row at the positive
+    shifts, (shifts, 2): re and im per shift."""
+    r = oracles.naive_autocorr(_codes_to_tensor(code, shape))
+    after = slice((r.size + 1) // 2, None)
+    return np.stack([r.re.ravel()[after], r.im.ravel()[after]], axis=1)
 
 
 def _key(tails) -> np.uint64:

@@ -496,6 +496,21 @@ class TestStructure:
         assert Alphabet.GENERAL.admits(Alphabet.POLYPHASE4_WITH_ZEROS)
 
 
+class TestLayout:
+    def test_pads_trailing_axes(self):
+        planes = np.arange(1, 7).reshape(1, 2, 3)
+        assert tensor._layout(planes, (3, 5)).tolist() == [
+            [1, 2, 3, 0, 0, 4, 5, 6, 0, 0]]
+
+    @pytest.mark.parametrize("shape, out, length", [
+        ((4,), (7,), 4), ((2, 3), (3, 5), 10), ((2, 3), (3, 3), 6)])
+    def test_no_rows(self, shape, out, length):
+        # the row length cannot be inferred from zero rows
+        planes = np.zeros((0,) + shape, dtype=np.int16)
+        laid = tensor._layout(planes, out)
+        assert laid.shape == (0, length) and laid.dtype == np.int16
+
+
 class TestTensorJson:
     def test_round_trip(self):
         t = Tensor.from_entries((2, 2), [1, -1, 1j, (0, -1)])
