@@ -358,6 +358,72 @@ def test_quad_reports_pinned(registry):
     assert h.hexdigest() == QUAD_REPORTS_40
 
 
+# The shapes the benchmark catalog builds for seed 1, by role and
+# alphabet, in draw order: every one is on the frozen feasible list.
+CATALOG_SEED_1_BUILDS = {
+    ("quad", Q): """
+        2x190 1x353 4x13 10x34 13x27 43 1x271 1x228 2x95 1x89 2x14 2x10
+        2x117 2x27 239 9x24 1x193 6x37 245 5x45 1x138 218 1x213 13x13 30
+        98 4x20 369 2x34 1x306 299 18x22 1x246 3x122 3x123 5x21 3x62 6x39
+        10x32 2x175 2x55 2x61 3x124 133 136""",
+    ("quad", B): """
+        201 3x64 96 1x192 14x16 22 2x21 57 221 100 4x5 7x26 3x10 132 2x41
+        7x21 2x88 2x8 2x121 1x154 1x2 8x34 6x13 7x30 4x34 4x64 300 10x39
+        9x42 340 8x49 4x80 2x12 3x36 5x7 1x204 8x21 1x234 1x388 1x390
+        1x228 4x96 1x364 8x41 396""",
+    ("pair", B): """
+        1x40 8 40 2x2 80 1x10 2x32 128 4x20 200 4x26 64 2x8 208 2 1x400
+        4x16 2x64 8x8 1x4 10x32 8x16 10x40 1x32 1x52 8x40 16 1x260 4x80
+        4x32""",
+    ("pair", Q): """
+        6x48 2x18 1x256 8x8 1x26 2x66 3 2x33 8x18 3x20 2x52 16x16 16x20
+        5x40 1x96 390 12x18 72 1x18 2x50 8x32 5x22 3x80 13x16 1x120 1x286
+        1x156 2x121 6x12 5x12 50 3x60 1x110 8x25 13x22 1x100 1x264 8x13
+        10x33 10x12""",
+}
+
+
+def _built_digest(sets) -> str:
+    h = hashlib.sha256()
+    for gs in sets:
+        for a in gs.arrays:
+            h.update(repr(a.shape).encode())
+            for plane in (a.re, a.im):
+                h.update(repr(plane.tolist()).encode())
+    return h.hexdigest()[:32]
+
+
+# sha256 prefixes of the arrays `execute` builds, shapes and entries,
+# frozen before intermediate sets were checked by one route
+PINNED_BUILDS = [
+    (plan_pair, Q, (9, 10), "770224672bfaf5378eda5e26984c700e"),
+    (plan_quad, Q, (36, 87), "cdd7087bc33ee94c121b6618df8cf3aa"),
+    (plan_quad, Q, (12, 300), "fb7d92712d1119233a9b9aba14a5becd"),
+    (plan_pair, B, (16384,), "f45ab1efe403a977f6b5924b2beba9a4"),
+]
+CATALOG_SEED_1_DIGEST = "f8d77354abe142d10f10d2064461adb8"
+
+
+@pytest.mark.parametrize("plan, alphabet, shape, digest", PINNED_BUILDS)
+def test_benchmark_builds_pinned(registry, plan, alphabet, shape, digest):
+    rep = (plan_pair(alphabet, shape) if plan is plan_pair
+           else plan_quad(alphabet, shape, registry))
+    assert _built_digest([execute(rep.recipe, registry)]) == digest
+
+
+def test_catalog_builds_pinned(registry):
+    sets = []
+    for (role, alphabet), text in CATALOG_SEED_1_BUILDS.items():
+        for word in text.split():
+            shape = tuple(int(s) for s in word.split("x"))
+            rep = (plan_pair(alphabet, shape) if role == "pair"
+                   else plan_quad(alphabet, shape, registry))
+            assert rep.feasible, (role, alphabet, shape)
+            sets.append(execute(rep.recipe, registry))
+    assert len(sets) == 160
+    assert _built_digest(sets) == CATALOG_SEED_1_DIGEST
+
+
 class TestPairFeasibilityRule:
     """`_pair_feasibility` is `plan_pair` without the recipe; the quad
     rules ask it about every candidate and plan only the winner."""
