@@ -1,10 +1,12 @@
 """Recursive constructions of Golay complementary arrays.
 
-Each set is checked once: `assemble` checks each set it makes by both
-exact verification routes and marks it, and every operation returns
-through it, so a slip in any formula raises VerificationFailed instead
-of propagating a bad array.  Only unmarked sets (a GcaSet built
-directly, or parsed with verify=False) are checked again.
+Each set is checked once: `assemble` checks each set it makes and
+marks it, and every operation returns through it, so a slip in any
+formula raises VerificationFailed instead of propagating a bad array.
+Outside `planner.execute` that check takes both exact verification
+routes; inside it, only the direct route, and `execute` runs the
+product route on the set it returns.  Only unmarked sets (a GcaSet
+built directly, or parsed with verify=False) are checked again.
 
 A set is its arrays (GcaSet): its alphabet, role and shape are read
 from them, and a construction that needs a support pattern checks the
@@ -12,6 +14,7 @@ arrays themselves.
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -84,9 +87,11 @@ class GcaSet:
     Only the arrays and their lineage are stored: the alphabet, the role
     ("pair", "quad" or "set-n" by member count) and the shape (the
     bounding shape the verification routes pad to) are read from the
-    arrays.  Only `assemble` sets `verified`, once both exact routes
-    pass; the constructor and `dataclasses.replace` give an unmarked
-    set, which consumers check again.
+    arrays.  Only `assemble` sets `verified`, once its check passes:
+    both exact routes, or the direct route alone for a set built inside
+    `planner.execute`, which checks the set it returns by both.  The
+    constructor and `dataclasses.replace` give an unmarked set, which
+    consumers check again.
     """
 
     arrays: tuple[Tensor, ...]
@@ -125,9 +130,15 @@ def _role_for(n: int) -> str:
     return {2: "pair", 4: "quad"}.get(n, f"set-{n}")
 
 
+# Set only by `planner.execute`, for the nodes it builds: their sets are
+# checked by the direct route alone, and the root by both routes there.
+_direct_only = contextvars.ContextVar("_direct_only", default=False)
+
+
 def assemble(arrays: Sequence[Tensor], lineage: str) -> GcaSet:
     """Check a set of arrays by both exact routes (which zero-pad mixed
-    shapes) and wrap it, with its lineage, as a set marked verified."""
+    shapes) and wrap it, with its lineage, as a set marked verified.
+    Inside `planner.execute` only the direct route runs here."""
     arrays = tuple(arrays)
     where = lineage or "assemble"
     verdict = is_gca_set(arrays)
@@ -136,7 +147,7 @@ def assemble(arrays: Sequence[Tensor], lineage: str) -> GcaSet:
             f"{where}: autocorrelation check failed "
             f"(max sidelobe norm {verdict.max_sidelobe_norm})"
         )
-    if not gca_check_polynomial(arrays):
+    if not _direct_only.get() and not gca_check_polynomial(arrays):
         raise VerificationFailed(f"{where}: polynomial product check failed")
     out = GcaSet(arrays, lineage)
     object.__setattr__(out, "verified", True)

@@ -24,8 +24,9 @@ tile times a smaller planned quad zero-concatenated along the other
 axis; the last two recurse on a depth budget.  Every recipe this
 module returns has been checked against the registry for seed
 availability.  `execute` builds every node through `assemble`, which
-checks each set it makes by both exact routes and marks it; only an
-unmarked root is checked again.
+checks each set it makes by the direct route and marks it (an unmarked
+set is checked at its node); the set it returns is checked by the
+product route as well.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .construct import (
     GcaSet,
+    _direct_only,
     binary_turyn_pair,
     compromise_quad,
     concat_pair,
@@ -60,7 +62,7 @@ from .errors import (
 )
 from .seeds import SeedRegistry, load_bundled
 from .tensor import _MAX_RANK, Alphabet, _is_shape, _validate_shape, embed
-from .verify import is_gca_set
+from .verify import gca_check_polynomial, is_gca_set
 
 __all__ = [
     "GolayWitness",
@@ -863,6 +865,13 @@ def _exec_node(recipe: Recipe, registry: SeedRegistry, path: str) -> GcaSet:
             out = _resolve_seed(recipe, registry, path)
         else:
             out = _OPS[recipe.op].run(kids, recipe.params.get("dim"))
+        if not out.verified:
+            # a rebound construction can return an unmarked set: check
+            # it where it is made, so the error names this node
+            verdict = is_gca_set(out.arrays)
+            if not verdict.is_complementary:
+                raise VerificationFailed(
+                    f"executed recipe failed final verification: {verdict}")
     except MissingSeed:
         raise
     except GolayKitError as err:
@@ -883,20 +892,22 @@ def _exec_node(recipe: Recipe, registry: SeedRegistry, path: str) -> GcaSet:
 def execute(recipe: Recipe, registry: SeedRegistry | None = None) -> GcaSet:
     """Run a recipe bottom-up against a seed registry.
 
-    Every node is built through `assemble`, which checks each set it
-    makes by both exact routes and marks it; only an unmarked root (a
-    rebound construction can return one) is checked again here.
-    Execution is deterministic: the same recipe and registry give
-    identical arrays.
+    Each node's set is checked once, by the direct route: in `assemble`,
+    or at the node when a rebound construction returns an unmarked set,
+    so a wrong set is named where it is made.  The set returned is then
+    checked by the product route too.  Execution is deterministic: the
+    same recipe and registry give identical arrays.
     """
     if registry is None:
         registry = load_bundled()
-    out = _exec_node(recipe, registry, path=recipe.op)
-    if not out.verified:
-        verdict = is_gca_set(out.arrays)
-        if not verdict.is_complementary:
-            raise VerificationFailed(
-                f"executed recipe failed final verification: {verdict}")
+    token = _direct_only.set(True)
+    try:
+        out = _exec_node(recipe, registry, path=recipe.op)
+    finally:
+        _direct_only.reset(token)
+    if not gca_check_polynomial(out.arrays):
+        raise VerificationFailed("executed recipe failed final verification: "
+                                 "polynomial product check failed")
     return out
 
 

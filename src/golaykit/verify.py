@@ -37,8 +37,10 @@ Three routes are implemented and kept deliberately independent:
   in floating point (one FFT of each member folded modulo the grid);
   it is a diagnostic, never the source of truth.
 
-`construct.assemble` checks every set a construction makes by the two
-exact routes, so a formula transcription error cannot ship a bad array.
+`construct.assemble` checks every set a construction makes, so a
+formula transcription error cannot ship a bad array: by both exact
+routes, except inside `planner.execute`, where each node's set is
+checked by the direct route and the set returned by both.
 """
 from __future__ import annotations
 

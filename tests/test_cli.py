@@ -168,6 +168,18 @@ class TestGenerateVerifyRoundTrip:
         assert code == 4
         assert "failed final verification" in err
 
+    def test_product_route_failure_exit_4(self, capsys, monkeypatch):
+        # every node passes the direct route; the set execute returns
+        # is the one the product route checks
+        monkeypatch.setattr(planner, "gca_check_polynomial",
+                            lambda arrays: False)
+        code, out, err = run(capsys, "generate", "--alphabet", "quaternary",
+                             "--role", "pair", "--shape", "9x10")
+        assert code == 4
+        assert "failed final verification" in err
+        assert "polynomial product check failed" in err
+        assert out == ""
+
 
 class TestVerifyFailures:
     def _write_set(self, capsys, tmp_path):

@@ -624,6 +624,99 @@ class TestOneCheckPerSet:
         assert len(made) > 1
 
 
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Digests of the sets the product route is asked about, under every
+    name a module holds it by."""
+    calls = []
+    check = verify.gca_check_polynomial
+
+    def counted(arrays):
+        calls.append(_digest(arrays))
+        return check(arrays)
+
+    for module in (verify, construct, planner):
+        monkeypatch.setattr(module, "gca_check_polynomial", counted)
+    return calls
+
+
+def _seed_pair(registry, key):
+    return construct.pair(*registry.records[key].tensors)
+
+
+def _flip_first_entry(gs: GcaSet) -> GcaSet:
+    """An unmarked copy of `gs` with one entry of its first member
+    negated: no longer complementary."""
+    first = gs.arrays[0]
+    re, im = first.re.copy(), first.im.copy()
+    re.flat[0], im.flat[0] = -re.flat[0], -im.flat[0]
+    return GcaSet((Tensor(re, im),) + gs.arrays[1:])
+
+
+class TestProductRouteOnRoot:
+    """Inside `execute` the product route runs once, on the set returned;
+    outside it every construction still runs both routes."""
+
+    @pytest.mark.parametrize("role, shape", [("pair", (9, 10)),
+                                             ("quad", (36, 87))])
+    def test_execute_checks_root_once(self, registry, product_calls,
+                                      role, shape):
+        report = (plan_pair(Q, shape) if role == "pair"
+                  else plan_quad(Q, shape, registry))
+        out = execute(report.recipe, registry)
+        assert product_calls == [_digest(out.arrays)]
+
+    def test_direct_constructions_run_both_routes(self, registry,
+                                                  product_calls):
+        seed = _seed_pair(registry, "golay-pair/binary/2;2")
+        assert product_calls == [_digest(seed.arrays)]
+        out = construct.binary_turyn_pair(seed, seed)
+        assert out.verified
+        assert product_calls[1:] == [_digest(out.arrays)]
+
+    def test_wrong_unmarked_intermediate_named(self, registry, monkeypatch):
+        # glue_pair is one inner node of the 36x87 plan; its rebound
+        # copy returns a wrong set that no construction checked
+        glue = construct.glue_pair
+        monkeypatch.setattr(planner, "glue_pair",
+                            lambda *sets: _flip_first_entry(glue(*sets)))
+        recipe = plan_quad(Q, (36, 87), registry).recipe
+        assert recipe.children[1].op == "glue_pair"
+        with pytest.raises(VerificationFailed) as exc:
+            execute(recipe, registry)
+        assert exc.value.recipe_path == "compromise_quad/glue_pair[1]"
+
+    def test_product_route_rejects_root(self, registry, monkeypatch):
+        monkeypatch.setattr(planner, "gca_check_polynomial",
+                            lambda arrays: False)
+        with pytest.raises(VerificationFailed,
+                           match="failed final verification"):
+            execute(plan_pair(Q, (9, 10)).recipe, registry)
+
+    def test_switch_reset_after_missing_seed(self, registry, product_calls):
+        # the 36x87 plan first needs the binary 1 seed in its second
+        # child, after the first child's subtree is built
+        key = "golay-pair/binary/1;1"
+        partial = SeedRegistry({k: r for k, r in registry.records.items()
+                                if k != key})
+        with pytest.raises(MissingSeed) as exc:
+            execute(plan_quad(Q, (36, 87), registry).recipe, partial)
+        assert exc.value.key == key
+        assert product_calls == []
+        _seed_pair(registry, "golay-pair/binary/2;2")
+        assert len(product_calls) == 1
+
+    def test_switch_reset_after_shape_mismatch(self, registry,
+                                               product_calls):
+        obj = recipe_to_obj(plan_pair(Q, (9, 10)).recipe)
+        obj["params"]["shape"] = [9, 11]
+        with pytest.raises(ShapeMismatch):
+            execute(recipe_from_obj(obj), registry)
+        assert product_calls == []
+        _seed_pair(registry, "golay-pair/quaternary/3;3")
+        assert len(product_calls) == 1
+
+
 class TestCoverage:
     def test_golay_count(self):
         rep = coverage_scan("golay-count", 100, B)
