@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._toom import mul as _mul
 from .errors import (
     Collision,
     HalvingError,
@@ -421,7 +422,8 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     operands are real (only their `re` planes are packed, and the
     output's `im` is a `_zeros` plane).  The digit width comes from an
     exact bound on the output: min(size) * ma * mb per product term, ma
-    and mb the largest components of the packed planes.
+    and mb the largest components of the packed planes.  Products are
+    made by `_toom.mul`.
     """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
@@ -437,10 +439,11 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     n = math.prod(out_shape)
     if real:
         ar, br = packed
-        (re,) = _signed_digits([ar * br], n, width)
+        (re,) = _signed_digits([_mul(ar, br)], n, width)
         return Tensor._adopt(re.reshape(out_shape))
     ar, ai, br, bi = packed
-    re, im = _signed_digits([ar * br - ai * bi, ar * bi + ai * br], n, width)
+    re, im = _signed_digits([_mul(ar, br) - _mul(ai, bi), _mul(ar, bi) + _mul(ai, br)],
+                            n, width)
     return Tensor._adopt(re.reshape(out_shape), im.reshape(out_shape))
 
 

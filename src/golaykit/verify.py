@@ -24,15 +24,17 @@ Three routes are implemented and kept deliberately independent:
   hence exactly zero.  Only a rejection (and `autocorrelation`) pays
   for the inverse transform, the split of re and im from c(d) and
   c(-d), and a CRT lift of the residues to the exact integers in
-  (-P/2, P/2).
+  (-P/2, P/2).  From n = 2**14 up, stages with short inner loops run
+  on transposed quarters of the input.
 * `gca_check_polynomial` sums each array's exact convolution with its
   conjugate flip and demands the constant total.  It convolves real
   planes only: with u = re + im and P = re * flip(im), a complex
   member's product has real part u * flip(u) - P - flip(P) and
   imaginary part flip(P) - P (two real products), a real member's is
   re * flip(re) (one).  Its kernel, `tensor.convolve`, is a Kronecker
-  substitution: one big-integer product per real convolution, no
-  modular arithmetic.
+  substitution: one big-integer product per real convolution (by
+  Toom-Cook from 2**17 bits, divisions checked exact), no modular
+  arithmetic.
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
   in floating point (one FFT of each member folded modulo the grid);
   it is a diagnostic, never the source of truth.
@@ -112,6 +114,7 @@ def _autocorr_bound(a: Tensor) -> int:
 _PRIME_LIMIT = 1 << 31  # so that 2p * p, a butterfly's product, fits int64
 _KEPT_TABLES = 1 << 12  # transform lengths whose tables are kept
 _GROUP = 1 << 17  # residues in one forward transform at most (1 MB)
+_LONG_LOOPS = 1 << 14  # n from which short stages run transposed
 _PAD_CAP = 1 << 20  # entries a padded member may have past the largest given
 
 
@@ -229,19 +232,50 @@ def _ntt(x: np.ndarray, mod: _Moduli, inverse: bool = False) -> None:
     place along its last axis, modulo mod.primes[k] in x[k].  Forward:
     natural order in, bit-reversed order out (Gentleman-Sande).  Inverse:
     bit-reversed in, n times the inverse transform out in natural order
-    (Cooley-Tukey).  The butterflies run in uint64, where a wrapped
-    y - p is large, so min(y, y - p) reduces any y < 2p."""
+    (Cooley-Tukey).  From n = _LONG_LOOPS up, the stages of half-length
+    h < sqrt(n), whose inner loops are short, run on a quarter of their
+    blocks at a time, copied transposed into x.size/4 entries of `spare`
+    with the next x.size/8 as temporary: forward after the long stages,
+    inverse before."""
     n = x.shape[-1]
     roots = tuple((mod.inverse_root if inverse else mod.root)[:, 0].tolist())
     table = _twiddles(n, mod.primes, roots).view(np.uint64)[:, None, None, :]
     p = mod.p.view(np.uint64)[:, :, None, None]
     x = x.view(np.uint64)
-    spare = np.empty(x.shape[:2] + (n // 2,), dtype=np.uint64)
-    h = 1 if inverse else n // 2
-    while 1 <= h < n:
-        y = x.reshape(x.shape[:2] + (-1, 2, h))
-        a, b, t = y[..., 0, :], y[..., 1, :], spare.reshape(y.shape[:3] + (h,))
-        w = table[..., ::n // (2 * h)]
+    spare = np.empty(x.size // 2, dtype=np.uint64)
+    if n < _LONG_LOOPS:
+        _stages(x, spare, table, p, inverse, 1, n)
+        return
+    size = 1 << n.bit_length() // 2
+    if not inverse:
+        _stages(x, spare, table, p, inverse, size, n)
+    quarter = spare[:x.size // 4].reshape(x.shape[:2] + (size, -1))
+    blocks = x.reshape(x.shape[:2] + (4, -1, size))
+    for q in range(4):
+        np.copyto(quarter, blocks[:, :, q].swapaxes(2, 3))
+        _stages(quarter, spare[x.size // 4:3 * x.size // 8], table[..., None],
+                p[..., None], inverse, 1, size)
+        np.copyto(blocks[:, :, q], quarter.swapaxes(2, 3))
+    if inverse:
+        _stages(x, spare, table, p, inverse, size, n)
+
+
+# the two halves of each block of `_stages`'s y
+_FRONT, _BACK = (slice(None),) * 3 + (0,), (slice(None),) * 3 + (1,)
+
+
+def _stages(x: np.ndarray, spare: np.ndarray, table: np.ndarray,
+            p: np.ndarray, inverse: bool, low: int, high: int) -> None:
+    """`_ntt`'s stages of half-lengths low <= h < high along axis 2 of
+    x, (primes, rows, length) or (primes, rows, length, blocks), with
+    `spare` the size of half of x.  The butterflies run in uint64, where
+    a wrapped y - p is large, so min(y, y - p) reduces any y < 2p."""
+    h = low if inverse else high // 2
+    while low <= h < high:
+        y = x.reshape(x.shape[:2] + (-1, 2, h) + x.shape[3:])
+        a, b = y[_FRONT], y[_BACK]
+        t = spare.reshape(a.shape)
+        w = table[:, :, :, ::table.shape[3] // h]
         if inverse:
             b *= w
             b %= p
@@ -294,6 +328,7 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
         u *= v
         u %= p
         total = total + u.sum(axis=1)
+        del x, u, v  # freed before the next group's x is made
     return total % mod.p
 
 

@@ -1,13 +1,15 @@
 """Reference implementations used only by the tests.
 
 Everything here is written as plainly as possible (dict-of-index maps,
-nested loops, Python big ints) and shares no code with the package, so
-it can serve as an independent oracle for the vectorized versions.
+nested loops, Python big ints, np.correlate on int64 rows) and shares
+no code with the package, so it can serve as an independent oracle for
+the vectorized versions.
 """
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
 from golaykit.tensor import GaussInt, Tensor
@@ -61,6 +63,26 @@ def naive_autocorr(a: Tensor) -> Tensor:
             d = tuple(x - y + s - 1 for x, y, s in zip(i, j, a.shape))
             acc[d] = cadd(acc.get(d, (0, 0)), cmul(vi, cconj(vj)))
     return from_map(shape, acc)
+
+
+def correlate_planes(a: Tensor) -> Tensor:
+    """naive_autocorr for a rank-1 or rank-2 tensor with int64 planes,
+    as sums of np.correlate over each pair of rows and of planes: exact
+    while 2 * size * max**2 fits int64, and fast enough for thousands of
+    entries."""
+    x, y = (p.reshape(-1, a.shape[-1]) for p in (a.re, a.im))
+    rows, cols = x.shape
+    re = np.zeros((2 * rows - 1, 2 * cols - 1), dtype=np.int64)
+    im = np.zeros_like(re)
+    for i in range(rows):
+        for j in range(rows):
+            # row shift i - j; column shift d at d + cols - 1
+            re[i - j + rows - 1] += (np.correlate(x[i], x[j], "full")
+                                     + np.correlate(y[i], y[j], "full"))
+            im[i - j + rows - 1] += (np.correlate(y[i], x[j], "full")
+                                     - np.correlate(x[i], y[j], "full"))
+    shape = tuple(2 * s - 1 for s in a.shape)
+    return Tensor(re.reshape(shape), im.reshape(shape))
 
 
 def naive_kron(a: Tensor, b: Tensor) -> Tensor:

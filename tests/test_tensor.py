@@ -1,12 +1,17 @@
 """Ring and structure operations on Gaussian-integer tensors."""
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golaykit import tensor
+from golaykit import _toom, tensor
 from golaykit.errors import (
     Collision,
     HalvingError,
@@ -312,6 +317,129 @@ class TestConvolveRealPath:
         assert c == oracles.naive_convolve(a, b)
         assert c.entries()[1] == GaussInt(sign * 2 * x * y)
         assert not c.im.any()
+
+
+CUT = _toom._CUT
+
+
+@st.composite
+def signed_ints(draw, low_bits, high_bits):
+    """A signed integer of exactly `low_bits` to `high_bits` bits, its
+    bits drawn from a seeded generator (hypothesis draws the seed)."""
+    bits = draw(st.integers(low_bits, high_bits))
+    value = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+    return draw(st.sampled_from((1, -1))) * (value | (1 << bits >> 1))
+
+
+@st.composite
+def sparse_rows(draw, rows, length, max_component, real):
+    """A (rows, length/rows) tensor, or a 1-D one when rows is 1, with a
+    few nonzero entries.  The last has parts +-max_component (its `im`
+    is 0 when `real`): so each packed row carries a digit at its top,
+    and the digit width is the largest for its size."""
+    shape = (length,) if rows == 1 else (rows, length // rows)
+    planes = np.zeros((2, length), dtype=np.int64)
+    part = st.integers(-max_component, max_component)
+    for i in draw(st.lists(st.integers(0, length - 2), max_size=12)):
+        planes[:, i] = draw(part), 0 if real else draw(part)
+    top = st.sampled_from((max_component, -max_component))
+    planes[:, -1] = draw(top), 0 if real else draw(top)
+    return Tensor(*(x.reshape(shape) for x in planes))
+
+
+class TestToomCook:
+    """`_toom.mul`, one level of Toom-Cook from `_CUT` bits, against
+    CPython's product, and `convolve` past the cut against the double
+    sum."""
+
+    @given(signed_ints(CUT, 6 * CUT), signed_ints(CUT, 6 * CUT))
+    @settings(max_examples=15, deadline=None)
+    def test_both_above_the_cut(self, x, y):
+        assert _toom.mul(x, y) == x * y
+
+    @given(signed_ints(CUT, 4 * CUT), signed_ints(1, CUT - 1), st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_one_below_the_cut(self, x, y, swap):
+        x, y = (y, x) if swap else (x, y)
+        assert _toom.mul(x, y) == x * y
+
+    @given(signed_ints(CUT, 2 * CUT), signed_ints(8 * CUT, 12 * CUT))
+    @settings(max_examples=10, deadline=None)
+    def test_lopsided(self, x, y):
+        assert _toom.mul(x, y) == x * y
+        assert _toom.mul(y, x) == x * y
+
+    EDGES = {"0": 0, "2^(cut-1)": 1 << CUT - 1, "-2^(cut-1)": -(1 << CUT - 1),
+             "2^cut-1": (1 << CUT) - 1, "2^(3cut)": 1 << 3 * CUT,
+             "-2^(5cut+7)": -(1 << 5 * CUT + 7), "2^(4cut)-1": (1 << 4 * CUT) - 1,
+             "2^(2cut)-2^cut": (1 << 2 * CUT) - (1 << CUT), "-3^200000": -3 ** 200_000}
+
+    @pytest.mark.parametrize("x", list(EDGES))
+    @pytest.mark.parametrize("y", ["0", "2^(cut-1)", "-2^(cut-1)", "2^(2cut)-2^cut",
+                                   "-3^200000"])
+    def test_edges(self, x, y):
+        # 0, powers of two, all-ones limbs and exactly `cut` bits
+        x, y = self.EDGES[x], self.EDGES[y]
+        assert _toom.mul(x, y) == x * y
+
+    @pytest.mark.parametrize("limbs", range(2, 9))
+    @given(st.integers(-2**600, 2**600), st.integers(-2**600, 2**600))
+    @settings(max_examples=25)
+    def test_every_limb_count(self, limbs, x, y):
+        # a low cut runs the interpolation on small operands
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_toom, "_CUT", 64)
+            mp.setattr(_toom, "_LIMBS", limbs)
+            assert _toom.mul(x, y) == x * y
+
+    def _spied(self, monkeypatch):
+        """Bit lengths of the smaller factor of each product `convolve` makes."""
+        sizes = []
+        mul = tensor._mul
+
+        def spy(x, y):
+            sizes.append(min(x.bit_length(), y.bit_length()))
+            return mul(x, y)
+
+        monkeypatch.setattr(tensor, "_mul", spy)
+        return sizes
+
+    @pytest.mark.parametrize("real", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_convolve_int64_digits(self, real, data):
+        # entries of at most 2: 3-byte digits, past the cut from 5462 entries
+        rows = data.draw(st.sampled_from((1, 2)))
+        a = data.draw(sparse_rows(rows, 9000, 2, real))
+        b = data.draw(sparse_rows(rows, 9600, 2, real))
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = self._spied(mp)
+            assert convolve(a, b) == oracles.naive_convolve(a, b)
+        assert sizes and min(sizes) >= CUT
+
+    @pytest.mark.parametrize("real", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_convolve_bigint_digits(self, real, data):
+        # entries past 2**40: digits of 13 bytes, past the cut from 1261
+        # entries
+        rows = data.draw(st.sampled_from((1, 2)))
+        a = data.draw(sparse_rows(rows, 1400, 2**44, real))
+        b = data.draw(sparse_rows(rows, 1600, 2**41, real))
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = self._spied(mp)
+            assert convolve(a, b) == oracles.naive_convolve(a, b)
+        assert sizes and min(sizes) >= CUT
+
+    def test_import_loads_no_decimal_arithmetic(self):
+        # fractions imports decimal; either would cost every process
+        # memory and import time
+        src = os.path.dirname(os.path.dirname(tensor.__file__))
+        code = ("import sys, golaykit; "
+                "print(sorted({'fractions', 'decimal', '_decimal'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "[]"
 
 
 def _read_only(t: Tensor) -> bool:

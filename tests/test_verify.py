@@ -20,6 +20,7 @@ from golaykit.errors import (
     ShapeMismatch,
     Trivial,
 )
+from golaykit.planner import execute, plan_quad
 from golaykit.seeds import load_bundled
 from golaykit.tensor import Alphabet, GaussInt, Tensor
 from golaykit.verify import (
@@ -347,6 +348,71 @@ class TestTransformKernel:
         good = list(load_bundled().get_golay_pair(Alphabet.QUATERNARY, 13).tensors)
         monkeypatch.setattr(verify, "_correlations", TestRouteIndependence._refuse)
         assert is_gca_set(good).is_complementary
+
+
+# (n, primes, rows) for n = 2**14 .. 2**17, 1-3 primes and 1, 2 or 8
+# rows, of at most 2**18 residues (2 MB)
+LONG_TRANSFORMS = [(1 << e, k, r) for e in range(14, 18) for k in (1, 2, 3)
+                   for r in (1, 2, 8) if k * r << e <= 1 << 18]
+
+
+class TestLongLoopStages:
+    """From n = _LONG_LOOPS up, `_ntt` runs its short stages on
+    transposed quarters of x; below, every stage in place."""
+
+    @pytest.mark.parametrize("n, count, rows", LONG_TRANSFORMS)
+    def test_matches_the_in_place_loop(self, n, count, rows, monkeypatch):
+        primes = verify._primes(n, count)
+        mod = verify._moduli_of(n, primes)
+        rng = np.random.default_rng(n + 10 * count + rows)
+        x = rng.integers(0, np.array(primes)[:, None, None], (count, rows, n))
+        for inverse in (False, True):
+            got, want = x.copy(), x.copy()
+            verify._ntt(got, mod, inverse)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_LONG_LOOPS", 2 * n)
+                verify._ntt(want, mod, inverse)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 65536), (2, 2, 32768)])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_no_added_buffer(self, shape, inverse):
+        # `spare` (half of x) and the twiddle table, rebuilt past
+        # _KEPT_TABLES: the quarters and their temporary live in `spare`
+        n = shape[-1]
+        mod = verify._moduli_of(n, verify._primes(n, shape[0]))
+        x = np.ones(shape, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            verify._ntt(x, mod, inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.95 * x.nbytes
+
+    def test_long_sequence_autocorrelation(self):
+        # 2 * 8200 - 1 shifts: a transform of 2**14 points
+        rng = np.random.default_rng(8200)
+        units = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
+        a = Tensor(*units[rng.integers(0, 4, 8200)].T.copy())
+        assert autocorrelation(a).values == oracles.correlate_planes(a)
+
+    def test_corrupted_12x300_quad(self):
+        # 23 x 599 shifts: forward and inverse transforms of 2**14 points
+        registry = load_bundled()
+        quad = execute(plan_quad(Alphabet.QUATERNARY, (12, 300), registry).recipe,
+                       registry).arrays
+        rng = np.random.default_rng(300)
+        k, at = int(rng.integers(0, 4)), int(rng.integers(0, 3600))
+        re, im = quad[k].re.copy(), quad[k].im.copy()
+        re.flat[at], im.flat[at] = -im.flat[at], re.flat[at]  # times i
+        bad = list(quad[:k]) + [Tensor(re, im)] + list(quad[k + 1:])
+        v = is_gca_set(bad)
+        assert not v.is_complementary
+        total = [oracles.correlate_planes(a) for a in bad]
+        side = sum(t.re for t in total) ** 2 + sum(t.im for t in total) ** 2
+        side[11, 299] = 0
+        assert v.max_sidelobe_norm == int(side.max()) > 0
 
 
 @functools.lru_cache(maxsize=None)
