@@ -6,8 +6,9 @@ standard error, and the exit code is a stable contract:
     0  success                 3  seed missing from the registry
     1  search exhausted        4  verification failed
     2  shape infeasible        5  node budget exceeded
-    64 usage error             65 input rejected (bad document, or a
-                                  construction refusing its inputs)
+    64 usage error, or an --out path that cannot be written
+    65 input rejected: a file that cannot be read or is not UTF-8, a
+       bad document, or a construction refusing its inputs
 """
 from __future__ import annotations
 
@@ -86,7 +87,10 @@ _non_negative = _count(0)
 def _load_registry(path: str | None) -> seeds.SeedRegistry:
     if path is None:
         return seeds.load_bundled()
-    registry = seeds.load_registry(path)
+    try:
+        registry = seeds.load_registry(path)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
     if registry.rejects:
         _say(f"note: {len(registry.rejects)} seed records rejected at load")
     return registry
@@ -94,9 +98,8 @@ def _load_registry(path: str | None) -> seeds.SeedRegistry:
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text()
-        return json.loads(text)
-    except OSError as e:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from None
@@ -104,24 +107,35 @@ def _load_json(path: str):
         raise ParseError(f"{path} nests too deeply to parse") from None
 
 
-def _plan(args) -> planner.FeasibilityReport:
+def _write_json(path: str, obj) -> None:
+    try:
+        Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    except OSError as e:
+        raise _UsageError(f"cannot write --out {path}: {e}") from None
+
+
+def _plan(args, registry: seeds.SeedRegistry | None = None
+          ) -> planner.FeasibilityReport:
+    """The report for --alphabet/--role/--shape; a quad is planned
+    against `registry`, loaded from --seeds when not given."""
     alphabet = Alphabet(args.alphabet)
     shape = _parse_shape(args.shape)
     if args.role == "pair":
         return planner.plan_pair(alphabet, shape)
-    return planner.plan_quad(alphabet, shape, _load_registry(args.seeds))
+    if registry is None:
+        registry = _load_registry(args.seeds)
+    return planner.plan_quad(alphabet, shape, registry)
 
 
 def cmd_plan(args) -> int:
     report = _plan(args)
+    if report.feasible and args.out:
+        _write_json(args.out, planner.recipe_to_obj(report.recipe))
+        _say(f"recipe written to {args.out}")
     _emit(planner.report_to_obj(report))
     if not report.feasible:
         _say(f"infeasible: {report.reason}")
         return EXIT_INFEASIBLE
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(planner.recipe_to_obj(report.recipe), indent=2) + "\n")
-        _say(f"recipe written to {args.out}")
     shape = "x".join(str(s) for s in report.shape)
     _say(f"feasible: {args.alphabet} {args.role} {shape}")
     return EXIT_OK
@@ -135,7 +149,7 @@ def cmd_generate(args) -> int:
         if not (args.alphabet and args.role and args.shape):
             raise _UsageError(
                 "generate needs --recipe or --alphabet/--role/--shape")
-        report = _plan(args)
+        report = _plan(args, registry)
         if not report.feasible:
             _emit(planner.report_to_obj(report))
             _say(f"infeasible: {report.reason}")
@@ -144,7 +158,7 @@ def cmd_generate(args) -> int:
     out_set = planner.execute(recipe, registry)
     doc = construct.set_to_obj(out_set)
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        _write_json(args.out, doc)
         _say(f"set written to {args.out}")
     else:
         _emit(doc)

@@ -12,7 +12,12 @@ pair plan needs at least one binder per extra quaternary block, so each
 dimension contributes a surplus (binders minus quaternary blocks) and a
 shape is plannable when the total surplus is at least -1.  The glued
 blocks 10 and 26 count as binders but each must land inside a single
-dimension.  Feasibility first, recipe for the winner: one rule,
+dimension.  One rule gives every length answer from the exponents
+(v2, v3, v5, v11, v13) of n: glue u = min(v2, v5 + v13) of the 2s to
+5s (as 10s first) and 13s; n is a binary Golay number when v3 = v11 = 0
+and u = v5 + v13, and a quaternary one when v3 + v5 + v11 + v13 <=
+v2 + u + 1, that is when its best blocks have surplus at least -1.
+Feasibility first, recipe for the winner: one rule,
 `_pair_feasibility`, gives a shape's witnesses or its refusal and builds
 no recipe; the quad rules test every candidate split with it and call
 `plan_pair`, which adds the recipe, only for the split that wins.
@@ -82,12 +87,10 @@ __all__ = [
 
 RECIPE_FORMAT = "gca-recipe/1"
 
-# Seed block lengths and their binder/consumer score.  Binary blocks
-# glue, quaternary blocks need gluing.
+# Seed block lengths: binary blocks glue, quaternary blocks need gluing.
 _BINARY_BLOCKS = (2, 10, 26)
 _QUATERNARY_BLOCKS = (3, 5, 11, 13)
 _BLOCK_ORDER = _BINARY_BLOCKS + _QUATERNARY_BLOCKS
-_BLOCK_SCORE = {2: 1, 10: 1, 26: 1, 3: -1, 5: -1, 11: -1, 13: -1}
 _BLOCK_PRIMES = (2, 3, 5, 11, 13)
 
 _PRODUCT_CAP = 10 ** 7
@@ -102,8 +105,9 @@ class GolayWitness:
 
     Binary: n = 2^a 10^b 26^c.  Quaternary: n = 2^(a+u) 3^b 5^c 11^d
     13^e with b+c+d+e <= a+2u+1 and u <= c+e, where u counts glued
-    10/26 blocks.  Ordering is lexicographic on the exponent tuple so
-    ties break the same way everywhere.
+    10/26 blocks.  Both are read off the exponents of n, so each n has
+    one witness: the binary one is unique, and the quaternary one takes
+    the largest u, the smallest a.
     """
 
     a: int
@@ -122,52 +126,48 @@ class GolayWitness:
                 * 11 ** self.d * 13 ** self.e)
 
 
+def _exponents(n: int) -> tuple[int, int, int, int, int] | None:
+    """(v2, v3, v5, v11, v13), the exponents of _BLOCK_PRIMES in n, or
+    None when n < 1 or another prime divides n."""
+    if n < 1:  # at n = 0, n % p == 0 never stops
+        return None
+    exps = []
+    for p in _BLOCK_PRIMES:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        exps.append(k)
+    return tuple(exps) if n == 1 else None
+
+
 @lru_cache(maxsize=None)
 def is_binary_golay_number(n: int) -> GolayWitness | None:
-    """Smallest-exponent witness n = 2^a 10^b 26^c, or None."""
-    if n < 1:
+    """The witness n = 2^a 10^b 26^c, or None: n has no factor 3 or 11,
+    and its 2s cover one per 5 and per 13."""
+    exps = _exponents(n)
+    if exps is None:
         return None
-    best = None
-    b = 0
-    while 10 ** b <= n:
-        c = 0
-        while 10 ** b * 26 ** c <= n:
-            block = 10 ** b * 26 ** c
-            if n % block == 0:
-                rest = n // block
-                if rest & (rest - 1) == 0:
-                    wit = GolayWitness(rest.bit_length() - 1, b, c)
-                    if best is None or wit < best:
-                        best = wit
-            c += 1
-        b += 1
-    return best
+    v2, v3, v5, v11, v13 = exps
+    if v3 or v11 or v2 < v5 + v13:
+        return None
+    return GolayWitness(v2 - v5 - v13, v5, v13)
 
 
 @lru_cache(maxsize=None)
 def is_quaternary_golay_number(n: int) -> GolayWitness | None:
-    """Smallest-exponent witness for the quaternary length form, or None."""
-    if n < 1:
+    """The quaternary length witness, or None: u = min(v2, v5 + v13)
+    glued 10/26 blocks and a = v2 - u.  The bound a + 2u + 1 grows with
+    u, so this u is valid when any is, and its witness is the smallest."""
+    exps = _exponents(n)
+    if exps is None:
         return None
-    rest = n
-    exps = {}
-    for p in _BLOCK_PRIMES:
-        k = 0
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        exps[p] = k
-    if rest != 1:
+    v2, v3, v5, v11, v13 = exps
+    u = min(v2, v5 + v13)
+    a = v2 - u
+    if v3 + v5 + v11 + v13 > a + 2 * u + 1:
         return None
-    v2, b, c, d, e = exps[2], exps[3], exps[5], exps[11], exps[13]
-    best = None
-    for u in range(min(v2, c + e) + 1):
-        a = v2 - u
-        if b + c + d + e <= a + 2 * u + 1:
-            wit = GolayWitness(a, b, c, d, e, u, alphabet=Alphabet.QUATERNARY)
-            if best is None or wit < best:
-                best = wit
-    return best
+    return GolayWitness(a, v3, v5, v11, v13, u, alphabet=Alphabet.QUATERNARY)
 
 
 def enumerate_golay_numbers(alphabet: Alphabet, limit: int) -> list[int]:
@@ -198,28 +198,24 @@ def _smooth_numbers(limit: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _best_blocks(s: int) -> tuple[int, tuple[int, ...]] | None:
-    """Factor s into seed blocks maximizing binder surplus.
+    """Factor s into seed blocks maximizing binder surplus (binary
+    blocks minus quaternary blocks).
 
-    Returns (surplus, blocks) for the best factorization, or None when
-    s has a prime factor outside {2, 3, 5, 11, 13}.  Block order is
-    fixed, so the chosen factorization is deterministic.
+    Returns (surplus, blocks), the blocks listed in _BLOCK_ORDER, or
+    None when s has a prime factor outside {2, 3, 5, 11, 13}.  A 2
+    glued to a 5 or 13 scores +1 where the two apart score 0, so as
+    many 2s as can go into 10s, then into 26s.
     """
-    if s == 1:
-        return (0, ())
-    best = None
-    for g in _BLOCK_ORDER:
-        if s % g == 0:
-            sub = _best_blocks(s // g)
-            if sub is None:
-                continue
-            cand = (sub[0] + _BLOCK_SCORE[g], (g,) + sub[1])
-            if best is None or cand[0] > best[0]:
-                best = cand
-    return best
-
-
-def _decomposable(s: int) -> bool:
-    return _best_blocks(s) is not None
+    exps = _exponents(s)
+    if exps is None:
+        return None
+    v2, v3, v5, v11, v13 = exps
+    tens = min(v2, v5)
+    twenty_sixes = min(v2 - tens, v13)
+    counts = (v2 - tens - twenty_sixes, tens, twenty_sixes,
+              v3, v5 - tens, v11, v13 - twenty_sixes)
+    blocks = tuple(g for g, k in zip(_BLOCK_ORDER, counts) for _ in range(k))
+    return sum(counts[:3]) - sum(counts[3:]), blocks
 
 
 # recipes ------------------------------------------------------------------
@@ -462,12 +458,8 @@ def plan_pair(alphabet: Alphabet, shape: Sequence[int]) -> FeasibilityReport:
     """
     report = _pair_feasibility(alphabet, _validate_shape(shape))
     if report.feasible:
-        if alphabet is Alphabet.BINARY:
-            blocks = [[2] * w.a + [10] * w.b + [26] * w.c
-                      for w in report.witness]
-        else:
-            blocks = report.witness["blocks_per_dimension"]
-        report.recipe = _pair_recipe(blocks)
+        report.recipe = _pair_recipe([sorted(_best_blocks(s)[1])
+                                      for s in report.shape])
     return report
 
 
@@ -668,8 +660,8 @@ def _quad_cross(alphabet, shape, registry, misses, depth):
     return None
 
 
-def _tile_quad(size: int, axis: int, rank: int, alphabet,
-               registry, misses) -> tuple[Recipe, dict] | None:
+def _tile_quad(size: int, axis: int, rank: int, registry,
+               misses) -> tuple[Recipe, dict] | None:
     """A zero-tiled quad of `size` along `axis`, trivial elsewhere.
 
     Size 1 comes from the degenerate interleaving of the length-1
@@ -724,10 +716,10 @@ def _quad_lagrange(alphabet, shape, registry, misses, depth):
         (n,) = shape
         layouts.extend((((o, 0), (n // o, 0)) for o in _divisors(n)))
     for (size1, ax1), (size2, ax2) in layouts:
-        t1 = _tile_quad(size1, ax1, rank, alphabet, registry, misses)
+        t1 = _tile_quad(size1, ax1, rank, registry, misses)
         if t1 is None:
             continue
-        t2 = _tile_quad(size2, ax2, rank, alphabet, registry, misses)
+        t2 = _tile_quad(size2, ax2, rank, registry, misses)
         if t2 is None:
             continue
         recipe = Recipe("lagrange_quad", {"shape": list(shape)},
@@ -765,7 +757,7 @@ def _quad_compromise(alphabet, shape, registry, misses, depth):
                        if feasible(put(t_j, t_off))]
             for s2 in range(1, summed // 2 + 1):
                 s3 = summed - s2
-                if not _decomposable(s2) or not _decomposable(s3):
+                if _best_blocks(s2) is None or _best_blocks(s3) is None:
                     continue
                 for t_off, s_off in binders:
                     parts = (put(s2, s_off), put(s3, s_off), put(t_j, t_off))
@@ -819,7 +811,7 @@ def _quad_tile_concat(alphabet, shape, registry, misses, depth):
         if shape[o] % 4 != 0:
             continue
         for t in _divisors(shape[j])[1:]:
-            tile = _tile_quad(t, j, 2, alphabet, registry, [])
+            tile = _tile_quad(t, j, 2, registry, [])
             if tile is None:
                 continue
             inner = list(shape)
@@ -920,9 +912,10 @@ def coverage_scan(kind: str, limit: int,
     kind "golay-count": enumerate pair lengths <= limit for `alphabet`.
     kind "quad-sum-coverage": for each n <= limit, ask whether a quad
     with n in one dimension is reachable as a sum n = s2 + s3 of two
-    block-decomposable pair sizes sharing their other dimension
-    (n block-decomposable by itself counts via the pair-product route),
-    for limits up to the planning cap.  Only _smooth_numbers are judged.
+    smooth pair sizes sharing their other dimension (n smooth by itself
+    counts via the pair-product route), for limits up to the planning
+    cap; every smooth size factors into seed blocks.  Only
+    _smooth_numbers are judged.
     """
     if limit < 1:
         raise ShapeMismatch("limit must be at least 1")
@@ -942,9 +935,10 @@ def coverage_scan(kind: str, limit: int,
             raise ShapeMismatch(f"quad-sum-coverage lists every uncovered n, "
                                 f"so its limit is at most {_PRODUCT_CAP}")
         # The shared dimension is unconstrained, so a split works as
-        # soon as both parts factor into seed blocks: a tall enough
-        # stack of 2-blocks absorbs any binder deficit.
-        good = np.array([n for n in _smooth_numbers(limit) if _decomposable(n)])
+        # soon as both parts factor into seed blocks, as every smooth
+        # number does: a tall enough stack of 2-blocks absorbs any
+        # binder deficit.
+        good = np.array(_smooth_numbers(limit))
         covered = np.zeros(limit + 1, dtype=bool)
         covered[good] = True
         for s in good[:np.searchsorted(good, limit // 2, "right")]:

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import _dfskernels
 from .errors import ShapeMismatch
-from .tensor import Alphabet, Tensor, _layout
+from .tensor import Alphabet, Tensor, _layout, _validate_shape
 
 __all__ = [
     "SearchStatus",
@@ -343,6 +343,7 @@ def _dfs_outcome(status: int, codes, nodes: int) -> SearchOutcome:
 
 def count_pairs_1d(n: int, alphabet: Alphabet, fix_first: bool = True) -> int:
     """Count complementary pair solutions of length n, for small n."""
+    (n,) = _validate_shape((n,))
     table = _Table(((n,),), _phase_count(alphabet), fix_first, 2 * n)
     return sum(len(q) for q, _ in _confirmed(table, table))
 
@@ -359,11 +360,12 @@ def search_pair_arrays(shape: tuple[int, ...], alphabet: Alphabet,
     multidimensional space beyond the table cap is out of reach:
     ShapeMismatch, unless a budget below its size stops it first; a
     smaller multidimensional one stops at a budget below its nodes.  A
-    negative budget is a ValueError.
+    negative budget is a ValueError, and a shape without dimensions or
+    with one below 1 a ShapeMismatch.
     """
     _check_budget(budget)
     phases = _phase_count(alphabet)
-    shape = tuple(shape)
+    shape = _validate_shape(shape)
     n = math.prod(shape)
     if n == 1:
         if budget == 0:

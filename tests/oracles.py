@@ -7,6 +7,7 @@ the vectorized versions.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -105,6 +106,73 @@ def naive_involute(a: Tensor) -> Tensor:
 
 def naive_weight(a: Tensor) -> int:
     return sum(re * re + im * im for re, im in to_map(a).values())
+
+
+# pair-length arithmetic, by its definitions ---------------------------------
+
+BLOCKS = (2, 10, 26, 3, 5, 11, 13)  # binary blocks, then quaternary ones
+
+
+def binary_golay_witness(n: int) -> tuple[int, int, int] | None:
+    """The smallest (a, b, c) with n = 2^a 10^b 26^c, or None."""
+    found = []
+    b = 0
+    while 10 ** b <= n:
+        c = 0
+        while 10 ** b * 26 ** c <= n:
+            rest, left = divmod(n, 10 ** b * 26 ** c)
+            a = 0
+            while rest > 1 and rest % 2 == 0:
+                rest //= 2
+                a += 1
+            if left == 0 and rest == 1:
+                found.append((a, b, c))
+            c += 1
+        b += 1
+    return min(found, default=None)
+
+
+def quaternary_golay_witness(n: int) -> tuple[int, ...] | None:
+    """The smallest (a, b, c, d, e, u) with n = 2^(a+u) 3^b 5^c 11^d 13^e,
+    b+c+d+e <= a+2u+1 and u <= c+e, or None: every u is tried."""
+    if n < 1:
+        return None
+    exps = []
+    for p in (2, 3, 5, 11, 13):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        exps.append(k)
+    if n != 1:
+        return None
+    v2, b, c, d, e = exps
+    found = [(v2 - u, b, c, d, e, u) for u in range(min(v2, c + e) + 1)
+             if b + c + d + e <= v2 - u + 2 * u + 1]
+    return min(found, default=None)
+
+
+@functools.lru_cache(maxsize=None)
+def best_blocks(n: int) -> tuple[int, tuple[int, ...]] | None:
+    """(surplus, blocks) over every ordered factorization of n into
+    BLOCKS: the largest surplus (binary blocks score +1, quaternary -1),
+    ties to the sequence first in BLOCKS order; None when there is no
+    factorization."""
+    if n < 1:
+        return None
+    if n == 1:
+        return (0, ())
+    best = None
+    for g in BLOCKS:
+        rest = best_blocks(n // g) if n % g == 0 else None
+        if rest is None:
+            continue
+        surplus = rest[0] + (1 if g in BLOCKS[:3] else -1)
+        blocks = (g,) + rest[1]
+        key = (-surplus, [BLOCKS.index(x) for x in blocks])
+        if best is None or key < best[0]:
+            best = (key, surplus, blocks)
+    return None if best is None else best[1:]
 
 
 # hypothesis strategies ----------------------------------------------------

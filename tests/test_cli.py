@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from golaykit import cli, construct, planner
+from golaykit import cli, construct, planner, seeds
 from golaykit.construct import GcaSet
 from golaykit.seeds import load_bundled, registry_to_obj
 from golaykit.tensor import Alphabet, Tensor
@@ -179,6 +179,77 @@ class TestGenerateVerifyRoundTrip:
         assert "failed final verification" in err
         assert "polynomial product check failed" in err
         assert out == ""
+
+
+class TestFileErrors:
+    """An input file that cannot be read or decoded is rejected (65), an
+    --out that cannot be written is a usage error (64); neither is exit
+    1, which means a search ran out."""
+
+    def test_missing_seed_file_exit_65(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "plan", "--alphabet", "binary",
+                             "--role", "quad", "--shape", "4x4",
+                             "--seeds", str(missing))
+        assert code == 65
+        assert out == ""
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--alphabet", "binary", "--role", "quad", "--shape", "4x4",
+         "--seeds"),
+        ("generate", "--recipe"),
+        ("verify",),
+    ], ids=["seeds", "recipe", "verify"])
+    def test_not_utf8_exit_65(self, capsys, tmp_path, argv):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('["caf\xe9"]'.encode("latin-1"))
+        code, out, err = run(capsys, *argv, str(latin1))
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--alphabet", "quaternary", "--role", "pair",
+         "--shape", "9x10"),
+        ("generate", "--alphabet", "binary", "--role", "pair", "--shape", "4"),
+    ], ids=["plan", "generate"])
+    def test_unwritable_out_exit_64(self, capsys, tmp_path, argv):
+        target = tmp_path / "no-such-dir" / "out.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 64
+        assert out == ""
+        assert str(target) in err
+
+
+class TestRegistryLoadedOnce:
+    """`generate` plans a quad against the registry it builds from."""
+
+    def test_bundled_loaded_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return load_bundled()
+
+        monkeypatch.setattr(seeds, "load_bundled", counted)
+        monkeypatch.setattr(planner, "load_bundled", counted)
+        code, _, _ = run(capsys, "generate", "--alphabet", "quaternary",
+                         "--role", "quad", "--shape", "4x5",
+                         "--out", str(tmp_path / "q45.json"))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_seed_file_rejects_noted_once(self, capsys, tmp_path):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(registry_to_obj(load_bundled())
+                                   + [{"kind": "bogus"}]))
+        code, _, err = run(capsys, "generate", "--alphabet", "quaternary",
+                           "--role", "quad", "--shape", "4x5",
+                           "--seeds", str(path),
+                           "--out", str(tmp_path / "q45.json"))
+        assert code == 0
+        assert err.count("rejected at load") == 1
 
 
 class TestVerifyFailures:

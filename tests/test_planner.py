@@ -39,6 +39,8 @@ from golaykit.seeds import SeedRegistry, load_bundled
 from golaykit.tensor import Alphabet, Tensor
 from golaykit.verify import gca_check_polynomial, is_gca_set
 
+from . import oracles
+
 B, Q = Alphabet.BINARY, Alphabet.QUATERNARY
 
 
@@ -166,6 +168,42 @@ class TestBlockDecomposition:
         for s in (6, 12, 30, 44, 66, 100, 130):
             surplus, blocks = planner._best_blocks(s)
             assert int(np.prod(blocks)) == s if blocks else s == 1
+
+
+def _smooth(limit: int) -> list[int]:
+    numbers = [1]
+    for p in (2, 3, 5, 11, 13):
+        numbers = [n * p ** k for n in numbers
+                   for k in range(limit.bit_length()) if n * p ** k <= limit]
+    return numbers
+
+
+class TestClosedForms:
+    """The exponent rule against the definitions in tests/oracles.py:
+    witnesses by searching every exponent choice, blocks by every
+    factorization."""
+
+    @staticmethod
+    def _check(n):
+        w = is_binary_golay_number(n)
+        assert (w and (w.a, w.b, w.c)) == oracles.binary_golay_witness(n)
+        w = is_quaternary_golay_number(n)
+        assert ((w and (w.a, w.b, w.c, w.d, w.e, w.u))
+                == oracles.quaternary_golay_witness(n))
+        blocks = planner._best_blocks(n)
+        assert blocks == oracles.best_blocks(n)
+        # 1-D: the blocks glue into a pair exactly at quaternary lengths
+        assert (blocks is not None and blocks[0] >= -1) == (w is not None)
+
+    def test_every_smooth_length(self):
+        numbers = _smooth(10 ** 9)
+        assert len(numbers) == 10358
+        for n in numbers:
+            self._check(n)
+
+    def test_other_lengths(self):
+        for n in [*range(-30, 3001), 7 * 2 ** 25, 17 * 10 ** 5, 10 ** 9 + 7]:
+            self._check(n)
 
 
 class TestPlanPair:
@@ -735,7 +773,8 @@ class TestCoverage:
         golay = {a: [n for n in range(1, top + 1) if pred(n) is not None]
                  for a, pred in ((B, is_binary_golay_number),
                                  (Q, is_quaternary_golay_number))}
-        good = {n for n in range(1, top + 1) if planner._decomposable(n)}
+        good = {n for n in range(1, top + 1)
+                if oracles.best_blocks(n) is not None}
         uncovered = [n for n in range(1, top + 1) if n not in good and not any(
             s in good and n - s in good for s in range(1, n // 2 + 1))]
         for limit in range(1, top + 1):

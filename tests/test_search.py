@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from golaykit import _dfskernels, search
+from golaykit import _dfskernels, search, seeds
 from golaykit.errors import ShapeMismatch
 from golaykit.seeds import PAIR_KIND, load_bundled
 from golaykit.search import (
@@ -619,6 +619,22 @@ class TestBudget:
         out = search_pair_arrays((3, 4), Alphabet.QUATERNARY, budget=100)
         assert (out.status, out.arrays, out.nodes) == (
             SearchStatus.BUDGET_EXCEEDED, None, 0)
+
+    @pytest.mark.parametrize("search", [
+        lambda: search_pair_arrays((0,), Alphabet.BINARY),
+        lambda: search_pair_arrays((-3,), Alphabet.QUATERNARY),
+        lambda: search_pair_arrays((2, 0), Alphabet.BINARY),
+        lambda: search_pair_arrays((), Alphabet.BINARY),
+        lambda: seeds.search_golay_pair(Alphabet.BINARY, (0,)),
+        lambda: seeds.search_golay_pair(Alphabet.QUATERNARY, (2, -1)),
+        lambda: count_pairs_1d(0, Alphabet.BINARY),
+        lambda: count_pairs_1d(-3, Alphabet.QUATERNARY)],
+        ids=["zero", "negative", "zero-axis", "no-axis", "seed-zero",
+             "seed-negative-axis", "count-zero", "count-negative"])
+    def test_non_positive_shape_refused(self, search):
+        # the rule plan_pair applies, before any engine runs
+        with pytest.raises(ShapeMismatch, match="rank|positive"):
+            search()
 
 
 @pytest.mark.slow
