@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -49,7 +50,17 @@ def _say(msg: str) -> None:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
+    """Print obj as JSON.  Once the reader has closed stdout, it points
+    at os.devnull: no later write, nor the flush at exit, fails, and the
+    command ends with its own exit code."""
+    try:
+        print(json.dumps(obj, indent=2, sort_keys=False), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:  # a stdout with no file descriptor
+            sys.stdout = os.fdopen(devnull, "w")
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -107,6 +118,15 @@ def _load_json(path: str):
         raise ParseError(f"{path} nests too deeply to parse") from None
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse, before any work, an --out whose directory is missing or
+    not writable; `_write_json` still reports a write that fails."""
+    folder = os.path.dirname(path or "") or "."
+    if path and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise _UsageError(f"cannot write --out {path}: {folder} is not a "
+                          f"writable directory")
+
+
 def _write_json(path: str, obj) -> None:
     try:
         Path(path).write_text(json.dumps(obj, indent=2) + "\n")
@@ -128,6 +148,7 @@ def _plan(args, registry: seeds.SeedRegistry | None = None
 
 
 def cmd_plan(args) -> int:
+    _check_out(args.out)
     report = _plan(args)
     if report.feasible and args.out:
         _write_json(args.out, planner.recipe_to_obj(report.recipe))
@@ -142,6 +163,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _check_out(args.out)
     registry = _load_registry(args.seeds)
     if args.recipe:
         recipe = planner.recipe_from_obj(_load_json(args.recipe))

@@ -11,6 +11,12 @@ built directly, or parsed with verify=False) are checked again.
 A set is its arrays (GcaSet): its alphabet, role and shape are read
 from them, and a construction that needs a support pattern checks the
 arrays themselves.
+
+Pairs and quads come from two ring identities, each written once (~ is
+`involute`, x is `kron`): Turyn's two-term product (X x I + Y x J,
+~Y x I - ~X x J) in `_turyn`, and its binder-flipped twin
+(X x I + Y x J, X x ~J - Y x ~I) in `_binder_turyn`.  Disjoint halves
+and mask quarters come from one sum/difference split, `_split`.
 """
 from __future__ import annotations
 
@@ -187,6 +193,28 @@ def _polyphase(gs: GcaSet) -> bool:
     return gs.alphabet in (Alphabet.BINARY, Alphabet.QUATERNARY)
 
 
+# the identities ------------------------------------------------------------
+
+def _turyn(x: Tensor, y: Tensor, i: Tensor, j: Tensor,
+           join=checked_superpose) -> tuple[Tensor, Tensor]:
+    """Turyn's two-term product (X x I + Y x J, ~Y x I - ~X x J), each
+    sum formed by `join`."""
+    return (join(kron(x, i), kron(y, j)),
+            join(kron(involute(y), i), negate(kron(involute(x), j))))
+
+
+def _binder_turyn(x: Tensor, y: Tensor, i: Tensor,
+                  j: Tensor) -> tuple[Tensor, Tensor]:
+    """The binder-flipped twin (X x I + Y x J, X x ~J - Y x ~I)."""
+    return (checked_superpose(kron(x, i), kron(y, j)),
+            checked_superpose(kron(x, involute(j)), negate(kron(y, involute(i)))))
+
+
+def _split(x: Tensor, y: Tensor, divide) -> tuple[Tensor, Tensor]:
+    """The sum/difference split (divide(x + y), divide(x - y))."""
+    return divide(add(x, y)), divide(x - y)
+
+
 # pair constructions -------------------------------------------------------
 
 def binary_turyn_pair(ab: GcaSet, cd: GcaSet) -> GcaSet:
@@ -200,14 +228,8 @@ def binary_turyn_pair(ab: GcaSet, cd: GcaSet) -> GcaSet:
     _require_binary(ab, "first input")
     _require_binary(cd, "second input")
     _require_same_rank(ab, cd)
-    a, b = ab.arrays
-    c, d = cd.arrays
-    i_half = halve(add(c, d))
-    j_half = halve(c - d)
-    e = checked_superpose(kron(a, i_half), kron(b, j_half))
-    f = checked_superpose(kron(involute(b), i_half),
-                          negate(kron(involute(a), j_half)))
-    out = assemble([e, f], "binary_turyn_pair")
+    out = assemble(_turyn(*ab.arrays, *_split(*cd.arrays, halve)),
+                   "binary_turyn_pair")
     if out.alphabet is not Alphabet.BINARY:
         raise NonPolyphase("binary_turyn_pair: a zero or non-binary entry survived")
     return out
@@ -220,11 +242,8 @@ def concat_pair(ab: GcaSet, cd: GcaSet, dim: int) -> GcaSet:
     rank = _require_same_rank(ab, cd)
     if not 0 <= dim < rank:
         raise ShapeMismatch(f"dim {dim} out of range for rank {rank}")
-    a, b = ab.arrays
-    c, d = cd.arrays
-    e = concat(kron(a, c), kron(b, d), dim)
-    f = concat(kron(involute(b), c), negate(kron(involute(a), d)), dim)
-    return assemble([e, f], "concat_pair")
+    return assemble(_turyn(*ab.arrays, *cd.arrays,
+                           lambda u, v: concat(u, v, dim)), "concat_pair")
 
 
 def disjoint_mask_pair(ab: GcaSet) -> GcaSet:
@@ -240,10 +259,7 @@ def disjoint_mask_pair(ab: GcaSet) -> GcaSet:
     if a.rank == 1:
         if not binary_pair_symmetry(a, b):
             raise NotComplementary("end-to-end sign rule failed")
-    base = add(a, b)
-    delta = involute(b) - involute(a)
-    p = quarter(add(base, delta))
-    q = quarter(base - delta)
+    p, q = _split(add(a, b), involute(b) - involute(a), quarter)
     counts = (
         p.support().astype(np.int64)
         + q.support().astype(np.int64)
@@ -262,9 +278,7 @@ def disjoint_from_pair(cd: GcaSet) -> GcaSet:
     """Disjoint half-sum pair (C+D)/2, (C-D)/2 from a binary pair."""
     _require_role(cd, "pair", "input")
     _require_binary(cd, "input")
-    c, d = cd.arrays
-    i_half = halve(add(c, d))
-    j_half = halve(c - d)
+    i_half, j_half = _split(*cd.arrays, halve)
     if not supports_disjoint(i_half, j_half):
         raise NotDisjoint("halves unexpectedly overlap")
     return assemble([i_half, j_half], "disjoint_from_pair")
@@ -280,16 +294,9 @@ def glue_pair(binder: GcaSet, cd: GcaSet, ef: GcaSet) -> GcaSet:
     _require_role(cd, "pair", "second input")
     _require_role(ef, "pair", "third input")
     _require_same_rank(binder, cd, ef)
-    mask = disjoint_mask_pair(binder)
-    p, q = mask.arrays
-    c, d = cd.arrays
-    e, f = ef.arrays
-    x = checked_superpose(kron(p, c), kron(q, d))
-    y = checked_superpose(kron(involute(q), c), negate(kron(involute(p), d)))
-    assemble([x, y], "glue_pair/middle")  # the intermediate must verify too
-    g = checked_superpose(kron(x, e), kron(y, f))
-    h = checked_superpose(kron(involute(y), e), negate(kron(involute(x), f)))
-    out = assemble([g, h], "glue_pair")
+    middle = _turyn(*disjoint_mask_pair(binder).arrays, *cd.arrays)
+    assemble(middle, "glue_pair/middle")  # the intermediate must verify too
+    out = assemble(_turyn(*middle, *ef.arrays), "glue_pair")
     if not _polyphase(out):
         raise NonPolyphase("glue_pair: a zero survived")
     return out
@@ -352,20 +359,16 @@ def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
                 "single-pair form needs size 1 along dim; give the second pair"
             )
         z = Tensor.zeros(a.shape)
-        e, f, g, h = a, z, b, z
-        return _tiling_quad(e, f, g, h, "interleave_quad")
+        return _tiling_quad(a, z, b, z, "interleave_quad")
     (a, b), (c, d) = _split_quad_input(first, second, "interleave_quad", dim)
     if a.shape[dim] != c.shape[dim] + 1:
         raise ShapeMismatch(
             f"sizes along dim {dim} must differ by one: "
             f"{a.shape[dim]} vs {c.shape[dim]}"
         )
-    za = Tensor.zeros(a.shape)
-    zc = Tensor.zeros(c.shape)
-    e = interleave(a, zc, dim)
-    g = interleave(b, zc, dim)
-    f = interleave(za, c, dim)
-    h = interleave(za, d, dim)
+    za, zc = Tensor.zeros(a.shape), Tensor.zeros(c.shape)
+    e, g = (interleave(t, zc, dim) for t in (a, b))
+    f, h = (interleave(za, t, dim) for t in (c, d))
     return _tiling_quad(e, f, g, h, "interleave_quad")
 
 
@@ -377,14 +380,10 @@ def concat_zero_quad(first: GcaSet, second: GcaSet | None = None, *,
     the outer blocks carry the first pair, the inner blocks the second.
     """
     (a, b), (c, d) = _split_quad_input(first, second, "concat_zero_quad", dim)
-    za = Tensor.zeros(a.shape)
-    zc = Tensor.zeros(c.shape)
+    za, zc = Tensor.zeros(a.shape), Tensor.zeros(c.shape)
 
     def chain(*blocks):
-        out = blocks[0]
-        for blk in blocks[1:]:
-            out = concat(out, blk, dim)
-        return out
+        return functools.reduce(lambda u, v: concat(u, v, dim), blocks)
 
     e = chain(a, zc, zc, b)
     g = chain(a, zc, zc, negate(b))
@@ -470,13 +469,9 @@ def expand_quad(q1: GcaSet, ij: GcaSet) -> GcaSet:
         raise NotDisjoint("expand_quad: supports overlap")
     if not bool(np.all(i_t.support() | j_t.support())):
         raise NotDisjoint("expand_quad: supports do not cover the array")
-    p, q1_, r, s = q1.arrays
-    st = involute
-    p2 = checked_superpose(kron(p, i_t), kron(q1_, j_t))
-    q2 = checked_superpose(kron(p, st(j_t)), negate(kron(q1_, st(i_t))))
-    r2 = checked_superpose(kron(r, i_t), kron(s, j_t))
-    s2 = checked_superpose(kron(r, st(j_t)), negate(kron(s, st(i_t))))
-    out = quad(p2, q2, r2, s2, "expand_quad")
+    p, q, r, s = q1.arrays
+    out = quad(*_binder_turyn(p, q, i_t, j_t), *_binder_turyn(r, s, i_t, j_t),
+               "expand_quad")
     if not _polyphase(out):
         raise NonPolyphase("expand_quad: a zero survived")
     return out
@@ -495,18 +490,11 @@ def compromise_quad(ab: GcaSet, cd: GcaSet | None, dim: int,
         raise RankMismatch("binder rank differs from pair rank")
     (a, b), (c, d) = _split_quad_input(ab, cd, "compromise_quad", dim)
     i_t, j_t = ij.arrays
-    za = Tensor.zeros(a.shape)
-    zc = Tensor.zeros(c.shape)
-    a_ext = concat(a, zc, dim)
-    b_ext = concat(b, zc, dim)
-    c_ext = concat(za, c, dim)
-    d_ext = concat(za, d, dim)
-    st = involute
-    e = checked_superpose(kron(a_ext, i_t), kron(c_ext, j_t))
-    f = checked_superpose(kron(a_ext, st(j_t)), negate(kron(c_ext, st(i_t))))
-    g = checked_superpose(kron(b_ext, i_t), kron(d_ext, j_t))
-    h = checked_superpose(kron(b_ext, st(j_t)), negate(kron(d_ext, st(i_t))))
-    out = quad(e, f, g, h, "compromise_quad")
+    za, zc = Tensor.zeros(a.shape), Tensor.zeros(c.shape)
+    a_ext, b_ext = (concat(t, zc, dim) for t in (a, b))
+    c_ext, d_ext = (concat(za, t, dim) for t in (c, d))
+    out = quad(*_binder_turyn(a_ext, c_ext, i_t, j_t),
+               *_binder_turyn(b_ext, d_ext, i_t, j_t), "compromise_quad")
     if _polyphase(ij) and not _polyphase(out):
         raise NonPolyphase("compromise_quad: a zero survived")
     return out

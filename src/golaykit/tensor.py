@@ -479,17 +479,32 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(*planes) if dtype is object else Tensor._adopt(*planes)
 
 
-def concat(a: Tensor, b: Tensor, dim: int) -> Tensor:
-    """Concatenate along axis `dim`; other dims must agree."""
+def _joinable(a: Tensor, b: Tensor, dim: int, what: str) -> None:
+    """Refuse to join a and b along `dim` unless they share a rank, dim
+    is one of its axes, and their sizes agree off it."""
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
     if not 0 <= dim < a.rank:
         raise ShapeMismatch(f"dim {dim} out of range for rank {a.rank}")
-    for k in range(a.rank):
-        if k != dim and a.shape[k] != b.shape[k]:
-            raise ShapeMismatch(
-                f"shapes {a.shape} and {b.shape} differ off the concat axis"
-            )
+    if any(k != dim and a.shape[k] != b.shape[k] for k in range(a.rank)):
+        raise ShapeMismatch(
+            f"shapes {a.shape} and {b.shape} differ off the {what} axis")
+
+
+def _placed(shape: Sequence[int], *parts: tuple[tuple, Tensor]) -> Tensor:
+    """Zeros of `shape` with each (lanes, tensor) of `parts` assigned at
+    its lanes, an index of strided slices; object planes if any tensor
+    has them."""
+    dtype = object if any(t.re.dtype == object for _, t in parts) else np.int64
+    re, im = np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
+    for lanes, t in parts:
+        re[lanes], im[lanes] = t.re, t.im
+    return Tensor(re, im)
+
+
+def concat(a: Tensor, b: Tensor, dim: int) -> Tensor:
+    """Concatenate along axis `dim`; other dims must agree."""
+    _joinable(a, b, dim, "concat")
     return Tensor(
         np.concatenate([a.re, b.re], axis=dim),
         np.concatenate([a.im, b.im], axis=dim),
@@ -502,36 +517,15 @@ def interleave(a: Tensor, b: Tensor, dim: int) -> Tensor:
     Sizes along `dim` must be equal (result 2s) or differ by one with a
     longer (result 2s+1, pattern a b a b ... a).
     """
-    if a.rank != b.rank:
-        raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
-    if not 0 <= dim < a.rank:
-        raise ShapeMismatch(f"dim {dim} out of range for rank {a.rank}")
-    for k in range(a.rank):
-        if k != dim and a.shape[k] != b.shape[k]:
-            raise ShapeMismatch(
-                f"shapes {a.shape} and {b.shape} differ off the interleave axis"
-            )
+    _joinable(a, b, dim, "interleave")
     sa, sb = a.shape[dim], b.shape[dim]
     if sa not in (sb, sb + 1):
         raise ShapeMismatch(
             f"interleave needs sizes s,s or s+1,s along dim {dim}; got {sa},{sb}"
         )
-    out_shape = list(a.shape)
-    out_shape[dim] = sa + sb
-    dtype = object if (a.re.dtype == object or b.re.dtype == object) else np.int64
-    out_re = np.zeros(out_shape, dtype=dtype)
-    out_im = np.zeros(out_shape, dtype=dtype)
-
-    def lanes(start):
-        sl = [slice(None)] * a.rank
-        sl[dim] = slice(start, None, 2)
-        return tuple(sl)
-
-    out_re[lanes(0)] = a.re
-    out_im[lanes(0)] = a.im
-    out_re[lanes(1)] = b.re
-    out_im[lanes(1)] = b.im
-    return Tensor(out_re, out_im)
+    out_shape = a.shape[:dim] + (sa + sb,) + a.shape[dim + 1:]
+    lanes = [(slice(None),) * dim + (slice(k, None, 2),) for k in (0, 1)]
+    return _placed(out_shape, (lanes[0], a), (lanes[1], b))
 
 
 def checked_superpose(*terms: Tensor) -> Tensor:
@@ -588,13 +582,7 @@ def upsample(a: Tensor, factors: Sequence[int]) -> Tensor:
     if any(f < 1 for f in factors):
         raise ShapeMismatch("factors must be positive")
     out_shape = tuple((s - 1) * f + 1 for s, f in zip(a.shape, factors))
-    dtype = object if a.re.dtype == object else np.int64
-    out_re = np.zeros(out_shape, dtype=dtype)
-    out_im = np.zeros(out_shape, dtype=dtype)
-    lanes = tuple(slice(None, None, f) for f in factors)
-    out_re[lanes] = a.re
-    out_im[lanes] = a.im
-    return Tensor(out_re, out_im)
+    return _placed(out_shape, (tuple(slice(None, None, f) for f in factors), a))
 
 
 def reshape_to_sequence(a: Tensor) -> Tensor:

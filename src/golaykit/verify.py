@@ -22,7 +22,8 @@ Three routes are implemented and kept deliberately independent:
   B = sum 2*size*max**2 on every summed autocorrelation component;
   then a residue of zero at every shift makes re and im zero modulo P,
   hence exactly zero.  Only a rejection (and `autocorrelation`) pays
-  for the inverse transform, the split of re and im from c(d) and
+  to invert: the same forward transform, run on the spectrum and read
+  at negated frequencies, then the split of re and im from c(d) and
   c(-d), and a CRT lift of the residues to the exact integers in
   (-P/2, P/2).  From n = 2**14 up, stages with short inner loops run
   on transposed quarters of the input.
@@ -153,9 +154,9 @@ def _primes(step: int, count: int) -> tuple[int, ...]:
 
 class _Moduli:
     """The primes for a transform of length n, each with an element of
-    order n (`root`), its inverse, iota (order 4), and the constants
-    1/(2n) and 1/(2n*iota) that split n*c(d) and n*c(-d) into re and
-    im.  Every table is a (primes, 1) int64 column."""
+    order n (`root`), iota (order 4), and the constants 1/(2n) and
+    1/(2n*iota) that split n*c(d) and n*c(-d) into re and im.  Every
+    table is a (primes, 1) int64 column."""
 
     def __init__(self, n: int, primes: tuple[int, ...]):
         self.n, self.primes = n, primes
@@ -165,9 +166,8 @@ class _Moduli:
             while pow(x, (p - 1) // 2, p) != p - 1:  # a non-residue
                 x += 1
             w, iota = pow(x, (p - 1) // n, p), pow(x, (p - 1) // 4, p)
-            rows.append((p, w, pow(w, -1, p), iota, pow(2 * n, -1, p),
-                         pow(2 * n * iota, -1, p)))
-        (self.p, self.root, self.inverse_root, self.iota, self.split_re,
+            rows.append((p, w, iota, pow(2 * n, -1, p), pow(2 * n * iota, -1, p)))
+        (self.p, self.root, self.iota, self.split_re,
          self.split_im) = (np.array(c, dtype=np.int64)[:, None] for c in zip(*rows))
 
 
@@ -205,59 +205,60 @@ def _kept_when_small(fn):
 
 
 @_kept_when_small
-def _twiddles(n: int, primes: tuple[int, ...],
-              roots: tuple[int, ...]) -> np.ndarray:
-    """Row k: roots[k]**j mod primes[k] for j < n/2, by doubling."""
-    p = np.array(primes, dtype=np.int64)[:, None]
-    t = np.ones((len(primes), 1), dtype=np.int64)
+def _twiddles(n: int, mod: _Moduli) -> np.ndarray:
+    """Row k: mod.root[k]**j mod mod.primes[k] for j < n/2, by doubling."""
+    roots = mod.root[:, 0].tolist()
+    t = np.ones((len(mod.primes), 1), dtype=np.int64)
     while t.shape[1] < n // 2:
-        step = [pow(w, t.shape[1], q) for w, q in zip(roots, primes)]
-        t = np.concatenate((t, t * np.array(step)[:, None] % p), axis=1)
+        step = [pow(w, t.shape[1], q) for w, q in zip(roots, mod.primes)]
+        t = np.concatenate((t, t * np.array(step)[:, None] % mod.p), axis=1)
     return t
+
+
+@_kept_when_small
+def _reversal(n: int) -> np.ndarray:
+    """The bit-reversal permutation of range(n), its own inverse: the
+    forward transform leaves frequency k at position rev[k]."""
+    bits = n.bit_length() - 1
+    k, rev = np.arange(n), np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((k >> b) & 1) << (bits - 1 - b)
+    return rev
 
 
 @_kept_when_small
 def _negation(n: int) -> np.ndarray:
     """For each position of the forward transform's bit-reversed
     output, the position that holds the negated frequency."""
-    bits = n.bit_length() - 1
-    k, rev = np.arange(n), np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((k >> b) & 1) << (bits - 1 - b)
+    rev = _reversal(n)
     return rev[-rev % n]
 
 
-def _ntt(x: np.ndarray, mod: _Moduli, inverse: bool = False) -> None:
+def _ntt(x: np.ndarray, mod: _Moduli) -> None:
     """Transform x, shape (primes, rows, n) with entries in [0, p), in
-    place along its last axis, modulo mod.primes[k] in x[k].  Forward:
-    natural order in, bit-reversed order out (Gentleman-Sande).  Inverse:
-    bit-reversed in, n times the inverse transform out in natural order
-    (Cooley-Tukey).  From n = _LONG_LOOPS up, the stages of half-length
-    h < sqrt(n), whose inner loops are short, run on a quarter of their
+    place along its last axis, modulo mod.primes[k] in x[k]: natural
+    order in, bit-reversed order out (Gentleman-Sande).  From n =
+    _LONG_LOOPS up, the stages of half-length h < sqrt(n), whose inner
+    loops are short, run after the long stages on a quarter of their
     blocks at a time, copied transposed into x.size/4 entries of `spare`
-    with the next x.size/8 as temporary: forward after the long stages,
-    inverse before."""
+    with the next x.size/8 as temporary."""
     n = x.shape[-1]
-    roots = tuple((mod.inverse_root if inverse else mod.root)[:, 0].tolist())
-    table = _twiddles(n, mod.primes, roots).view(np.uint64)[:, None, None, :]
+    table = _twiddles(n, mod).view(np.uint64)[:, None, None, :]
     p = mod.p.view(np.uint64)[:, :, None, None]
     x = x.view(np.uint64)
     spare = np.empty(x.size // 2, dtype=np.uint64)
     if n < _LONG_LOOPS:
-        _stages(x, spare, table, p, inverse, 1, n)
+        _stages(x, spare, table, p, 1, n)
         return
     size = 1 << n.bit_length() // 2
-    if not inverse:
-        _stages(x, spare, table, p, inverse, size, n)
+    _stages(x, spare, table, p, size, n)
     quarter = spare[:x.size // 4].reshape(x.shape[:2] + (size, -1))
     blocks = x.reshape(x.shape[:2] + (4, -1, size))
     for q in range(4):
         np.copyto(quarter, blocks[:, :, q].swapaxes(2, 3))
         _stages(quarter, spare[x.size // 4:3 * x.size // 8], table[..., None],
-                p[..., None], inverse, 1, size)
+                p[..., None], 1, size)
         np.copyto(blocks[:, :, q], quarter.swapaxes(2, 3))
-    if inverse:
-        _stages(x, spare, table, p, inverse, size, n)
 
 
 # the two halves of each block of `_stages`'s y
@@ -265,32 +266,24 @@ _FRONT, _BACK = (slice(None),) * 3 + (0,), (slice(None),) * 3 + (1,)
 
 
 def _stages(x: np.ndarray, spare: np.ndarray, table: np.ndarray,
-            p: np.ndarray, inverse: bool, low: int, high: int) -> None:
-    """`_ntt`'s stages of half-lengths low <= h < high along axis 2 of
-    x, (primes, rows, length) or (primes, rows, length, blocks), with
+            p: np.ndarray, low: int, high: int) -> None:
+    """`_ntt`'s stages of half-lengths high/2 down to low along axis 2
+    of x, (primes, rows, length) or (primes, rows, length, blocks), with
     `spare` the size of half of x.  The butterflies run in uint64, where
     a wrapped y - p is large, so min(y, y - p) reduces any y < 2p."""
-    h = low if inverse else high // 2
-    while low <= h < high:
+    h = high // 2
+    while h >= low:
         y = x.reshape(x.shape[:2] + (-1, 2, h) + x.shape[3:])
         a, b = y[_FRONT], y[_BACK]
         t = spare.reshape(a.shape)
-        w = table[:, :, :, ::table.shape[3] // h]
-        if inverse:
-            b *= w
-            b %= p
         np.add(a, b, out=t)
         np.subtract(p, b, out=b)
         b += a  # a - b + p, in (0, 2p)
         np.subtract(t, p, out=a)
         np.minimum(a, t, out=a)
-        if inverse:
-            np.subtract(b, p, out=t)
-            np.minimum(b, t, out=b)
-        else:
-            b *= w
-            b %= p
-        h = 2 * h if inverse else h // 2
+        b *= table[:, :, :, ::table.shape[3] // h]
+        b %= p
+        h //= 2
 
 
 def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
@@ -346,13 +339,17 @@ def _lift(residues: np.ndarray, primes: tuple[int, ...], dtype) -> np.ndarray:
 def _correlations(spectrum: np.ndarray, mod: _Moduli, shape: tuple[int, ...],
                   bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact re and im planes of the autocorrelation sum whose
-    transform is `spectrum`, on the output shape 2*s - 1."""
+    transform is `spectrum`, on the output shape 2*s - 1.  The forward
+    transform of the spectrum in natural order is n * c(-d) at the
+    bit-reversed position of d, so n * c(d) is read at that of -d."""
     out = tuple(2 * s - 1 for s in shape)
     half = (math.prod(out) - 1) // 2
-    c = spectrum.reshape(len(mod.primes), 1, -1)
-    _ntt(c, mod, inverse=True)
+    rev = _reversal(mod.n)
+    c = spectrum[:, rev].reshape(len(mod.primes), 1, -1)
+    _ntt(c, mod)
     p = mod.p
-    at = c[:, 0, np.arange(-half, half + 1) % mod.n]  # n * c(d), d = -half..half
+    # n * c(d) for d = -half..half, read at the bit-reversed position of -d
+    at = c[:, 0, rev[np.arange(half, -half - 1, -1) % mod.n]]
     flip = at[:, ::-1]  # n * c(-d)
     re = (at + flip) % p * mod.split_re % p
     im = (at - flip) % p * mod.split_im % p
@@ -364,9 +361,9 @@ def autocorrelation(a: Tensor) -> AutocorrResult:
     """R(delta) = sum_i a[i] * conj(a[i - delta]) for all shifts.
 
     Exact integers throughout (int64 when the output provably fits, else
-    Python ints): the direct route's transform, its inverse and a CRT
-    lift over enough primes that their product exceeds twice the bound
-    2 * size * max**2.
+    Python ints): the direct route's transform, once more on the
+    spectrum to invert it, and a CRT lift over enough primes that their
+    product exceeds twice the bound 2 * size * max**2.
     """
     bound = _autocorr_bound(a)
     mod = _moduli(a.shape, bound)
@@ -449,7 +446,7 @@ def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
     when its summed spectrum sum_i U_i * V_i is W mod p at every point
     of the transform, for every prime taken (see the module docstring:
     their product exceeds twice the bound on every summed component,
-    which makes the test exact).  A rejection pays for the inverse
+    which makes the test exact).  A rejection pays for the second
     transform and the CRT lift that give the exact max sidelobe norm.
 
     Members of mixed shapes are zero-padded to the set's bounding

@@ -6,6 +6,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import golaykit
 from golaykit import cli, construct, planner, seeds
 from golaykit.construct import GcaSet
 from golaykit.seeds import load_bundled, registry_to_obj
@@ -220,6 +224,73 @@ class TestFileErrors:
         assert code == 64
         assert out == ""
         assert str(target) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--alphabet", "quaternary", "--role", "quad",
+         "--shape", "12x959"),
+        ("generate", "--alphabet", "quaternary", "--role", "quad",
+         "--shape", "12x959"),
+    ], ids=["plan", "generate"])
+    @pytest.mark.parametrize("where", ["no-such-dir", "a-file"])
+    def test_out_refused_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                         argv, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done before --out was checked")
+
+        for owner, name in [(seeds, "load_bundled"), (planner, "plan_quad"),
+                            (planner, "execute")]:
+            monkeypatch.setattr(owner, name, refuse)
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / where / "out.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 64
+        assert out == ""
+        assert str(target) in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`golaykit ... | head -c 1`)
+    costs no traceback, and the command keeps its own exit code."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (("coverage", "--kind", "golay-count", "--alphabet", "quaternary",
+          "--limit", "1000"), 0),
+        (("seed", "search", "--kind", "pair", "--alphabet", "binary",
+          "--shape", "5"), 1),
+        (("plan", "--alphabet", "quaternary", "--role", "pair",
+          "--shape", "18x5"), 2),
+    ], ids=["ok", "exhausted", "infeasible"])
+    def test_exit_code_kept(self, capsys, monkeypatch, argv, want):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert cli.main(list(argv)) == want
+        print("later output")  # now goes to os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err.strip()
+
+    def test_closed_pipe_process(self):
+        # a real pipe, read end closed: the flush at exit must not fail
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(golaykit.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "golaykit", "coverage", "--kind",
+                 "golay-count", "--alphabet", "quaternary", "--limit", "1000"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 0
+        assert b"reachable lengths" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert b"Exception ignored" not in proc.stderr
 
 
 class TestRegistryLoadedOnce:

@@ -22,7 +22,7 @@ from golaykit.errors import (
 )
 from golaykit.planner import execute, plan_quad
 from golaykit.seeds import load_bundled
-from golaykit.tensor import Alphabet, GaussInt, Tensor
+from golaykit.tensor import Alphabet, GaussInt, Tensor, convolve, involute
 from golaykit.verify import (
     autocorrelation,
     binary_pair_symmetry,
@@ -365,18 +365,15 @@ class TestLongLoopStages:
         primes = verify._primes(n, count)
         mod = verify._moduli_of(n, primes)
         rng = np.random.default_rng(n + 10 * count + rows)
-        x = rng.integers(0, np.array(primes)[:, None, None], (count, rows, n))
-        for inverse in (False, True):
-            got, want = x.copy(), x.copy()
-            verify._ntt(got, mod, inverse)
-            with monkeypatch.context() as m:
-                m.setattr(verify, "_LONG_LOOPS", 2 * n)
-                verify._ntt(want, mod, inverse)
-            assert np.array_equal(got, want)
+        got = rng.integers(0, np.array(primes)[:, None, None], (count, rows, n))
+        want = got.copy()
+        verify._ntt(got, mod)
+        monkeypatch.setattr(verify, "_LONG_LOOPS", 2 * n)
+        verify._ntt(want, mod)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(1, 2, 65536), (2, 2, 32768)])
-    @pytest.mark.parametrize("inverse", [False, True])
-    def test_no_added_buffer(self, shape, inverse):
+    def test_no_added_buffer(self, shape):
         # `spare` (half of x) and the twiddle table, rebuilt past
         # _KEPT_TABLES: the quarters and their temporary live in `spare`
         n = shape[-1]
@@ -384,7 +381,7 @@ class TestLongLoopStages:
         x = np.ones(shape, dtype=np.int64)
         tracemalloc.start()
         try:
-            verify._ntt(x, mod, inverse)
+            verify._ntt(x, mod)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,7 +395,7 @@ class TestLongLoopStages:
         assert autocorrelation(a).values == oracles.correlate_planes(a)
 
     def test_corrupted_12x300_quad(self):
-        # 23 x 599 shifts: forward and inverse transforms of 2**14 points
+        # 23 x 599 shifts: two forward transforms of 2**14 points
         registry = load_bundled()
         quad = execute(plan_quad(Alphabet.QUATERNARY, (12, 300), registry).recipe,
                        registry).arrays
@@ -413,6 +410,24 @@ class TestLongLoopStages:
         side = sum(t.re for t in total) ** 2 + sum(t.im for t in total) ** 2
         side[11, 299] = 0
         assert v.max_sidelobe_norm == int(side.max()) > 0
+
+    @pytest.mark.parametrize("shape, top, primes", [
+        ((8000,), 500, 2), ((12, 300), 3 * 10 ** 7, 3)])
+    def test_rejection_over_several_primes(self, shape, top, primes):
+        # transforms of 2**14 points modulo two or three primes, whose
+        # CRT lift must give the exact sidelobes: here, of the summed
+        # products of each member with its conjugate flip
+        rng = np.random.default_rng(top)
+        bad = [Tensor(*rng.integers(-top, top + 1, (2,) + shape)) for _ in range(2)]
+        mod = verify._moduli(shape, sum(map(verify._autocorr_bound, bad)))
+        assert (mod.n, len(mod.primes)) == (1 << 14, primes)
+        v = is_gca_set(bad)
+        assert not v.is_complementary
+        total = [convolve(a, involute(a)) for a in bad]
+        side = (sum(t.re.astype(object) for t in total) ** 2
+                + sum(t.im.astype(object) for t in total) ** 2)
+        side[tuple(s - 1 for s in shape)] = 0
+        assert v.max_sidelobe_norm == side.max() > 0
 
 
 @functools.lru_cache(maxsize=None)
