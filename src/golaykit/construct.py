@@ -20,7 +20,6 @@ and mask quarters come from one sum/difference split, `_split`.
 """
 from __future__ import annotations
 
-import contextvars
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -41,6 +40,7 @@ from .errors import (
 from .tensor import (
     Alphabet,
     Tensor,
+    _execute_cap,
     add,
     alphabet_of,
     checked_superpose,
@@ -136,15 +136,11 @@ def _role_for(n: int) -> str:
     return {2: "pair", 4: "quad"}.get(n, f"set-{n}")
 
 
-# Set only by `planner.execute`, for the nodes it builds: their sets are
-# checked by the direct route alone, and the root by both routes there.
-_direct_only = contextvars.ContextVar("_direct_only", default=False)
-
-
 def assemble(arrays: Sequence[Tensor], lineage: str) -> GcaSet:
     """Check a set of arrays by both exact routes (which zero-pad mixed
     shapes) and wrap it, with its lineage, as a set marked verified.
-    Inside `planner.execute` only the direct route runs here."""
+    Inside `planner.execute` (`_execute_cap` set) only the direct
+    route runs here."""
     arrays = tuple(arrays)
     where = lineage or "assemble"
     verdict = is_gca_set(arrays)
@@ -153,7 +149,7 @@ def assemble(arrays: Sequence[Tensor], lineage: str) -> GcaSet:
             f"{where}: autocorrelation check failed "
             f"(max sidelobe norm {verdict.max_sidelobe_norm})"
         )
-    if not _direct_only.get() and not gca_check_polynomial(arrays):
+    if _execute_cap.get() is None and not gca_check_polynomial(arrays):
         raise VerificationFailed(f"{where}: polynomial product check failed")
     out = GcaSet(arrays, lineage)
     object.__setattr__(out, "verified", True)

@@ -44,7 +44,6 @@ import numpy as np
 
 from .construct import (
     GcaSet,
-    _direct_only,
     binary_turyn_pair,
     compromise_quad,
     concat_pair,
@@ -66,7 +65,7 @@ from .errors import (
     VerificationFailed,
 )
 from .seeds import SeedRegistry, load_bundled
-from .tensor import _MAX_RANK, Alphabet, _is_shape, _validate_shape, embed
+from .tensor import _MAX_RANK, Alphabet, _execute_cap, _is_shape, _validate_shape, embed
 from .verify import gca_check_polynomial, is_gca_set
 
 __all__ = [
@@ -887,16 +886,18 @@ def execute(recipe: Recipe, registry: SeedRegistry | None = None) -> GcaSet:
     Each node's set is checked once, by the direct route: in `assemble`,
     or at the node when a rebound construction returns an unmarked set,
     so a wrong set is named where it is made.  The set returned is then
-    checked by the product route too.  Execution is deterministic: the
-    same recipe and registry give identical arrays.
+    checked by the product route too.  A Kronecker product of more than
+    `_PRODUCT_CAP` entries is refused (ShapeMismatch, naming the node)
+    before it is allocated.  Execution is deterministic: the same recipe
+    and registry give identical arrays.
     """
     if registry is None:
         registry = load_bundled()
-    token = _direct_only.set(True)
+    token = _execute_cap.set(_PRODUCT_CAP)
     try:
         out = _exec_node(recipe, registry, path=recipe.op)
     finally:
-        _direct_only.reset(token)
+        _execute_cap.reset(token)
     if not gca_check_polynomial(out.arrays):
         raise VerificationFailed("executed recipe failed final verification: "
                                  "polynomial product check failed")

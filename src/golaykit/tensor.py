@@ -13,6 +13,7 @@ Python-object (big-int) fallback keeps results exact otherwise.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._toom import mul as _mul
+from . import _toom
 from .errors import (
     Collision,
     HalvingError,
@@ -381,21 +382,28 @@ def _offset(n: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
-def _digits(parts: np.ndarray, width: int) -> list[int]:
+def _digits(parts: np.ndarray, width: int, k: int = 1) -> list[int]:
     """Each row of `parts`, entries in [-2**(8*width-1), 2**(8*width-1)),
     as the integer whose base-2**(8*width) digits it holds, lowest first:
     the row plus half a digit, read as unsigned little-endian digits
-    (byte views of uint64, or int.to_bytes), less `_offset`.  An int64
-    `parts` is overwritten."""
+    (byte views of uint64, or int.to_bytes), less `_offset`.  At k = 2
+    (entries above -2**(8*width-1)) the rows follow once more with odd
+    offsets negated, in place: as unsigned, x + half becomes
+    2**(8*width) - (x + half) = -x + half.  An int64 `parts` is
+    overwritten."""
     half, offset = 1 << (8 * width - 1), _offset(parts.shape[1], width)
     if width > 8:
-        return [int.from_bytes(b"".join((int(v) + half).to_bytes(width, "little")
-                                        for v in r), "little") - offset
-                for r in parts]
+        return [int.from_bytes(b"".join((half + (-v if j & odd else v)).to_bytes(width, "little")
+                                        for j, v in enumerate(map(int, r))), "little") - offset
+                for odd in range(k) for r in parts]
     biased = parts.astype("<i8", copy=False).view("<u8")
     biased += np.uint64(half)  # as unsigned: x + half, below 2**(8*width)
     raw = biased.view(np.uint8).reshape(len(parts), -1, 8)[..., :width]
-    return [int.from_bytes(r.tobytes(), "little") - offset for r in raw]
+    out = [int.from_bytes(r.tobytes(), "little") - offset for r in raw]
+    if k == 2:
+        np.negative(biased[:, 1::2], out=biased[:, 1::2])  # modulo 2**64
+        out += [int.from_bytes(r.tobytes(), "little") - offset for r in raw]
+    return out
 
 
 def _signed_digits(values: list[int], n: int, width: int) -> np.ndarray:
@@ -409,7 +417,9 @@ def _signed_digits(values: list[int], n: int, width: int) -> np.ndarray:
                         dtype=object).reshape(len(values), n)
     digits = np.zeros((len(values) * n, 8), dtype=np.uint8)
     digits[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
-    return (digits.view("<u8") - np.uint64(half)).view(np.int64).reshape(len(values), n)
+    unsigned = digits.view("<u8")
+    unsigned -= np.uint64(half)  # in place
+    return unsigned.view(np.int64).reshape(len(values), n)
 
 
 def convolve(a: Tensor, b: Tensor) -> Tensor:
@@ -422,8 +432,12 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     operands are real (only their `re` planes are packed, and the
     output's `im` is a `_zeros` plane).  The digit width comes from an
     exact bound on the output: min(size) * ma * mb per product term, ma
-    and mb the largest components of the packed planes.  Products are
-    made by `_toom.mul`.
+    and mb the largest components of the packed planes.  From
+    `_toom._HALVE` bits of output, when half the width still holds every
+    input part, each plane is packed at half the width, once as it is
+    and once with odd flat offsets negated (its value at -B), and
+    `_toom.products` splits the two products into the even- and
+    odd-offset entries, as digits of twice the half width.
     """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
@@ -434,17 +448,25 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     terms = 1 if real else 2
     # every output entry, and every input entry, fits in a signed digit
     width = (max(terms * min(a.size, b.size) * ma * mb, ma, mb).bit_length() + 8) // 8
-    packed = [x for r in rows for x in _digits(r, width)]
-    del rows
     n = math.prod(out_shape)
-    if real:
-        ar, br = packed
-        (re,) = _signed_digits([_mul(ar, br)], n, width)
-        return Tensor._adopt(re.reshape(out_shape))
-    ar, ai, br, bi = packed
-    re, im = _signed_digits([_mul(ar, br) - _mul(ai, bi), _mul(ar, bi) + _mul(ai, br)],
-                            n, width)
-    return Tensor._adopt(re.reshape(out_shape), im.reshape(out_shape))
+    k = _toom.point_count(width, n, max(ma, mb))
+    width = -(-width // k)  # at +-B of half the width from k = 2 points
+    packed = [_digits(r, width, k) for r in rows]
+    del rows
+    values = _toom.products(*packed, k, 8 * width)
+    if k == 1:
+        return Tensor._adopt(*_signed_digits(values, n, width).reshape((terms,) + out_shape))
+    # E and O of each plane, one at a time: the entries at even and odd flat offsets
+    out = np.empty((terms, n), dtype=np.int64 if width <= 4 else object)
+    for j, v in enumerate(values):
+        out[j // 2, j % 2::2] = _signed_digits([v], (n + 1 - j % 2) // 2, 2 * width)[0]
+    return Tensor._adopt(*out.reshape((terms,) + out_shape))
+
+
+# Set only by `planner.execute`, for the nodes it builds: the most entries
+# a `kron` output may have there.  Their sets are checked by the direct
+# route alone (`construct.assemble`), and the root by both routes.
+_execute_cap = contextvars.ContextVar("_execute_cap", default=None)
 
 
 def kron(a: Tensor, b: Tensor) -> Tensor:
@@ -456,10 +478,15 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     plane; their `im` planes are neither bounded nor cast.  int64
     results are adopted without a copy; object results (a bound past
     int64) go through `Tensor`, so planes come back int64 whenever their
-    entries fit.
+    entries fit.  Inside `planner.execute`, an output of more entries
+    than its cap is refused (ShapeMismatch) before it is allocated.
     """
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
+    out = tuple(s * t for s, t in zip(a.shape, b.shape))
+    cap = _execute_cap.get()
+    if cap is not None and math.prod(out) > cap:
+        raise ShapeMismatch(f"Kronecker product of shape {out} has more than {cap} entries")
     real = _is_zero(a.im) and _is_zero(b.im)
     # only the planes multiplied are bounded and cast: an output entry
     # is one product of their entries, or a sum of two
@@ -470,7 +497,6 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     sb = [d for t in b.shape for d in (1, t)]
     x = [p.astype(dtype, copy=False).reshape(sa) for p in pa]
     y = [p.astype(dtype, copy=False).reshape(sb) for p in pb]
-    out = tuple(s * t for s, t in zip(a.shape, b.shape))
     if real:
         planes = [(x[0] * y[0]).reshape(out), _zeros(out)]
     else:

@@ -33,9 +33,8 @@ Three routes are implemented and kept deliberately independent:
   member's product has real part u * flip(u) - P - flip(P) and
   imaginary part flip(P) - P (two real products), a real member's is
   re * flip(re) (one).  Its kernel, `tensor.convolve`, is a Kronecker
-  substitution: one big-integer product per real convolution (by
-  Toom-Cook from 2**17 bits, divisions checked exact), no modular
-  arithmetic.
+  substitution in integers (`_toom`): one product, or two of half the
+  bits at +-B, per real convolution; no modular arithmetic.
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
   in floating point (one FFT of each member folded modulo the grid);
   it is a diagnostic, never the source of truth.

@@ -25,6 +25,15 @@ from golaykit.tensor import Alphabet, Tensor
 from .test_planner import MALFORMED_RECIPES, _chain_text
 
 
+def _turyn_tower(levels: int) -> dict:
+    """A gca-recipe/1 document of `levels` nested binary_turyn_pair nodes
+    over the binary pair of length 2: the length squares at each level."""
+    node = {"op": "seed", "seed": "golay-pair/binary/2;2"}
+    for _ in range(levels):
+        node = {"op": "binary_turyn_pair", "children": [node, node]}
+    return {"format": "gca-recipe/1", **node}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -153,6 +162,24 @@ class TestGenerateVerifyRoundTrip:
         assert out == ""
         assert "Traceback" not in err
         assert "must be binary" in err
+
+    def test_oversized_product_refused_before_allocation(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # each level squares the length (4, 16, 256): with the cap at 100
+        # the third level's product is refused before it is made, as six
+        # levels are at the real cap (2**32 entries at the fifth)
+        monkeypatch.setattr(planner, "_PRODUCT_CAP", 100)
+        tower = tmp_path / "tower.json"
+        tower.write_text(json.dumps(_turyn_tower(3)))
+        code, out, err = run(capsys, "generate", "--recipe", str(tower))
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+        assert "input rejected: Kronecker product of shape (256,)" in err
+        assert err.rstrip().endswith("[recipe node binary_turyn_pair]")
+        monkeypatch.setattr(planner, "_PRODUCT_CAP", 256)
+        code, _, _ = run(capsys, "generate", "--recipe", str(tower))
+        assert code == 0
 
     @pytest.mark.parametrize("role", ["pair", "quad"])
     def test_over_cap_exit_2(self, capsys, role):

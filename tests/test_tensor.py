@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golaykit import _toom, tensor
+from golaykit import _toom, planner, tensor, verify
 from golaykit.errors import (
     Collision,
     HalvingError,
@@ -395,20 +395,21 @@ class TestToomCook:
     def _spied(self, monkeypatch):
         """Bit lengths of the smaller factor of each product `convolve` makes."""
         sizes = []
-        mul = tensor._mul
+        mul = _toom.mul
 
         def spy(x, y):
             sizes.append(min(x.bit_length(), y.bit_length()))
             return mul(x, y)
 
-        monkeypatch.setattr(tensor, "_mul", spy)
+        monkeypatch.setattr(_toom, "mul", spy)
         return sizes
 
     @pytest.mark.parametrize("real", [False, True])
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_convolve_int64_digits(self, real, data):
-        # entries of at most 2: 3-byte digits, past the cut from 5462 entries
+        # entries of at most 2: 3-byte digits, packed at +-B in halves of
+        # 2 bytes, past the cut from 7500 entries
         rows = data.draw(st.sampled_from((1, 2)))
         a = data.draw(sparse_rows(rows, 9000, 2, real))
         b = data.draw(sparse_rows(rows, 9600, 2, real))
@@ -421,11 +422,11 @@ class TestToomCook:
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_convolve_bigint_digits(self, real, data):
-        # entries past 2**40: digits of 13 bytes, past the cut from 1261
-        # entries
+        # entries past 2**40: digits of 13 bytes, packed at +-B in halves
+        # of 7 bytes, past the cut from 2143 entries
         rows = data.draw(st.sampled_from((1, 2)))
-        a = data.draw(sparse_rows(rows, 1400, 2**44, real))
-        b = data.draw(sparse_rows(rows, 1600, 2**41, real))
+        a = data.draw(sparse_rows(rows, 2800, 2**44, real))
+        b = data.draw(sparse_rows(rows, 3200, 2**41, real))
         with pytest.MonkeyPatch.context() as mp:
             sizes = self._spied(mp)
             assert convolve(a, b) == oracles.naive_convolve(a, b)
@@ -440,6 +441,137 @@ class TestToomCook:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out.strip() == "[]"
+
+
+@st.composite
+def topped_pairs(draw, real):
+    """same_rank_pairs whose last entries have parts +-m (only `re` when
+    `real`), m drawn from a few sizes: so each operand's largest part is
+    m, and the digit width is the largest for the shapes."""
+    m = draw(st.sampled_from((300, 2**12, 2**20, 2**27, 2**70)))
+    out = []
+    for t in draw(same_rank_pairs(max_component=m, real=real)):
+        re, im = (np.array(p, dtype=object) for p in (t.re, t.im))
+        re.flat[-1] = draw(st.sampled_from((m, -m)))
+        if not real:
+            im.flat[-1] = draw(st.sampled_from((m, -m)))
+        out.append(Tensor(re, im))
+    return tuple(out)
+
+
+class TestTwoPoints:
+    """`convolve` at +-B, forced on small operands by a zero `_HALVE`:
+    the entries at even and odd flat offsets from r(B) + r(-B) and
+    r(B) - r(-B), against the double sum."""
+
+    @staticmethod
+    def _forced(mp, halve=0):
+        """The point counts `convolve` uses, with the gate `_HALVE` set to
+        `halve`: 0 forces the two-point path wherever the width allows."""
+        counts = []
+        count = _toom.point_count
+
+        def spy(*args):
+            counts.append(count(*args))
+            return counts[-1]
+
+        mp.setattr(_toom, "_HALVE", halve)
+        mp.setattr(_toom, "point_count", spy)
+        return counts
+
+    @pytest.mark.parametrize("real", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_matches_reference(self, real, data):
+        # ranks 1-3, odd and even output sizes, int64 digits (halves of
+        # up to 8 bytes) and Python-int digits (2**70: halves of 9-10)
+        a, b = data.draw(topped_pairs(real))
+        with pytest.MonkeyPatch.context() as mp:
+            counts = self._forced(mp)
+            c = convolve(a, b)
+        assert counts == [2]
+        assert c == oracles.naive_convolve(a, b)
+        if real:
+            assert not c.im.any()
+
+    @pytest.mark.parametrize("a, b", [
+        ((3000,), (-4000,)), ((3000, 7), (-4000,)), ((3000, 7), (-4000, 5)),
+        (((3000, -9),), ((5, 4000),)), (((3000, -9), 4), ((5, 4000), (0, 1), 2)),
+    ], ids=["1x1", "2x1", "2x2", "complex-1x1", "complex-2x3"])
+    def test_short_outputs(self, a, b, monkeypatch):
+        # one output entry (no odd offset), and sizes 2, 3 and 4
+        counts = self._forced(monkeypatch)
+        a, b = seq(*a), seq(*b)
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
+        assert counts == [2]
+
+    @pytest.mark.parametrize("x, width", [(1000, 3), (2**13, 4), (2**20, 6), (2**36, 10)])
+    def test_digit_widths(self, x, width, monkeypatch):
+        # bound 2 x**2: 3 bytes (21 bits) become halves of 2 and output
+        # digits of 4; 4 -> 2 and 4; 6 -> 3 and 6; 10 -> 5 and 10
+        widths = []
+        unpack = tensor._signed_digits
+
+        def spy(values, n, w):
+            widths.append(w)
+            return unpack(values, n, w)
+
+        self._forced(monkeypatch)
+        monkeypatch.setattr(tensor, "_signed_digits", spy)
+        a, b = seq(x, -x, x), seq(x, x)
+        c = convolve(a, b)
+        assert c == oracles.naive_convolve(a, b)
+        assert widths == [2 * -(-width // 2)] * 2  # E, then O
+        assert c.entries()[1] == GaussInt(0)
+
+    def test_input_wider_than_half_stays_at_one_point(self, monkeypatch):
+        # 2**20 needs 3 bytes; the output bound 2**20 needs 3 too, so
+        # halves of 2 bytes cannot hold the input and one point is used
+        counts = self._forced(monkeypatch)
+        a, b = seq(2**20), seq(1, -1)
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
+        assert counts == [1]
+
+    @pytest.mark.parametrize("wrong", ["plus-one", "plus-B"])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_inexact_split_raises(self, wrong, real, monkeypatch):
+        # a product wrong at +B alone leaves r(B) +- r(-B) inexact: by 1
+        # it makes the sum odd, by B the difference a non-multiple of 2B
+        self._forced(monkeypatch)
+        calls = []
+
+        def mul(x, y):
+            calls.append(None)
+            off = 0 if len(calls) > 1 else 1 if wrong == "plus-one" else 1 << 8 * 2
+            return x * y + off
+
+        monkeypatch.setattr(_toom, "mul", mul)
+        a = Tensor(np.array([3000, -7, 2]), np.zeros(3, dtype=np.int64) if real
+                   else np.array([1, 2, -3000]))
+        with pytest.raises(ArithmeticError, match="not exact"):
+            convolve(a, a)
+
+    @pytest.mark.parametrize("alphabet, shape", [("binary", (1024,)),
+                                                 ("quaternary", (5, 64))])
+    def test_product_route_rejects_one_entry_changes(self, alphabet, shape,
+                                                     monkeypatch):
+        # sets above the gate, unforced: both convolutions per complex
+        # member, and the one per real member, are made at +-B
+        alphabet = Alphabet.from_tag(alphabet)
+        arrays = planner.execute(planner.plan_pair(alphabet, shape).recipe).arrays
+        counts = self._forced(monkeypatch, halve=_toom._HALVE)
+        assert verify.gca_check_polynomial(arrays)
+        assert counts and set(counts) == {2}
+        rng = random.Random(7)
+        for member in (0, 1):
+            for flat in (0, rng.randrange(arrays[0].size), arrays[0].size - 1):
+                for unit in ((-1, 0), (0, 1)):
+                    re, im = arrays[member].re.copy(), arrays[member].im.copy()
+                    r, i = re.flat[flat], im.flat[flat]
+                    re.flat[flat], im.flat[flat] = r * unit[0] - i * unit[1], r * unit[1] + i * unit[0]
+                    bad = list(arrays)
+                    bad[member] = Tensor(re, im)
+                    assert not verify.gca_check_polynomial(bad)
 
 
 def _read_only(t: Tensor) -> bool:
