@@ -164,13 +164,13 @@ def cmd_plan(args) -> int:
 
 def cmd_generate(args) -> int:
     _check_out(args.out)
-    registry = _load_registry(args.seeds)
-    if args.recipe:
+    if args.recipe:  # parsed, sizes and all, before any seed is read
         recipe = planner.recipe_from_obj(_load_json(args.recipe))
-    else:
-        if not (args.alphabet and args.role and args.shape):
-            raise _UsageError(
-                "generate needs --recipe or --alphabet/--role/--shape")
+    elif not (args.alphabet and args.role and args.shape):
+        raise _UsageError(
+            "generate needs --recipe or --alphabet/--role/--shape")
+    registry = _load_registry(args.seeds)
+    if not args.recipe:
         report = _plan(args, registry)
         if not report.feasible:
             _emit(planner.report_to_obj(report))

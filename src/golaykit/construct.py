@@ -4,9 +4,10 @@ Each set is checked once: `assemble` checks each set it makes and
 marks it, and every operation returns through it, so a slip in any
 formula raises VerificationFailed instead of propagating a bad array.
 Outside `planner.execute` that check takes both exact verification
-routes; inside it, only the direct route, and `execute` runs the
-product route on the set it returns.  Only unmarked sets (a GcaSet
-built directly, or parsed with verify=False) are checked again.
+routes; inside it (`_direct_only`, set only there), the direct route,
+and `execute` runs the product route on the set it returns.  Only
+unmarked sets (a GcaSet built directly, or parsed with verify=False)
+are checked again.  Sizes are capped when a recipe is parsed.
 
 A set is its arrays (GcaSet): its alphabet, role and shape are read
 from them, and a construction that needs a support pattern checks the
@@ -20,6 +21,7 @@ and mask quarters come from one sum/difference split, `_split`.
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,7 +42,6 @@ from .errors import (
 from .tensor import (
     Alphabet,
     Tensor,
-    _execute_cap,
     add,
     alphabet_of,
     checked_superpose,
@@ -136,10 +137,13 @@ def _role_for(n: int) -> str:
     return {2: "pair", 4: "quad"}.get(n, f"set-{n}")
 
 
+_direct_only = contextvars.ContextVar("_direct_only", default=False)
+
+
 def assemble(arrays: Sequence[Tensor], lineage: str) -> GcaSet:
     """Check a set of arrays by both exact routes (which zero-pad mixed
     shapes) and wrap it, with its lineage, as a set marked verified.
-    Inside `planner.execute` (`_execute_cap` set) only the direct
+    With `_direct_only` set (inside `planner.execute`) only the direct
     route runs here."""
     arrays = tuple(arrays)
     where = lineage or "assemble"
@@ -149,7 +153,7 @@ def assemble(arrays: Sequence[Tensor], lineage: str) -> GcaSet:
             f"{where}: autocorrelation check failed "
             f"(max sidelobe norm {verdict.max_sidelobe_norm})"
         )
-    if _execute_cap.get() is None and not gca_check_polynomial(arrays):
+    if not _direct_only.get() and not gca_check_polynomial(arrays):
         raise VerificationFailed(f"{where}: polynomial product check failed")
     out = GcaSet(arrays, lineage)
     object.__setattr__(out, "verified", True)

@@ -42,8 +42,10 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _shapes
 from .construct import (
     GcaSet,
+    _direct_only,
     binary_turyn_pair,
     compromise_quad,
     concat_pair,
@@ -64,8 +66,8 @@ from .errors import (
     ShapeMismatch,
     VerificationFailed,
 )
-from .seeds import SeedRegistry, load_bundled
-from .tensor import _MAX_RANK, Alphabet, _execute_cap, _is_shape, _validate_shape, embed
+from .seeds import SeedRegistry, _key_shapes, load_bundled
+from .tensor import _MAX_RANK, Alphabet, _is_shape, _validate_shape, embed
 from .verify import gca_check_polynomial, is_gca_set
 
 __all__ = [
@@ -220,12 +222,13 @@ def _best_blocks(s: int) -> tuple[int, tuple[int, ...]] | None:
 # recipes ------------------------------------------------------------------
 
 class _Op(NamedTuple):
-    """A recipe op: its construction, the child counts and the params
-    it accepts."""
+    """A recipe op: its construction, the child counts, the params it
+    accepts and its member shapes (a `_shapes` rule)."""
 
     run: Callable[[list[GcaSet], int | None], GcaSet] | None
     arity: tuple[int, ...]
     params: frozenset[str]
+    shapes: Callable
 
 
 _SHAPE_ONLY = frozenset({"shape"})
@@ -234,27 +237,30 @@ _ALONG_DIM = frozenset({"dim", "shape"})
 # Every construction is looked up by its module-level name when it runs,
 # so a rebinding of that name (a tracer, say) is seen by `execute`.
 _OPS = {
-    "seed": _Op(None, (0,), frozenset({"axis", "rank", "shape"})),
+    "seed": _Op(None, (0,), frozenset({"axis", "rank", "shape"}),
+                _shapes.seed),
     "binary_turyn_pair": _Op(lambda kids, dim: binary_turyn_pair(*kids),
-                             (2,), _SHAPE_ONLY),
+                             (2,), _SHAPE_ONLY, _shapes.pair_product),
     "concat_pair": _Op(lambda kids, dim: concat_pair(*kids, dim),
-                       (2,), _ALONG_DIM),
-    "glue_pair": _Op(lambda kids, dim: glue_pair(*kids), (3,), _SHAPE_ONLY),
-    "cross_set": _Op(lambda kids, dim: cross_set(*kids), (2,), _SHAPE_ONLY),
+                       (2,), _ALONG_DIM, _shapes.concat_pair),
+    "glue_pair": _Op(lambda kids, dim: glue_pair(*kids), (3,), _SHAPE_ONLY,
+                     _shapes.pair_product),
+    "cross_set": _Op(lambda kids, dim: cross_set(*kids), (2,), _SHAPE_ONLY,
+                     _shapes.cross_set),
     "interleave_quad": _Op(lambda kids, dim: interleave_quad(*kids, dim=dim),
-                           (1,), _ALONG_DIM),
+                           (1,), _ALONG_DIM, _shapes.interleave_quad),
     "concat_zero_quad": _Op(
         lambda kids, dim: concat_zero_quad(*kids, dim=dim), (1, 2),
-        _ALONG_DIM),
+        _ALONG_DIM, _shapes.concat_zero_quad),
     "lagrange_quad": _Op(lambda kids, dim: lagrange_quad(*kids),
-                         (2,), _SHAPE_ONLY),
+                         (2,), _SHAPE_ONLY, _shapes.lagrange_quad),
     "expand_quad": _Op(lambda kids, dim: expand_quad(*kids),
-                       (2,), _SHAPE_ONLY),
+                       (2,), _SHAPE_ONLY, _shapes.expand_quad),
     "compromise_quad": _Op(
         lambda kids, dim: compromise_quad(kids[0], kids[1], dim, kids[2]),
-        (3,), _ALONG_DIM),
+        (3,), _ALONG_DIM, _shapes.compromise_quad),
     "disjoint_from_pair": _Op(lambda kids, dim: disjoint_from_pair(*kids),
-                              (1,), _SHAPE_ONLY),
+                              (1,), _SHAPE_ONLY, _shapes.disjoint_from_pair),
 }
 
 
@@ -262,12 +268,13 @@ _OPS = {
 class Recipe:
     """One node of an executable construction tree.
 
-    Leaves are `seed` nodes naming a registry key plus the axis and
-    rank to orient the stored 1-D arrays along.  Inner nodes name a
-    construction and hold its inputs as children.  `params` may carry
-    a declared output shape that `execute` cross-checks.  Each node is
-    checked against the op table when it is built, so a malformed
-    document fails with ParseError before anything runs.
+    Leaves are `seed` nodes naming a registry key, which ends in their
+    member shapes: 1-D ones are laid along `axis` at `rank`, k-D ones
+    used as stored.  Inner nodes name a construction and hold its inputs.
+    Each node is checked against the op table when it is built, and its
+    `shapes` (per member) come from the op's rule: a declared `shape`
+    other than their bounding `shape`, or over `_PRODUCT_CAP` entries,
+    is a ShapeMismatch, and any other fault a ParseError.
     """
 
     op: str
@@ -275,6 +282,8 @@ class Recipe:
     children: list["Recipe"] = field(default_factory=list)
     seed: str | None = None
     rank: int = field(init=False, repr=False, compare=False)
+    shapes: tuple = field(init=False, repr=False, compare=False)
+    shape: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # `type(x) is int` also turns away JSON booleans
@@ -292,7 +301,8 @@ class Recipe:
         if op == "seed":
             if not self.seed:
                 raise ParseError("seed node without a key")
-            rank = params.get("rank", 1)
+            stored = _key_shapes(self.seed)
+            rank = params.get("rank", len(stored[0]))
             if type(rank) is not int or not 1 <= rank <= _MAX_RANK:
                 raise ParseError(f"seed rank must be an integer in "
                                  f"[1, {_MAX_RANK}], got {rank!r}")
@@ -312,10 +322,19 @@ class Recipe:
             if type(value) is not int or not 0 <= value < rank:
                 raise ParseError(f"{op} {name} must be an integer in "
                                  f"[0, {rank}), got {value!r}")
+        kids = [ch.shapes for ch in self.children]
+        self.shapes = (spec.shapes(kids, params.get("dim")) if kids
+                       else spec.shapes(stored, rank, params.get("axis", 0)))
+        self.shape = bound = list(map(max, zip(*self.shapes)))
         shape = params.get("shape")
         if shape is not None and not _is_shape(shape, rank):
             raise ParseError(f"{op} shape must be a list of {rank} "
                              f"positive integers, got {shape!r}")
+        if shape not in (None, bound):
+            raise ShapeMismatch(f"{op} declared shape {shape}, not {bound}")
+        if math.prod(bound) > _PRODUCT_CAP:
+            raise ShapeMismatch(f"{op} node of shape {bound} has more than "
+                                f"{_PRODUCT_CAP} entries")
 
 
 def recipe_to_obj(recipe: Recipe, _top: bool = True) -> dict:
@@ -426,11 +445,17 @@ def _refusal(role: str, alphabet: Alphabet, shape: tuple[int, ...]
     return FeasibilityReport(False, alphabet, shape, reason=reason)
 
 
+def _node(op, children, seed=None, **params) -> Recipe:
+    """A recipe node that declares the shape the op table gives it."""
+    node = Recipe(op, params, children, seed)
+    params["shape"] = node.shape
+    return node
+
+
 def _seed_leaf(alphabet: Alphabet, length: int, axis: int,
-               rank: int, shape: tuple[int, ...]) -> Recipe:
-    key = SeedRegistry.pair_key(alphabet, length)
-    return Recipe("seed", {"axis": axis, "rank": rank, "shape": list(shape)},
-                  seed=key)
+               rank: int) -> Recipe:
+    return _node("seed", [], SeedRegistry.pair_key(alphabet, length),
+                 axis=axis, rank=rank)
 
 
 def _oriented(rank: int, axis: int, size: int) -> tuple[int, ...]:
@@ -440,11 +465,7 @@ def _oriented(rank: int, axis: int, size: int) -> tuple[int, ...]:
 
 
 def _trivial_leaf(rank: int) -> Recipe:
-    return _seed_leaf(Alphabet.BINARY, 1, 0, rank, (1,) * rank)
-
-
-def _merge_shapes(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return [x * y for x, y in zip(a, b)]
+    return _seed_leaf(Alphabet.BINARY, 1, 0, rank)
 
 
 def plan_pair(alphabet: Alphabet, shape: Sequence[int]) -> FeasibilityReport:
@@ -537,7 +558,7 @@ def _pair_recipe(blocks: list[list[int]]) -> Recipe:
         for g in dim_blocks:
             alph = (Alphabet.BINARY if g in _BINARY_BLOCKS
                     else Alphabet.QUATERNARY)
-            leaf = _seed_leaf(alph, g, axis, rank, _oriented(rank, axis, g))
+            leaf = _seed_leaf(alph, g, axis, rank)
             (binders if alph is Alphabet.BINARY else quater).append(
                 (axis, g, leaf))
     return _assemble_glue_tree(quater, binders, rank)
@@ -549,10 +570,7 @@ def _turyn_chain(leaves: list[Recipe], rank: int) -> Recipe:
         return _trivial_leaf(rank)
     recipe = leaves[0]
     for leaf in leaves[1:]:
-        out_shape = _merge_shapes(recipe.params["shape"],
-                                  leaf.params["shape"])
-        recipe = Recipe("binary_turyn_pair", {"shape": out_shape},
-                        [recipe, leaf])
+        recipe = _node("binary_turyn_pair", [recipe, leaf])
     return recipe
 
 
@@ -570,16 +588,10 @@ def _assemble_glue_tree(quater, binders, rank: int) -> Recipe:
     partners += [_trivial_leaf(rank)
                  for _ in range(len(binders) - len(partners))]
     for (axis, g, leaf), partner in zip(binders, partners):
-        merged = _merge_shapes(current.params["shape"],
-                               partner.params["shape"])
         if g == 2:
-            merged[axis] *= 2
-            current = Recipe("concat_pair", {"dim": axis, "shape": merged},
-                             [current, partner])
+            current = _node("concat_pair", [current, partner], dim=axis)
         else:
-            merged = _merge_shapes(merged, leaf.params["shape"])
-            current = Recipe("glue_pair", {"shape": merged},
-                             [leaf, current, partner])
+            current = _node("glue_pair", [leaf, current, partner])
     return current
 
 
@@ -651,9 +663,8 @@ def _quad_cross(alphabet, shape, registry, misses, depth):
         if not (_pair_feasibility(alphabet, u, explain=False).feasible
                 and _pair_feasibility(alphabet, v, explain=False).feasible):
             continue
-        recipe = Recipe("cross_set", {"shape": list(shape)},
-                        [plan_pair(alphabet, u).recipe,
-                         plan_pair(alphabet, v).recipe])
+        recipe = _node("cross_set", [plan_pair(alphabet, u).recipe,
+                                     plan_pair(alphabet, v).recipe])
         return recipe, {"strategy": "pair-product", "left": list(u),
                         "right": list(v)}
     return None
@@ -669,11 +680,8 @@ def _tile_quad(size: int, axis: int, rank: int, registry,
     two binary pairs.
     """
     if size == 1:
-        child = _trivial_leaf(rank)
-        recipe = Recipe("interleave_quad",
-                        {"dim": axis, "shape": [1] * rank}, [child])
-        return recipe, {"tile": 1}
-    shape = list(_oriented(rank, axis, size))
+        return _node("interleave_quad", [_trivial_leaf(rank)],
+                     dim=axis), {"tile": 1}
     if size % 2 == 1:
         s = (size - 1) // 2
         if registry.find_base_sequences(s) is None:
@@ -681,8 +689,7 @@ def _tile_quad(size: int, axis: int, rank: int, registry,
             return None
         child = Recipe("seed", {"axis": axis, "rank": rank},
                        seed=SeedRegistry.base_key(s))
-        recipe = Recipe("interleave_quad", {"dim": axis, "shape": shape},
-                        [child])
+        recipe = _node("interleave_quad", [child], dim=axis)
         return recipe, {"tile": size, "base_index": s}
     half = size // 2
     for g in range(1, half // 2 + 1):
@@ -692,8 +699,7 @@ def _tile_quad(size: int, axis: int, rank: int, registry,
             continue
         p1 = plan_pair(Alphabet.BINARY, _oriented(rank, axis, g))
         p2 = plan_pair(Alphabet.BINARY, _oriented(rank, axis, g2))
-        recipe = Recipe("concat_zero_quad", {"dim": axis, "shape": shape},
-                        [p1.recipe, p2.recipe])
+        recipe = _node("concat_zero_quad", [p1.recipe, p2.recipe], dim=axis)
         return recipe, {"tile": size, "halves": [g, g2]}
     return None
 
@@ -721,8 +727,7 @@ def _quad_lagrange(alphabet, shape, registry, misses, depth):
         t2 = _tile_quad(size2, ax2, rank, registry, misses)
         if t2 is None:
             continue
-        recipe = Recipe("lagrange_quad", {"shape": list(shape)},
-                        [t1[0], t2[0]])
+        recipe = _node("lagrange_quad", [t1[0], t2[0]])
         return recipe, {"strategy": "tile-product",
                         "tiles": [t1[1], t2[1]]}
     return None
@@ -762,10 +767,9 @@ def _quad_compromise(alphabet, shape, registry, misses, depth):
                     parts = (put(s2, s_off), put(s3, s_off), put(t_j, t_off))
                     if not (feasible(parts[0]) and feasible(parts[1])):
                         continue
-                    recipe = Recipe(
+                    recipe = _node(
                         "compromise_quad",
-                        {"dim": j, "shape": list(shape)},
-                        [plan_pair(alphabet, p).recipe for p in parts])
+                        [plan_pair(alphabet, p).recipe for p in parts], dim=j)
                     return recipe, {
                         "strategy": "sum-extension",
                         "sum_axis": j,
@@ -788,10 +792,9 @@ def _quad_expand(alphabet, shape, registry, misses, depth):
         sub = plan_quad(alphabet, inner, registry, _depth=depth - 1)
         if not sub.feasible:
             continue
-        dis = Recipe("disjoint_from_pair", {"shape": list(t)},
-                     [plan_pair(Alphabet.BINARY, t).recipe])
-        recipe = Recipe("expand_quad", {"shape": list(shape)},
-                        [sub.recipe, dis])
+        dis = _node("disjoint_from_pair",
+                    [plan_pair(Alphabet.BINARY, t).recipe])
+        recipe = _node("expand_quad", [sub.recipe, dis])
         return recipe, {"strategy": "expansion", "factor": list(t),
                         "inner": sub.witness}
     return None
@@ -819,11 +822,8 @@ def _quad_tile_concat(alphabet, shape, registry, misses, depth):
             sub = plan_quad(alphabet, inner, registry, _depth=depth - 1)
             if not sub.feasible:
                 continue
-            inner[o] = shape[o]
-            wide = Recipe("concat_zero_quad", {"dim": o, "shape": inner},
-                          [sub.recipe])
-            recipe = Recipe("lagrange_quad", {"shape": list(shape)},
-                            [tile[0], wide])
+            wide = _node("concat_zero_quad", [sub.recipe], dim=o)
+            recipe = _node("lagrange_quad", [tile[0], wide])
             return recipe, {"strategy": "tile-zero-concat", "tile_axis": j,
                             "tile": tile[1], "inner": sub.witness}
     return None
@@ -839,7 +839,7 @@ def _resolve_seed(recipe: Recipe, registry: SeedRegistry,
         raise MissingSeed(key, path)
     rank = recipe.rank
     axis = recipe.params.get("axis", 0)
-    tensors = [embed(t, rank, axis) if rank > 1 else t
+    tensors = [embed(t, rank, axis) if t.rank < rank else t
                for t in record.tensors]
     if len(tensors) == 2:
         return make_pair(*tensors, lineage=f"seed:{key}")
@@ -871,12 +871,6 @@ def _exec_node(recipe: Recipe, registry: SeedRegistry, path: str) -> GcaSet:
             err.args = (f"{err.args[0] if err.args else err}"
                         f" [recipe node {path}]",) + err.args[1:]
         raise
-    declared = recipe.params.get("shape")
-    if declared is not None and list(out.shape) != list(declared):
-        raise ShapeMismatch(
-            f"recipe node {path} declared shape {declared} but produced "
-            f"{list(out.shape)}"
-        )
     return out
 
 
@@ -886,18 +880,19 @@ def execute(recipe: Recipe, registry: SeedRegistry | None = None) -> GcaSet:
     Each node's set is checked once, by the direct route: in `assemble`,
     or at the node when a rebound construction returns an unmarked set,
     so a wrong set is named where it is made.  The set returned is then
-    checked by the product route too.  A Kronecker product of more than
-    `_PRODUCT_CAP` entries is refused (ShapeMismatch, naming the node)
-    before it is allocated.  Execution is deterministic: the same recipe
-    and registry give identical arrays.
+    checked by the product route too.  Every size was fixed when the
+    recipe was built: no node, and so no Kronecker product a
+    construction makes for it, has more than `_PRODUCT_CAP` entries.
+    Execution is deterministic: the same recipe and registry give
+    identical arrays.
     """
     if registry is None:
         registry = load_bundled()
-    token = _execute_cap.set(_PRODUCT_CAP)
+    token = _direct_only.set(True)
     try:
         out = _exec_node(recipe, registry, path=recipe.op)
     finally:
-        _execute_cap.reset(token)
+        _direct_only.reset(token)
     if not gca_check_polynomial(out.arrays):
         raise VerificationFailed("executed recipe failed final verification: "
                                  "polynomial product check failed")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import MissingSeed, NotBinary, ParseError, VerificationFailed
 from .search import (
@@ -45,6 +46,21 @@ BASE_KIND = "base-sequences"
 
 def _shape_signature(shapes: tuple[tuple[int, ...], ...]) -> str:
     return ";".join("x".join(str(s) for s in shape) for shape in shapes)
+
+
+@lru_cache(maxsize=1024)
+def _key_shapes(key: str) -> tuple[tuple[int, ...], ...]:
+    """The member shapes that end a seed key (`_shape_signature`'s
+    inverse), of positive sizes and one rank, or ParseError."""
+    signature = key.rpartition("/")[2]
+    try:
+        shapes = tuple(tuple(map(int, m.split("x"))) for m in signature.split(";"))
+    except ValueError:
+        shapes = ((0,),)
+    if (_shape_signature(shapes) != signature or min(map(min, shapes)) < 1
+            or len(set(map(len, shapes))) > 1):
+        raise ParseError(f"seed key {key!r} does not end in shapes like 2;2")
+    return shapes
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ Python-object (big-int) fallback keeps results exact otherwise.
 """
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -463,12 +462,6 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._adopt(*out.reshape((terms,) + out_shape))
 
 
-# Set only by `planner.execute`, for the nodes it builds: the most entries
-# a `kron` output may have there.  Their sets are checked by the direct
-# route alone (`construct.assemble`), and the root by both routes.
-_execute_cap = contextvars.ContextVar("_execute_cap", default=None)
-
-
 def kron(a: Tensor, b: Tensor) -> Tensor:
     """Kronecker product; index k_l = i_l * t_l + j_l, dims multiply.
 
@@ -478,15 +471,10 @@ def kron(a: Tensor, b: Tensor) -> Tensor:
     plane; their `im` planes are neither bounded nor cast.  int64
     results are adopted without a copy; object results (a bound past
     int64) go through `Tensor`, so planes come back int64 whenever their
-    entries fit.  Inside `planner.execute`, an output of more entries
-    than its cap is refused (ShapeMismatch) before it is allocated.
-    """
+    entries fit.  Sizes are capped where a recipe is parsed."""
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
     out = tuple(s * t for s, t in zip(a.shape, b.shape))
-    cap = _execute_cap.get()
-    if cap is not None and math.prod(out) > cap:
-        raise ShapeMismatch(f"Kronecker product of shape {out} has more than {cap} entries")
     real = _is_zero(a.im) and _is_zero(b.im)
     # only the planes multiplied are bounded and cast: an output entry
     # is one product of their entries, or a sum of two

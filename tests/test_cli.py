@@ -22,16 +22,8 @@ from golaykit.construct import GcaSet
 from golaykit.seeds import load_bundled, registry_to_obj
 from golaykit.tensor import Alphabet, Tensor
 
-from .test_planner import MALFORMED_RECIPES, _chain_text
-
-
-def _turyn_tower(levels: int) -> dict:
-    """A gca-recipe/1 document of `levels` nested binary_turyn_pair nodes
-    over the binary pair of length 2: the length squares at each level."""
-    node = {"op": "seed", "seed": "golay-pair/binary/2;2"}
-    for _ in range(levels):
-        node = {"op": "binary_turyn_pair", "children": [node, node]}
-    return {"format": "gca-recipe/1", **node}
+from .test_planner import (MALFORMED_RECIPES, SQUARE, _chain_text,
+                           _square_registry, _turyn_tower)
 
 
 def run(capsys, *argv):
@@ -166,8 +158,8 @@ class TestGenerateVerifyRoundTrip:
     def test_oversized_product_refused_before_allocation(self, capsys, tmp_path,
                                                          monkeypatch):
         # each level squares the length (4, 16, 256): with the cap at 100
-        # the third level's product is refused before it is made, as six
-        # levels are at the real cap (2**32 entries at the fifth)
+        # the third level's node is refused when the recipe is parsed, as
+        # six levels are at the real cap (2**32 entries at the fifth)
         monkeypatch.setattr(planner, "_PRODUCT_CAP", 100)
         tower = tmp_path / "tower.json"
         tower.write_text(json.dumps(_turyn_tower(3)))
@@ -175,11 +167,45 @@ class TestGenerateVerifyRoundTrip:
         assert code == 65
         assert out == ""
         assert "Traceback" not in err
-        assert "input rejected: Kronecker product of shape (256,)" in err
-        assert err.rstrip().endswith("[recipe node binary_turyn_pair]")
+        assert err == ("input rejected: binary_turyn_pair node of shape "
+                       "[256] has more than 100 entries\n")
         monkeypatch.setattr(planner, "_PRODUCT_CAP", 256)
         code, _, _ = run(capsys, "generate", "--recipe", str(tower))
         assert code == 0
+
+    @pytest.mark.parametrize("levels", [1, 6])
+    def test_recipe_parsed_before_seeds_are_read(self, capsys, tmp_path,
+                                                 levels):
+        # a recipe refused at parse costs no seed file read, so a missing
+        # one goes unnoticed; the one-level tower reaches the seed file
+        tower = tmp_path / "tower.json"
+        tower.write_text(json.dumps(_turyn_tower(levels)))
+        code, out, err = run(capsys, "generate", "--recipe", str(tower),
+                             "--seeds", str(tmp_path / "missing.json"))
+        assert (code, out) == (65, "")
+        assert "Traceback" not in err
+        assert ("has more than 10000000 entries" in err) == (levels == 6)
+        assert ("cannot read" in err) == (levels == 1)
+
+    def test_square_seed_tower(self, capsys, tmp_path):
+        # a 2x2 record from a seeds file: one level builds a 4x4 pair,
+        # four levels (65536 x 65536 at the fourth) are refused at parse
+        seeds_file = tmp_path / "square.json"
+        seeds_file.write_text(json.dumps(
+            registry_to_obj(_square_registry(load_bundled()))))
+        towers = []
+        for levels in (1, 4):
+            towers.append(tmp_path / f"tower{levels}.json")
+            towers[-1].write_text(json.dumps(_turyn_tower(levels, SQUARE)))
+        code, obj, _ = run_json(capsys, "generate", "--recipe", str(towers[0]),
+                                "--seeds", str(seeds_file))
+        assert code == 0
+        assert [a["shape"] for a in obj["arrays"]] == [[4, 4], [4, 4]]
+        code, out, err = run(capsys, "generate", "--recipe", str(towers[1]),
+                             "--seeds", str(seeds_file))
+        assert (code, out) == (65, "")
+        assert err == ("input rejected: binary_turyn_pair node of shape "
+                       "[65536, 65536] has more than 10000000 entries\n")
 
     @pytest.mark.parametrize("role", ["pair", "quad"])
     def test_over_cap_exit_2(self, capsys, role):

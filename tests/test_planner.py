@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from golaykit import construct, planner, verify
@@ -35,7 +35,7 @@ from golaykit.planner import (
     recipe_to_obj,
     report_to_obj,
 )
-from golaykit.seeds import SeedRegistry, load_bundled
+from golaykit.seeds import PAIR_KIND, SeedRecord, SeedRegistry, load_bundled
 from golaykit.tensor import Alphabet, Tensor
 from golaykit.verify import gca_check_polynomial, is_gca_set
 
@@ -52,6 +52,18 @@ def _leaf(length=2, axis=0, rank=1, **extra):
 def _doc(op, children, **params):
     return {"format": "gca-recipe/1", "op": op, "params": params,
             "children": children}
+
+
+SQUARE = "golay-pair/binary/2x2;2x2"
+
+
+def _turyn_tower(levels: int, key: str = "golay-pair/binary/2;2") -> dict:
+    """A gca-recipe/1 document of `levels` nested binary_turyn_pair nodes
+    over the pair `key`: each level squares every size."""
+    node = {"op": "seed", "seed": key}
+    for _ in range(levels):
+        node = {"op": "binary_turyn_pair", "children": [node, node]}
+    return {"format": "gca-recipe/1", **node}
 
 
 # Documents that must fail with ParseError when parsed, before any
@@ -84,6 +96,16 @@ MALFORMED_RECIPES = [
     pytest.param(_doc("reshape", [_leaf(rank=2)]), id="reshape"),
     pytest.param({"format": "gca-recipe/1", **_leaf(rank=100)},
                  id="rank-over-numpy-limit"),
+    pytest.param({"format": "gca-recipe/1", "op": "seed", "seed": SQUARE,
+                  "params": {"rank": 1}}, id="2d-seed-at-rank-1"),
+    pytest.param({"format": "gca-recipe/1", "op": "seed", "seed": SQUARE,
+                  "params": {"rank": 3}}, id="2d-seed-at-rank-3"),
+    pytest.param({"format": "gca-recipe/1", "op": "seed", "seed": SQUARE,
+                  "params": {"axis": 1}}, id="2d-seed-along-axis-1"),
+    pytest.param(_doc("cross_set", [_leaf(), {"op": "seed", "seed": "x"}]),
+                 id="seed-key-without-shapes"),
+    pytest.param({"format": "gca-recipe/1", "op": "seed",
+                  "seed": "golay-pair/binary/2x2;2"}, id="seed-key-mixed-rank"),
 ]
 
 
@@ -584,11 +606,11 @@ class TestRecipeSerialization:
                    for n in spec.arity}
         assert emitted == allowed
 
-    def test_declared_shape_cross_checked(self, registry):
+    def test_declared_shape_cross_checked(self):
         obj = recipe_to_obj(plan_pair(Q, (9, 10)).recipe)
         obj["params"]["shape"] = [9, 11]
         with pytest.raises(ShapeMismatch) as exc:
-            execute(recipe_from_obj(obj), registry)
+            recipe_from_obj(obj)
         assert "declared shape" in str(exc.value)
 
     def test_execute_deterministic(self, registry):
@@ -746,13 +768,175 @@ class TestProductRouteOnRoot:
 
     def test_switch_reset_after_shape_mismatch(self, registry,
                                                product_calls):
-        obj = recipe_to_obj(plan_pair(Q, (9, 10)).recipe)
-        obj["params"]["shape"] = [9, 11]
-        with pytest.raises(ShapeMismatch):
-            execute(recipe_from_obj(obj), registry)
+        # a declared shape is refused at parse now; cross_set refuses
+        # the mixed lengths of base sequences inside execute
+        base = {"op": "seed", "seed": SeedRegistry.base_key(1)}
+        recipe = recipe_from_obj(_doc("cross_set", [base, base]))
+        with pytest.raises(ShapeMismatch, match="uniform shapes"):
+            execute(recipe, registry)
         assert product_calls == []
         _seed_pair(registry, "golay-pair/quaternary/3;3")
         assert len(product_calls) == 1
+
+
+def _square_registry(registry) -> SeedRegistry:
+    """The bundled records plus a 2x2 binary pair, as a seeds file may
+    hold one."""
+    square = execute(plan_pair(B, (2, 2)).recipe, registry)
+    out = SeedRegistry(dict(registry.records))
+    out.add(SeedRecord(PAIR_KIND, B, square.arrays, "2 x 2 Turyn product"))
+    assert SQUARE in out
+    return out
+
+
+def _built_nodes(recipe, registry) -> list:
+    """(node, set) for every node `execute` builds, children first."""
+    built, inner = [], planner._exec_node
+
+    def recorded(node, reg, path):
+        out = inner(node, reg, path)
+        built.append((node, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "_exec_node", recorded)
+        execute(recipe, registry)
+    return built
+
+
+def _assert_shapes_built(recipe, registry) -> None:
+    for node, out in _built_nodes(recipe, registry):
+        assert node.shapes == tuple(a.shape for a in out.arrays), node.op
+        assert node.shape == list(out.shape), node.op
+
+
+_LENGTHS = {a: enumerate_golay_numbers(a, 24) for a in (B, Q)}
+
+
+class TestShapeColumn:
+    """The op table's shape column gives each node's member shapes when
+    the recipe is parsed, and the sets `execute` builds have them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(alphabet=st.sampled_from([B, Q]), data=st.data())
+    def test_planned_shapes_are_built(self, registry, alphabet, data):
+        rank = data.draw(st.integers(1, 2))
+        if data.draw(st.booleans()):
+            shape = tuple(data.draw(st.sampled_from(_LENGTHS[alphabet]))
+                          for _ in range(rank))
+            report = plan_pair(alphabet, shape)
+        else:
+            shape = tuple(data.draw(st.integers(1, 24)) for _ in range(rank))
+            report = plan_quad(alphabet, shape, registry)
+        assume(report.feasible)
+        _assert_shapes_built(report.recipe, registry)
+
+    @settings(max_examples=30, deadline=None)
+    @given(op=st.sampled_from(["expand_quad", "interleave_quad",
+                               "concat_zero_quad"]),
+           m=st.integers(1, 14), binder=st.sampled_from([1, 2, 4, 10]),
+           rank=st.integers(1, 2), data=st.data())
+    def test_base_sequence_leaves(self, registry, op, m, binder, rank, data):
+        # base-sequence members differ in length (m+1, m+1, m, m)
+        axis = data.draw(st.integers(0, rank - 1))
+        base = {"op": "seed", "seed": SeedRegistry.base_key(m),
+                "params": {"axis": axis, "rank": rank}}
+        if op == "expand_quad":
+            pair = plan_pair(B, (1,) * (rank - 1) + (binder,)).recipe
+            disjoint = {"op": "disjoint_from_pair",
+                        "children": [recipe_to_obj(pair, _top=False)]}
+            doc = _doc(op, [base, disjoint])
+        else:
+            doc = _doc(op, [base], dim=axis)
+        _assert_shapes_built(recipe_from_obj(doc), registry)
+
+    def test_expand_quad_over_bs_4_3(self, registry):
+        pair = recipe_to_obj(plan_pair(B, (2,)).recipe, _top=False)
+        recipe = recipe_from_obj(_doc("expand_quad", [
+            {"op": "seed", "seed": SeedRegistry.base_key(3)},
+            {"op": "disjoint_from_pair", "children": [pair]}]))
+        assert recipe.shapes == ((8,), (8,), (6,), (6,))
+        assert recipe.shape == [8]
+        _assert_shapes_built(recipe, registry)
+
+    @pytest.mark.parametrize("plan, alphabet, shape, digest", PINNED_PLANS)
+    def test_products_within_their_node(self, registry, monkeypatch, plan,
+                                        alphabet, shape, digest):
+        # every Kronecker product a construction makes is no larger than
+        # the set of the node it serves, so a cap on nodes caps products
+        products, served = [], []
+        kron, inner = construct.kron, planner._exec_node
+
+        def counted_kron(a, b):
+            out = kron(a, b)
+            products.append(math.prod(out.shape))
+            return out
+
+        def recorded(node, reg, path):
+            out = inner(node, reg, path)  # the children take theirs
+            served.append((math.prod(out.shape), products[:]))
+            products.clear()
+            return out
+
+        monkeypatch.setattr(construct, "kron", counted_kron)
+        monkeypatch.setattr(planner, "_exec_node", recorded)
+        report = (plan_pair(alphabet, shape) if plan is plan_pair
+                  else plan_quad(alphabet, shape, registry))
+        execute(report.recipe, registry)
+        assert sum(len(mine) for _, mine in served) > 0
+        for size, mine in served:
+            assert max(mine, default=0) <= size
+
+    def test_tower_refused_before_anything_is_built(self, monkeypatch):
+        made = []
+        assemble = construct.assemble
+        monkeypatch.setattr(construct, "assemble",
+                            lambda *args: made.append(args) or assemble(*args))
+        with pytest.raises(ShapeMismatch) as exc:
+            recipe_from_obj(_turyn_tower(6))
+        assert str(exc.value) == ("binary_turyn_pair node of shape "
+                                  "[4294967296] has more than 10000000 "
+                                  "entries")
+        assert made == []
+
+    def test_cap_is_on_the_node(self, monkeypatch):
+        monkeypatch.setattr(planner, "_PRODUCT_CAP", 256)
+        assert recipe_from_obj(_turyn_tower(3)).shape == [256]
+        monkeypatch.setattr(planner, "_PRODUCT_CAP", 255)
+        with pytest.raises(ShapeMismatch, match=r"shape \[256\]"):
+            recipe_from_obj(_turyn_tower(3))
+
+
+class TestMultiDimensionalSeed:
+    """A k-D record is used as stored, at rank k, its rank and shapes
+    read from its key."""
+
+    def test_rank_from_key(self):
+        leaf = recipe_from_obj({"format": "gca-recipe/1", "op": "seed",
+                                "seed": SQUARE})
+        assert (leaf.rank, leaf.shapes) == (2, ((2, 2), (2, 2)))
+
+    @pytest.mark.parametrize("dim, shape", [(0, (8, 4)), (1, (4, 8))])
+    def test_concat_along_either_axis(self, registry, dim, shape):
+        leaf = {"op": "seed", "seed": SQUARE, "params": {"rank": 2}}
+        recipe = recipe_from_obj(_doc("concat_pair", [leaf, leaf], dim=dim))
+        assert recipe.shape == list(shape)
+        square = _square_registry(registry)
+        out = execute(recipe, square)
+        assert out.shape == shape and out.alphabet is B
+        _assert_shapes_built(recipe, square)
+
+    def test_missing_record_is_missing_seed(self, registry):
+        recipe = recipe_from_obj(_turyn_tower(1, SQUARE))
+        with pytest.raises(MissingSeed) as exc:
+            execute(recipe, registry)
+        assert exc.value.key == SQUARE
+
+    def test_tower_refused_at_parse(self):
+        # sizes 4, 16, 256, then 65536 x 65536 at the fourth level
+        assert recipe_from_obj(_turyn_tower(3, SQUARE)).shape == [256, 256]
+        with pytest.raises(ShapeMismatch, match=r"shape \[65536, 65536\]"):
+            recipe_from_obj(_turyn_tower(4, SQUARE))
 
 
 class TestCoverage:

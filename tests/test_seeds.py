@@ -13,6 +13,7 @@ from golaykit.seeds import (
     PAIR_KIND,
     SeedRecord,
     SeedRegistry,
+    _key_shapes,
     load_bundled,
     load_registry,
     record_from_obj,
@@ -158,6 +159,32 @@ class TestRegistryLookup:
         with pytest.raises(MissingSeed) as exc:
             reg.get_base_sequences(23)
         assert "base-sequences/binary/24;24;23;23" in str(exc.value)
+
+
+class TestKeyShapes:
+    """`_key_shapes` reads the member shapes back out of a key."""
+
+    def test_inverts_every_bundled_key(self):
+        records = load_bundled().records
+        assert len(records) > 20
+        for key, record in records.items():
+            assert record.key == key
+            assert _key_shapes(key) == record.shapes
+
+    def test_inverts_multi_dimensional_keys(self):
+        a = Tensor.from_entries((2, 2), [1, 1, 1, -1])
+        b = Tensor.from_entries((2, 1, 3), [1, 1, 1, -1, 1, -1])
+        for tensors in ((a, a), (b, b, b)):
+            record = SeedRecord(PAIR_KIND, Alphabet.BINARY, tensors)
+            assert _key_shapes(record.key) == record.shapes
+
+    @pytest.mark.parametrize("key", [
+        "", "x", "golay-pair/binary/", "golay-pair/binary/2;", "a/b/2;;2",
+        "a/b/0;0", "a/b/-2;-2", "a/b/02;02", "a/b/+2;2", "a/b/2 ;2",
+        "a/b/2x;2x", "a/b/2x2;2", "a/b/\u0662;\u0662", "a/b/" + "9" * 5000])
+    def test_refuses_what_no_key_ends_in(self, key):
+        with pytest.raises(ParseError):
+            _key_shapes(key)
 
 
 class TestRegistryFiles:
