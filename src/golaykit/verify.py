@@ -26,7 +26,10 @@ Three routes are implemented and kept deliberately independent:
   at negated frequencies, then the split of re and im from c(d) and
   c(-d), and a CRT lift of the residues to the exact integers in
   (-P/2, P/2).  From n = 2**14 up, stages with short inner loops run
-  on transposed quarters of the input.
+  on transposed quarters of the input, and reductions modulo p (save
+  the residues of object planes) divide by each prime as a scalar,
+  which numpy does by a multiply with its reciprocal; below, each is
+  one `%`, a hardware divide per entry.
 * `gca_check_polynomial` sums each array's exact convolution with its
   conjugate flip and demands the constant total.  It convolves real
   planes only: with u = re + im and P = re * flip(im), a complex
@@ -217,11 +220,11 @@ def _twiddles(n: int, mod: _Moduli) -> np.ndarray:
 @_kept_when_small
 def _reversal(n: int) -> np.ndarray:
     """The bit-reversal permutation of range(n), its own inverse: the
-    forward transform leaves frequency k at position rev[k]."""
-    bits = n.bit_length() - 1
-    k, rev = np.arange(n), np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((k >> b) & 1) << (bits - 1 - b)
+    forward transform leaves frequency k at position rev[k].  Built by
+    doubling: the reversal of 2n is that of n doubled, then plus one."""
+    rev = np.zeros(1, np.intp)
+    while rev.size < n:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
     return rev
 
 
@@ -230,19 +233,38 @@ def _negation(n: int) -> np.ndarray:
     """For each position of the forward transform's bit-reversed
     output, the position that holds the negated frequency."""
     rev = _reversal(n)
-    return rev[-rev % n]
+    return rev[-rev & (n - 1)]
 
 
-def _ntt(x: np.ndarray, mod: _Moduli) -> None:
+def _mod(x: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.remainder(x, p, out) for a column p of primes, x[k] modulo the
+    k-th, as x - (x // q) * q with q the prime as a scalar of x's dtype,
+    one prime at a time: numpy divides contiguous runs by a scalar with
+    a multiply by its reciprocal, where `%` makes a hardware divide per
+    entry.  An x of one row serves every prime, as it broadcasts in
+    np.remainder.  The quotients are built in `out`, which must not be
+    x."""
+    for k, q in enumerate(map(x.dtype.type, p.flat)):
+        np.floor_divide(x[k % len(x)], q, out=out[k])
+        out[k] *= q
+        np.subtract(x[k % len(x)], out[k], out=out[k])
+    return out
+
+
+def _ntt(x: np.ndarray, mod: _Moduli, table: np.ndarray | None = None) -> None:
     """Transform x, shape (primes, rows, n) with entries in [0, p), in
     place along its last axis, modulo mod.primes[k] in x[k]: natural
-    order in, bit-reversed order out (Gentleman-Sande).  From n =
-    _LONG_LOOPS up, the stages of half-length h < sqrt(n), whose inner
-    loops are short, run after the long stages on a quarter of their
-    blocks at a time, copied transposed into x.size/4 entries of `spare`
-    with the next x.size/8 as temporary."""
+    order in, bit-reversed order out (Gentleman-Sande); `table` is
+    _twiddles(n, mod), made here when not given.  From n = _LONG_LOOPS
+    up, the stages of half-length h < sqrt(n), whose inner loops are
+    short, run after the long stages on a quarter of their blocks at a
+    time, copied transposed into x.size/4 entries of `spare` with the
+    next x.size/8 as temporary, and every stage reduces through `_mod`:
+    its contiguous runs, h >= sqrt(n) in place and h * 32 or more in a
+    quarter, are long enough for the scalar division to pay."""
     n = x.shape[-1]
-    table = _twiddles(n, mod).view(np.uint64)[:, None, None, :]
+    table = (_twiddles(n, mod) if table is None
+             else table).view(np.uint64)[:, None, None, :]
     p = mod.p.view(np.uint64)[:, :, None, None]
     x = x.view(np.uint64)
     spare = np.empty(x.size // 2, dtype=np.uint64)
@@ -250,13 +272,13 @@ def _ntt(x: np.ndarray, mod: _Moduli) -> None:
         _stages(x, spare, table, p, 1, n)
         return
     size = 1 << n.bit_length() // 2
-    _stages(x, spare, table, p, size, n)
+    _stages(x, spare, table, p, size, n, True)
     quarter = spare[:x.size // 4].reshape(x.shape[:2] + (size, -1))
     blocks = x.reshape(x.shape[:2] + (4, -1, size))
     for q in range(4):
         np.copyto(quarter, blocks[:, :, q].swapaxes(2, 3))
         _stages(quarter, spare[x.size // 4:3 * x.size // 8], table[..., None],
-                p[..., None], 1, size)
+                p[..., None], 1, size, True)
         np.copyto(blocks[:, :, q], quarter.swapaxes(2, 3))
 
 
@@ -265,11 +287,13 @@ _FRONT, _BACK = (slice(None),) * 3 + (0,), (slice(None),) * 3 + (1,)
 
 
 def _stages(x: np.ndarray, spare: np.ndarray, table: np.ndarray,
-            p: np.ndarray, low: int, high: int) -> None:
+            p: np.ndarray, low: int, high: int, long: bool = False) -> None:
     """`_ntt`'s stages of half-lengths high/2 down to low along axis 2
     of x, (primes, rows, length) or (primes, rows, length, blocks), with
     `spare` the size of half of x.  The butterflies run in uint64, where
-    a wrapped y - p is large, so min(y, y - p) reduces any y < 2p."""
+    a wrapped y - p is large, so min(y, y - p) reduces any y < 2p.  Each
+    product is made in place, then reduced by one `%`, or when `long` is
+    made in the spent sum and reduced back into place by `_mod`."""
     h = high // 2
     while h >= low:
         y = x.reshape(x.shape[:2] + (-1, 2, h) + x.shape[3:])
@@ -280,8 +304,12 @@ def _stages(x: np.ndarray, spare: np.ndarray, table: np.ndarray,
         b += a  # a - b + p, in (0, 2p)
         np.subtract(t, p, out=a)
         np.minimum(a, t, out=a)
-        b *= table[:, :, :, ::table.shape[3] // h]
-        b %= p
+        w = table[:, :, :, ::table.shape[3] // h]
+        if long:
+            _mod(np.multiply(b, w, out=t), p, b)
+        else:
+            b *= w
+            b %= p
         h //= 2
 
 
@@ -290,12 +318,23 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
     the transform of the summed autocorrelation under i -> iota.  The
     members go through one stacked transform or, past _GROUP residues,
     a group of members at a time.  A real set transforms only its
-    members (u = v): V is U at the negated frequency."""
+    members (u = v): V is U at the negated frequency.  From n =
+    _LONG_LOOPS up, residues are taken by `_mod`, save those of object
+    planes, each into an array that holds its quotients: the residues'
+    own, or one the step has spent; below, each step is one `%`.  A set
+    of over _GROUP residues even at one row per member, so in several
+    groups, makes its twiddle table first, once for all of them."""
     n, m = mod.n, len(arrays)
     out = tuple(2 * s - 1 for s in arrays[0].shape)
     p = mod.p[:, :, None]
+    reduce = _mod if n >= _LONG_LOOPS else np.remainder
+    table = _twiddles(n, mod) if m * n > _GROUP else None
     planes = _layout([a.re for a in arrays] + [a.im for a in arrays], out)
-    planes = (planes % p.astype(planes.dtype)).astype(np.int64, copy=False)
+    if planes.dtype == object:
+        planes = (planes % p.astype(object)).astype(np.int64)
+    else:
+        planes = reduce(planes[None], p,
+                        np.empty((len(mod.primes),) + planes.shape, np.int64))
     re, im = planes[:, :m], planes[:, m:]
     real = not im.any()
     if not real:
@@ -310,16 +349,16 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
         if real:
             x[:, :, :r.shape[2]] = r
         else:
-            # u at offsets 0..L-1, v at -j mod n: offset 0, then n-L+1..n-1
-            x[:, :k, :r.shape[2]] = (r + i) % p
-            v = (r - i) % p
+            # u at offsets 0..L-1, v at -j mod n: offset 0, then n-L+1..n-1;
+            # v's residues are made at u's offsets, then moved
+            v = reduce(r - i, p, x[:, :k, :r.shape[2]])
             x[:, k:, 0] = v[..., 0]
             x[:, k:, n - v.shape[2] + 1:] = v[..., :0:-1]
-        _ntt(x, mod)
+            reduce(r + i, p, v)
+        _ntt(x, mod, table)
         u, v = (x, x[..., _negation(n)]) if real else (x[:, :k], x[:, k:])
         u *= v
-        u %= p
-        total = total + u.sum(axis=1)
+        total = total + reduce(u, p, v).sum(axis=1)
         del x, u, v  # freed before the next group's x is made
     return total % mod.p
 

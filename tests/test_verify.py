@@ -362,6 +362,9 @@ class TestLongLoopStages:
 
     @pytest.mark.parametrize("n, count, rows", LONG_TRANSFORMS)
     def test_matches_the_in_place_loop(self, n, count, rows, monkeypatch):
+        """With _LONG_LOOPS past n, every stage runs in place and reduces
+        by one `%`: so this also checks the transposed quarters' and
+        `_mod`'s scalar division against `%`."""
         primes = verify._primes(n, count)
         mod = verify._moduli_of(n, primes)
         rng = np.random.default_rng(n + 10 * count + rows)
@@ -388,7 +391,7 @@ class TestLongLoopStages:
         assert peak <= 0.95 * x.nbytes
 
     def test_long_sequence_autocorrelation(self):
-        # 2 * 8200 - 1 shifts: a transform of 2**14 points
+        # 2 * 8200 - 1 shifts: a transform of 2**15 points
         rng = np.random.default_rng(8200)
         units = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
         a = Tensor(*units[rng.integers(0, 4, 8200)].T.copy())
@@ -428,6 +431,117 @@ class TestLongLoopStages:
                 + sum(t.im.astype(object) for t in total) ** 2)
         side[tuple(s - 1 for s in shape)] = 0
         assert v.max_sidelobe_norm == side.max() > 0
+
+    @pytest.mark.parametrize("n, count", [(1 << 14, 1), (1 << 14, 2),
+                                          (1 << 15, 1), (1 << 15, 2)])
+    def test_matches_the_defining_sum(self, n, count):
+        # 16 frequencies k, among them 0, 1, n/2 and n-1, of each row:
+        # sum_j x_j * w**(j*k) mod p in Python ints, w of order n, at
+        # the bit-reversed position of k
+        primes = verify._primes(n, count)
+        mod = verify._moduli_of(n, primes)
+        rng = np.random.default_rng(n + count)
+        x = rng.integers(0, np.array(primes)[:, None, None], (count, 2, n))
+        rows = x.tolist()
+        verify._ntt(x, mod)
+        rev = bit_reversal(n)
+        freqs = [0, 1, n // 2, n - 1] + rng.integers(2, n - 1, 12).tolist()
+        for p, w, prime_rows, got in zip(primes, mod.root[:, 0].tolist(), rows, x):
+            assert pow(w, n // 2, p) == p - 1
+            for row, out in zip(prime_rows, got):
+                for k in freqs:
+                    z, total = pow(w, k, p), 0
+                    for c in reversed(row):
+                        total = (total * z + c) % p
+                    assert out[rev[k]] == total
+
+
+def bit_reversal(n):
+    """The bit-reversal permutation of range(n) by its definition: bit b
+    of k moves to bit log2(n) - 1 - b."""
+    bits = n.bit_length() - 1
+    k, rev = np.arange(n), np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((k >> b) & 1) << (bits - 1 - b)
+    return rev
+
+
+class TestPermutations:
+    @pytest.mark.parametrize("e", range(18))
+    def test_reversal_and_negation(self, e):
+        n = 1 << e
+        rev = bit_reversal(n)
+        assert np.array_equal(verify._reversal(n), rev)
+        # position i holds frequency rev[i]; -rev[i] mod n sits at rev of it
+        assert np.array_equal(verify._negation(n), rev[-rev % n])
+
+
+class TestScalarDivision:
+    """`_mod`, the direct route's reduction from _LONG_LOOPS up: one
+    scalar division per prime, against Python's `%`."""
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("p_dtype", [np.int64, np.uint64])
+    def test_range_edges(self, count, p_dtype):
+        # uint64: up to (2p - 1)(p - 1), the largest butterfly product;
+        # int64: the whole range.  An int64 p with uint64 x must not
+        # promote to float64, inexact past 2**53
+        primes = verify._primes(1 << 14, count)
+        p = np.array(primes, dtype=p_dtype)[:, None]
+        for dtype, edges in ((np.uint64, lambda q: [0, q - 1, (2 * q - 1) * (q - 1)]),
+                             (np.int64, lambda q: [-2 ** 63, -1, 2 ** 63 - 1])):
+            rows = [edges(q) for q in primes]
+            x = np.array(rows, dtype=dtype)
+            out = np.empty_like(x)
+            assert verify._mod(x, p, out) is out
+            assert out.dtype == dtype
+            assert out.tolist() == [[v % q for v in row]
+                                    for row, q in zip(rows, primes)]
+            assert x.tolist() == rows
+
+    def test_one_row_serves_every_prime(self):
+        # as in np.remainder, a single row of x broadcasts over the primes
+        primes = verify._primes(1 << 14, 3)
+        x = np.array([[-2 ** 63, -1, 0, 2 ** 63 - 1]])
+        out = verify._mod(x, np.array(primes)[:, None], np.empty((3, 4), np.int64))
+        assert out.tolist() == [[v % q for v in x[0].tolist()] for q in primes]
+
+    def test_short_transforms_reduce_by_remainder(self, monkeypatch):
+        # below _LONG_LOOPS, neither the stages nor the spectrum call it
+        monkeypatch.setattr(verify, "_mod", TestRouteIndependence._refuse)
+        good = list(load_bundled().get_golay_pair(Alphabet.QUATERNARY, 13).tensors)
+        assert is_gca_set(good).is_complementary
+        assert is_gca_set([seq(1, 2, 3), seq(-4, (5, -6))]).max_sidelobe_norm > 0
+
+    @pytest.mark.parametrize("scale", [1, 2 ** 50])
+    def test_spectrum_matches_remainder(self, scale, monkeypatch):
+        # nine complex members of 8000 signed entries: 2**14 points in
+        # three groups, which share one twiddle table, over int64 planes
+        # (scale 1) or object planes, whose own residues are still `%`'s
+        rng = np.random.default_rng(scale % 7)
+        planes = rng.integers(-2 ** 20, 2 ** 20, (9, 2, 8000))
+        if scale > 1:
+            planes = planes.astype(object) * scale
+        arrays = [Tensor(*member) for member in planes]
+        mod = verify._moduli((8000,), sum(map(verify._autocorr_bound, arrays)))
+        assert mod.n == verify._LONG_LOOPS and len(mod.primes) > 1
+        calls, mod_of = [], verify._mod
+
+        def counted(x, p, out):
+            calls.append(x.dtype)
+            return mod_of(x, p, out)
+
+        monkeypatch.setattr(verify, "_mod", counted)
+        got = verify._spectrum(arrays, mod)
+        # the stages reduce in uint64, the spectrum's own steps in int64
+        assert set(calls) == {np.dtype(np.uint64), np.dtype(np.int64)}
+        # one member at a time: one group, whose table `_ntt` makes
+        alone = sum(verify._spectrum([a], mod) for a in arrays) % mod.p
+        assert np.array_equal(got, alone)
+        made = len(calls)
+        monkeypatch.setattr(verify, "_LONG_LOOPS", 2 * mod.n)
+        assert np.array_equal(got, verify._spectrum(arrays, mod))
+        assert len(calls) == made
 
 
 @functools.lru_cache(maxsize=None)
