@@ -45,8 +45,6 @@ def products(x: list[int], y: list[int], k: int, s: int) -> list[int]:
     one point, and each plane's [E, O] at two, E and O as digits of
     base 2**(2s): r(z) = E(z**2) + z * O(z**2).
     """
-    if len(x) == 1:  # real operands at one point: the one product
-        return [mul(*x, *y)]
     if len(x) == k:  # real operands: one product at each point
         planes = [list(map(mul, x, y))]
     else:  # (xr + i xi)(yr + i yi) at each point

@@ -3,7 +3,10 @@
 Each set is checked once: `assemble` checks each set it makes and
 marks it, and every operation returns through it, so a slip in any
 formula raises VerificationFailed instead of propagating a bad array.
-Outside `planner.execute` that check takes both exact verification
+An operation assembles only the set it returns: intermediates (the
+mask and middle pairs of `glue_pair`) stay plain arrays, which the
+output's check covers, so inside `planner.execute` the check runs once
+per recipe node.  Outside `execute` it takes both exact verification
 routes; inside it (`_direct_only`, set only there), the direct route,
 and `execute` runs the product route on the set it returns.  Only
 unmarked sets (a GcaSet built directly, or parsed with verify=False)
@@ -11,7 +14,8 @@ are checked again.  Sizes are capped when a recipe is parsed.
 
 A set is its arrays (GcaSet): its alphabet, role and shape are read
 from them, and a construction that needs a support pattern checks the
-arrays themselves.
+arrays themselves, as its consumer: a tile's pattern is checked by
+`lagrange_quad`, not by the operation that lays the tile out.
 
 Pairs and quads come from two ring identities, each written once (~ is
 `involute`, x is `kron`): Turyn's two-term product (X x I + Y x J,
@@ -37,6 +41,7 @@ from .errors import (
     RankMismatch,
     ShapeMismatch,
     StructureFailed,
+    Trivial,
     VerificationFailed,
 )
 from .tensor import (
@@ -246,32 +251,35 @@ def concat_pair(ab: GcaSet, cd: GcaSet, dim: int) -> GcaSet:
                            lambda u, v: concat(u, v, dim)), "concat_pair")
 
 
-def disjoint_mask_pair(ab: GcaSet) -> GcaSet:
-    """Zero-or-sign mask pair (A+B+(B*-A*))/4, (A+B-(B*-A*))/4.
-
-    Requires a nontrivial binary pair; the output satisfies the
-    exactly-one-of-four support rule that the gluing construction
-    relies on, re-checked here.
-    """
+def _mask_arrays(ab: GcaSet) -> tuple[Tensor, Tensor]:
+    """The arrays of `disjoint_mask_pair(ab)`, not assembled."""
     _require_role(ab, "pair", "input")
     _require_binary(ab, "input")
     a, b = ab.arrays
-    if a.rank == 1:
-        if not binary_pair_symmetry(a, b):
-            raise NotComplementary("end-to-end sign rule failed")
+    if a.size == 1:
+        raise Trivial("single-entry pair has no mask pair")
+    if a.rank == 1 and not ab.verified and not binary_pair_symmetry(a, b):
+        raise NotComplementary("end-to-end sign rule failed")
     p, q = _split(add(a, b), involute(b) - involute(a), quarter)
-    counts = (
-        p.support().astype(np.int64)
-        + q.support().astype(np.int64)
-        + involute(p).support().astype(np.int64)
-        + involute(q).support().astype(np.int64)
-    )
+    counts = sum(t.support().astype(np.int64)
+                 for t in (p, q, involute(p), involute(q)))
     if not np.all(counts == 1):
         pos = np.argwhere(counts != 1)[0]
         raise StructureFailed(
             f"mask rule violated at {tuple(int(x) for x in pos)}"
         )
-    return assemble([p, q], "disjoint_mask_pair")
+    return p, q
+
+
+def disjoint_mask_pair(ab: GcaSet) -> GcaSet:
+    """Zero-or-sign mask pair (A+B+(B*-A*))/4, (A+B-(B*-A*))/4.
+
+    Requires a nontrivial binary pair, checked for the end-to-end sign
+    rule when 1-D and unmarked; the output satisfies the
+    exactly-one-of-four support rule that the gluing construction
+    relies on, re-checked here.
+    """
+    return assemble(_mask_arrays(ab), "disjoint_mask_pair")
 
 
 def disjoint_from_pair(cd: GcaSet) -> GcaSet:
@@ -294,8 +302,7 @@ def glue_pair(binder: GcaSet, cd: GcaSet, ef: GcaSet) -> GcaSet:
     _require_role(cd, "pair", "second input")
     _require_role(ef, "pair", "third input")
     _require_same_rank(binder, cd, ef)
-    middle = _turyn(*disjoint_mask_pair(binder).arrays, *cd.arrays)
-    assemble(middle, "glue_pair/middle")  # the intermediate must verify too
+    middle = _turyn(*_mask_arrays(binder), *cd.arrays)
     out = assemble(_turyn(*middle, *ef.arrays), "glue_pair")
     if not _polyphase(out):
         raise NonPolyphase("glue_pair: a zero survived")
@@ -359,7 +366,7 @@ def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
                 "single-pair form needs size 1 along dim; give the second pair"
             )
         z = Tensor.zeros(a.shape)
-        return _tiling_quad(a, z, b, z, "interleave_quad")
+        return quad(a, z, b, z, "interleave_quad")
     (a, b), (c, d) = _split_quad_input(first, second, "interleave_quad", dim)
     if a.shape[dim] != c.shape[dim] + 1:
         raise ShapeMismatch(
@@ -369,7 +376,7 @@ def interleave_quad(first: GcaSet, second: GcaSet | None = None, *,
     za, zc = Tensor.zeros(a.shape), Tensor.zeros(c.shape)
     e, g = (interleave(t, zc, dim) for t in (a, b))
     f, h = (interleave(za, t, dim) for t in (c, d))
-    return _tiling_quad(e, f, g, h, "interleave_quad")
+    return quad(e, f, g, h, "interleave_quad")
 
 
 def concat_zero_quad(first: GcaSet, second: GcaSet | None = None, *,
@@ -389,15 +396,7 @@ def concat_zero_quad(first: GcaSet, second: GcaSet | None = None, *,
     g = chain(a, zc, zc, negate(b))
     f = chain(za, c, d, za)
     h = chain(za, c, negate(d), za)
-    return _tiling_quad(e, f, g, h, "concat_zero_quad")
-
-
-def _tiling_quad(e, f, g, h, lineage: str) -> GcaSet:
-    """The quad (e, f, g, h), checked to have the tiling support pattern
-    that `lagrange_quad` needs."""
-    out = quad(e, f, g, h, lineage)
-    _require_tiling_structure(out, lineage)
-    return out
+    return quad(e, f, g, h, "concat_zero_quad")
 
 
 def _require_tiling_structure(q: GcaSet, consumer: str) -> None:
@@ -429,8 +428,8 @@ def lagrange_quad(q1: GcaSet, q2: GcaSet) -> GcaSet:
     """Polyphase quad of dims s_k t_k from two tiling-structured quads.
 
     Four-term quadratic recombination; the support structure of both
-    inputs (re-validated here, whatever their lineage) makes the
-    sixteen products tile the output with no collision and no hole.
+    inputs (checked here, and only here, whatever their lineage) makes
+    the sixteen products tile the output with no collision and no hole.
     """
     _require_same_rank(q1, q2)
     _require_tiling_structure(q1, "lagrange_quad")

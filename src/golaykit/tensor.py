@@ -9,7 +9,9 @@ point is used anywhere in this module.
 Entries are stored as two integer ndarrays (real and imaginary parts)
 in row-major order with the last index varying fastest.  Arrays are
 immutable once constructed.  int64 storage is used when safe and a
-Python-object (big-int) fallback keeps results exact otherwise.
+Python-object (big-int) fallback keeps results exact otherwise: numpy
+wraps int64 array arithmetic silently, so a sum or a negation that
+would wrap is made again in Python ints.
 """
 from __future__ import annotations
 
@@ -144,13 +146,18 @@ def _validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _as_plane(values: np.ndarray) -> np.ndarray:
     """Copy to int64 when it fits, else to object dtype, exactly."""
     arr = np.asarray(values)
+    if arr.dtype == np.uint64:  # its upper half does not fit int64
+        arr = arr.astype(object)
     if arr.dtype == object:
         if all(isinstance(v, int) for v in arr.flat):
-            big = any(abs(v) > np.iinfo(np.int64).max for v in arr.flat)
-            return arr.copy() if big else arr.astype(np.int64)
+            fits = all(_INT64.min <= v <= _INT64.max for v in arr.flat)
+            return arr.astype(np.int64) if fits else arr.copy()
         raise ParseError("entries must be integers")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ParseError("entries must be integers")
@@ -317,14 +324,38 @@ def _same_shape(a: Tensor, b: Tensor) -> None:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
 
 
+def _sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y exactly: in Python ints when an int64 sum wraps, as it
+    does where its sign differs from both terms'."""
+    s = x + y
+    if s.dtype == np.int64 and ((x ^ s) & (y ^ s)).min() < 0:
+        return x.astype(object) + y
+    return s
+
+
+def _negative(x: np.ndarray) -> np.ndarray:
+    """-x exactly: in Python ints when an int64 x holds -2**63."""
+    if x.dtype == np.int64 and x.min() == _INT64.min:
+        x = x.astype(object)
+    return -x
+
+
+def _made(re: np.ndarray, im: np.ndarray) -> Tensor:
+    """A Tensor on planes just made from Tensor planes: int64 ones as
+    they are, others through `Tensor`, which casts what fits to int64."""
+    if re.dtype == im.dtype == np.int64:
+        return Tensor._adopt(re, im)
+    return Tensor(re, im)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Entrywise sum; shapes must match exactly."""
     _same_shape(a, b)
-    return Tensor(a.re + b.re, a.im + b.im)
+    return _made(_sum(a.re, b.re), _sum(a.im, b.im))
 
 
 def negate(a: Tensor) -> Tensor:
-    return Tensor(-a.re, -a.im)
+    return _made(_negative(a.re), _negative(a.im))
 
 
 def involute(a: Tensor) -> Tensor:
@@ -334,7 +365,7 @@ def involute(a: Tensor) -> Tensor:
     which is what makes products A * involute(A) encode autocorrelation.
     """
     rev = tuple(slice(None, None, -1) for _ in range(a.rank))
-    return Tensor(a.re[rev], -a.im[rev])
+    return _made(a.re[rev], _negative(a.im[rev]))
 
 
 def _zeros(shape: Sequence[int]) -> np.ndarray:

@@ -261,7 +261,8 @@ def _ntt(x: np.ndarray, mod: _Moduli, table: np.ndarray | None = None) -> None:
     time, copied transposed into x.size/4 entries of `spare` with the
     next x.size/8 as temporary, and every stage reduces through `_mod`:
     its contiguous runs, h >= sqrt(n) in place and h * 32 or more in a
-    quarter, are long enough for the scalar division to pay."""
+    quarter, are long enough for the scalar division to pay.  Below,
+    every stage reduces by np.remainder."""
     n = x.shape[-1]
     table = (_twiddles(n, mod) if table is None
              else table).view(np.uint64)[:, None, None, :]
@@ -269,16 +270,16 @@ def _ntt(x: np.ndarray, mod: _Moduli, table: np.ndarray | None = None) -> None:
     x = x.view(np.uint64)
     spare = np.empty(x.size // 2, dtype=np.uint64)
     if n < _LONG_LOOPS:
-        _stages(x, spare, table, p, 1, n)
+        _stages(x, spare, table, p, 1, n, np.remainder)
         return
     size = 1 << n.bit_length() // 2
-    _stages(x, spare, table, p, size, n, True)
+    _stages(x, spare, table, p, size, n, _mod)
     quarter = spare[:x.size // 4].reshape(x.shape[:2] + (size, -1))
     blocks = x.reshape(x.shape[:2] + (4, -1, size))
     for q in range(4):
         np.copyto(quarter, blocks[:, :, q].swapaxes(2, 3))
         _stages(quarter, spare[x.size // 4:3 * x.size // 8], table[..., None],
-                p[..., None], 1, size, True)
+                p[..., None], 1, size, _mod)
         np.copyto(blocks[:, :, q], quarter.swapaxes(2, 3))
 
 
@@ -287,13 +288,13 @@ _FRONT, _BACK = (slice(None),) * 3 + (0,), (slice(None),) * 3 + (1,)
 
 
 def _stages(x: np.ndarray, spare: np.ndarray, table: np.ndarray,
-            p: np.ndarray, low: int, high: int, long: bool = False) -> None:
+            p: np.ndarray, low: int, high: int, reduce) -> None:
     """`_ntt`'s stages of half-lengths high/2 down to low along axis 2
     of x, (primes, rows, length) or (primes, rows, length, blocks), with
     `spare` the size of half of x.  The butterflies run in uint64, where
     a wrapped y - p is large, so min(y, y - p) reduces any y < 2p.  Each
-    product is made in place, then reduced by one `%`, or when `long` is
-    made in the spent sum and reduced back into place by `_mod`."""
+    product is made in the spent sum and reduced back into place by
+    `reduce(product, p, out)`: np.remainder or `_mod`."""
     h = high // 2
     while h >= low:
         y = x.reshape(x.shape[:2] + (-1, 2, h) + x.shape[3:])
@@ -305,11 +306,7 @@ def _stages(x: np.ndarray, spare: np.ndarray, table: np.ndarray,
         np.subtract(t, p, out=a)
         np.minimum(a, t, out=a)
         w = table[:, :, :, ::table.shape[3] // h]
-        if long:
-            _mod(np.multiply(b, w, out=t), p, b)
-        else:
-            b *= w
-            b %= p
+        reduce(np.multiply(b, w, out=t), p, b)
         h //= 2
 
 

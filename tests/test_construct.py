@@ -15,7 +15,7 @@ from golaykit.errors import (
     StructureFailed,
     VerificationFailed,
 )
-from golaykit import construct
+from golaykit import construct, verify
 from golaykit.construct import (
     GcaSet,
     assemble,
@@ -46,6 +46,22 @@ def seq(*vals):
 def orient(gs: GcaSet, axis: int, rank: int = 2) -> GcaSet:
     """Re-embed a 1-D set along an axis of a rank-2 array."""
     return GcaSet(tuple(embed(a, rank, axis) for a in gs.arrays), gs.lineage)
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """One entry per `is_gca_set` call, under every name a module
+    holds it by."""
+    calls = []
+    check = verify.is_gca_set
+
+    def counted(arrays):
+        calls.append(1)
+        return check(arrays)
+
+    for module in (verify, construct):
+        monkeypatch.setattr(module, "is_gca_set", counted)
+    return calls
 
 
 @pytest.fixture
@@ -236,6 +252,30 @@ class TestMaskAndHalves:
         with pytest.raises(Trivial):
             disjoint_mask_pair(pair(seq(1), seq(1)))
 
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_mask_rejects_trivial_of_rank_2(self, marked):
+        # a 1x1 binder is as trivial as a length-1 one, whatever its mark
+        from golaykit.errors import Trivial
+
+        one = embed(seq(1), 2, 0)
+        binder = pair(one, one) if marked else GcaSet((one, one))
+        with pytest.raises(Trivial):
+            disjoint_mask_pair(binder)
+        with pytest.raises(Trivial):
+            glue_pair(binder, orient(pair(seq(1), seq(1)), 0),
+                      orient(pair(seq(1), seq(1)), 1))
+
+    def test_marked_binder_not_checked_again(self, p2, direct_calls):
+        disjoint_mask_pair(p2)
+        assert len(direct_calls) == 1  # the mask pair's own check
+
+    def test_unmarked_1d_binder_checked(self, p2, direct_calls):
+        # an unmarked 1-D binder still meets the end-to-end sign rule
+        disjoint_mask_pair(GcaSet(p2.arrays))
+        assert len(direct_calls) == 2
+        with pytest.raises(NotComplementary):
+            disjoint_mask_pair(GcaSet((seq(1, 1), seq(1, 1))))
+
     def test_halves_frozen_example(self, p2):
         out = disjoint_from_pair(p2)
         assert [a.entries() for a in out.arrays] == [
@@ -261,6 +301,13 @@ class TestGluePair:
     def test_binder_must_be_binary(self, p2, q2_quaternary):
         with pytest.raises(NotBinary):
             glue_pair(q2_quaternary, p2, p2)
+
+    @pytest.mark.parametrize("binder", ["marked", "unmarked"])
+    def test_checks_only_the_pair_returned(self, p2, direct_calls, binder):
+        # no mask or middle pair is assembled; an unmarked 1-D binder
+        # takes one more check, by the end-to-end sign rule
+        glue_pair(p2 if binder == "marked" else GcaSet(p2.arrays), p2, p2)
+        assert len(direct_calls) == (1 if binder == "marked" else 2)
 
 
 class TestCrossSet:

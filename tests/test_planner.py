@@ -334,7 +334,6 @@ class TestPlanQuad:
 class TestTileConcat:
     """A tile times a zero-concatenated planned quad."""
 
-    @pytest.mark.slow
     def test_12x959_executes(self, registry):
         rep = plan_quad(Q, (12, 959), registry)
         assert rep.feasible and rep.recipe.op == "lagrange_quad"
@@ -657,7 +656,8 @@ class TestOneCheckPerSet:
     its content is counted once per copy on both sides."""
 
     @pytest.mark.parametrize("role, shape", [("pair", (9, 10)),
-                                             ("quad", (36, 87))])
+                                             ("quad", (36, 87)),
+                                             ("pair", (30,))])
     def test_execute_checks_each_set_once(self, registry, monkeypatch,
                                           role, shape):
         report = (plan_pair(Q, shape) if role == "pair"
@@ -682,6 +682,81 @@ class TestOneCheckPerSet:
         assert out.verified
         assert checked == made
         assert len(made) > 1
+
+
+def _nodes(recipe: Recipe) -> int:
+    return 1 + sum(map(_nodes, recipe.children))
+
+
+def _catalog_seed_1_recipes(registry):
+    for (role, alphabet), text in CATALOG_SEED_1_BUILDS.items():
+        for word in text.split():
+            shape = tuple(int(s) for s in word.split("x"))
+            yield (plan_pair(alphabet, shape) if role == "pair"
+                   else plan_quad(alphabet, shape, registry)).recipe
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """One entry per `is_gca_set` call, under every name a module
+    holds it by."""
+    calls = []
+    check = verify.is_gca_set
+
+    def counted(arrays):
+        calls.append(1)
+        return check(arrays)
+
+    for module in (verify, construct, planner):
+        monkeypatch.setattr(module, "is_gca_set", counted)
+    return calls
+
+
+class TestOneCheckPerNode:
+    """Inside `execute` the direct route runs once per recipe node: a
+    construction assembles only the set it returns (`glue_pair` makes
+    its mask and middle pairs as plain arrays), and a marked binder is
+    not checked again.  A tile's support pattern is checked once, by
+    `lagrange_quad`, the one construction that needs it."""
+
+    @pytest.mark.parametrize("plan, alphabet, shape, digest", PINNED_PLANS)
+    def test_pinned_plans(self, registry, direct_calls, plan, alphabet,
+                          shape, digest):
+        recipe = (plan_pair(alphabet, shape) if plan is plan_pair
+                  else plan_quad(alphabet, shape, registry)).recipe
+        execute(recipe, registry)
+        assert len(direct_calls) == _nodes(recipe)
+
+    def test_catalog_builds(self, registry, direct_calls):
+        nodes = 0
+        for recipe in _catalog_seed_1_recipes(registry):
+            before = len(direct_calls)
+            execute(recipe, registry)
+            assert len(direct_calls) - before == _nodes(recipe), recipe.op
+            nodes += _nodes(recipe)
+        assert nodes == 1367
+
+    def test_tiling_checked_once_per_lagrange_input(self, registry,
+                                                   monkeypatch):
+        checked, inputs = [], []
+        require, lagrange = (construct._require_tiling_structure,
+                             planner.lagrange_quad)
+
+        def counted_require(q, consumer):
+            checked.append(consumer)
+            return require(q, consumer)
+
+        def counted_lagrange(q1, q2):
+            inputs.extend((q1, q2))
+            return lagrange(q1, q2)
+
+        monkeypatch.setattr(construct, "_require_tiling_structure",
+                            counted_require)
+        monkeypatch.setattr(planner, "lagrange_quad", counted_lagrange)
+        for recipe in _catalog_seed_1_recipes(registry):
+            execute(recipe, registry)
+        assert len(inputs) == 86
+        assert checked == ["lagrange_quad"] * len(inputs)
 
 
 @pytest.fixture

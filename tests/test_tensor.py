@@ -216,6 +216,59 @@ class TestRingOps:
         assert kron(a, b).entries()[0] == GaussInt(big * big)
 
 
+# int64's edges and values between, as Python ints: each fits int64
+INT64_EDGES = [-2 ** 63, -2 ** 63 + 1, -2 ** 62, -1, 0, 1, 2 ** 62,
+               2 ** 63 - 1]
+
+
+def _parsed(values) -> Tensor:
+    return tensor_from_obj({"format": "gca-tensor/1", "shape": [len(values)],
+                            "entries": [[v, -v] for v in values]})
+
+
+class TestNoInt64Wrap:
+    """Sums and negations are exact at int64's edges, where numpy's array
+    arithmetic wraps without a warning: against Python ints."""
+
+    def test_sum_and_difference(self):
+        pairs = [(x, y) for x in INT64_EDGES for y in INT64_EDGES]
+        a = Tensor.sequence([(x, -y) for x, y in pairs])
+        b = Tensor.sequence([(y, x) for x, y in pairs])
+        assert a.re.dtype == b.re.dtype == np.int64
+        assert add(a, b).entries() == [GaussInt(x + y, x - y) for x, y in pairs]
+        assert (a - b).entries() == [GaussInt(x - y, -y - x) for x, y in pairs]
+
+    def test_int64_sum_past_the_range(self):
+        big = seq(2 ** 62)
+        assert big.re.dtype == np.int64
+        assert add(big, big).entries() == [GaussInt(2 ** 63)]
+        assert (negate(big) - big - big).entries() == [GaussInt(-3 * 2 ** 62)]
+
+    def test_parsed_and_built_agree(self):
+        # -2**63 fits int64 whichever way it comes in
+        parsed, built = _parsed(INT64_EDGES), Tensor.sequence(
+            [(v, -v) for v in INT64_EDGES])
+        assert parsed == built
+        assert parsed.re.dtype == built.re.dtype
+        assert parsed.im.dtype == built.im.dtype
+
+    def test_negate_and_involute_of_the_least_int64(self):
+        t = _parsed([-2 ** 63, 5])
+        assert t.re.dtype == np.int64
+        assert negate(t).entries() == [GaussInt(2 ** 63, -2 ** 63),
+                                       GaussInt(-5, 5)]
+        assert involute(t).entries() == [GaussInt(5, 5),
+                                         GaussInt(-2 ** 63, -2 ** 63)]
+        assert involute(involute(t)) == t
+
+    def test_uint64_planes(self):
+        values = [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+        t = Tensor(np.array(values, np.uint64), np.zeros(4, np.uint64))
+        assert [g.re for g in t.entries()] == values
+        small = Tensor(np.array([0, 7], np.uint64), np.zeros(2, np.uint64))
+        assert small.re.dtype == np.int64 and small == seq(0, 7)
+
+
 @st.composite
 def same_rank_pairs(draw, max_component=2, real=False):
     """Two tensors of one rank, 1 to 3, whose shapes may differ; `real`
