@@ -25,11 +25,12 @@ Three routes are implemented and kept deliberately independent:
   to invert: the same forward transform, run on the spectrum and read
   at negated frequencies, then the split of re and im from c(d) and
   c(-d), and a CRT lift of the residues to the exact integers in
-  (-P/2, P/2).  From n = 2**14 up, stages with short inner loops run
-  on transposed quarters of the input, and reductions modulo p (save
-  the residues of object planes) divide by each prime as a scalar,
-  which numpy does by a multiply with its reciprocal; below, each is
-  one `%`, a hardware divide per entry.
+  (-P/2, P/2); it reuses the forward transform's twiddles and bit
+  reversal.  From n = 2**14 up, stages with short inner loops run on
+  transposed quarters of the input, and reductions modulo p (save the
+  residues of object planes) divide by each prime as a scalar, which
+  numpy does by a multiply with its reciprocal; below, each is one
+  `%`, a hardware divide per entry.
 * `gca_check_polynomial` sums each array's exact convolution with its
   conjugate flip and demands the constant total.  It convolves real
   planes only: with u = re + im and P = re * flip(im), a complex
@@ -37,7 +38,10 @@ Three routes are implemented and kept deliberately independent:
   imaginary part flip(P) - P (two real products), a real member's is
   re * flip(re) (one).  Its kernel, `tensor.convolve`, is a Kronecker
   substitution in integers (`_toom`): one product, or two of half the
-  bits at +-B, per real convolution; no modular arithmetic.
+  bits at +-B, per real convolution; from 2,000 bits a packed row,
+  members of rank 2 and up go row by row, each row its own integer
+  with no zero padding between rows, and the row lists are multiplied
+  by Karatsuba-Ofman.  No modular arithmetic.
 * `spectrum_flatness` samples the power spectrum on a unit-torus grid
   in floating point (one FFT of each member folded modulo the grid);
   it is a diagnostic, never the source of truth.
@@ -65,7 +69,7 @@ from .errors import (
     ShapeMismatch,
     Trivial,
 )
-from .tensor import GaussInt, Tensor, _exact_dtype, _layout, convolve
+from .tensor import GaussInt, Tensor, _exact_dtype, _is_zero, _layout, convolve
 
 __all__ = [
     "AutocorrResult",
@@ -198,15 +202,6 @@ def _moduli(shape: tuple[int, ...], bound: int) -> _Moduli:
         count += 1
 
 
-def _kept_when_small(fn):
-    """fn(n, ...), with its tables kept for transform lengths n up to
-    _KEPT_TABLES (a few KB each) and rebuilt on every call above."""
-    kept = functools.lru_cache(maxsize=None)(fn)
-    return functools.wraps(fn)(
-        lambda n, *rest: (kept if n <= _KEPT_TABLES else fn)(n, *rest))
-
-
-@_kept_when_small
 def _twiddles(n: int, mod: _Moduli) -> np.ndarray:
     """Row k: mod.root[k]**j mod mod.primes[k] for j < n/2, by doubling."""
     roots = mod.root[:, 0].tolist()
@@ -217,7 +212,6 @@ def _twiddles(n: int, mod: _Moduli) -> np.ndarray:
     return t
 
 
-@_kept_when_small
 def _reversal(n: int) -> np.ndarray:
     """The bit-reversal permutation of range(n), its own inverse: the
     forward transform leaves frequency k at position rev[k].  Built by
@@ -228,12 +222,37 @@ def _reversal(n: int) -> np.ndarray:
     return rev
 
 
-@_kept_when_small
-def _negation(n: int) -> np.ndarray:
-    """For each position of the forward transform's bit-reversed
-    output, the position that holds the negated frequency."""
-    rev = _reversal(n)
-    return rev[-rev & (n - 1)]
+def _negation(rev: np.ndarray) -> np.ndarray:
+    """For each position of the forward transform's bit-reversed output,
+    rev the reversal, the position that holds the negated frequency."""
+    return rev[-rev & (len(rev) - 1)]
+
+
+class _Tables:
+    """The twiddles and the bit reversal of transforms of length mod.n
+    modulo mod.primes, each made when first used and then kept: a check
+    makes its forward transform and, on a rejection, its inverse with
+    the same tables."""
+
+    def __init__(self, mod: _Moduli):
+        self.mod = mod
+
+    @functools.cached_property
+    def twiddles(self) -> np.ndarray:
+        return _twiddles(self.mod.n, self.mod)
+
+    @functools.cached_property
+    def reversal(self) -> np.ndarray:
+        return _reversal(self.mod.n)
+
+
+_kept_tables = functools.lru_cache(maxsize=None)(_Tables)
+
+
+def _tables(mod: _Moduli) -> _Tables:
+    """The tables for `mod`: kept across checks for transform lengths up
+    to _KEPT_TABLES (a few KB each), made for each check above."""
+    return (_kept_tables if mod.n <= _KEPT_TABLES else _Tables)(mod)
 
 
 def _mod(x: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -310,7 +329,7 @@ def _stages(x: np.ndarray, spare: np.ndarray, table: np.ndarray,
         h //= 2
 
 
-def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
+def _spectrum(arrays: list[Tensor], tables: _Tables) -> np.ndarray:
     """sum_i U_i * V_i mod each prime, shape (primes, n), bit-reversed:
     the transform of the summed autocorrelation under i -> iota.  The
     members go through one stacked transform or, past _GROUP residues,
@@ -318,22 +337,22 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
     members (u = v): V is U at the negated frequency.  From n =
     _LONG_LOOPS up, residues are taken by `_mod`, save those of object
     planes, each into an array that holds its quotients: the residues'
-    own, or one the step has spent; below, each step is one `%`.  A set
-    of over _GROUP residues even at one row per member, so in several
-    groups, makes its twiddle table first, once for all of them."""
+    own, or one the step has spent; below, each step is one `%`.  The
+    twiddles of `tables`, the tables for mod = tables.mod, are made
+    first, before the planes are laid out, and serve every group."""
+    mod, table = tables.mod, tables.twiddles
     n, m = mod.n, len(arrays)
     out = tuple(2 * s - 1 for s in arrays[0].shape)
     p = mod.p[:, :, None]
     reduce = _mod if n >= _LONG_LOOPS else np.remainder
-    table = _twiddles(n, mod) if m * n > _GROUP else None
-    planes = _layout([a.re for a in arrays] + [a.im for a in arrays], out)
+    real = all(_is_zero(a.im) for a in arrays)
+    planes = _layout([a.re for a in arrays] + [a.im for a in arrays if not real], out)
     if planes.dtype == object:
         planes = (planes % p.astype(object)).astype(np.int64)
     else:
         planes = reduce(planes[None], p,
                         np.empty((len(mod.primes),) + planes.shape, np.int64))
     re, im = planes[:, :m], planes[:, m:]
-    real = not im.any()
     if not real:
         im *= mod.iota[:, :, None]
     rows = 1 if real else 2
@@ -353,7 +372,7 @@ def _spectrum(arrays: list[Tensor], mod: _Moduli) -> np.ndarray:
             x[:, k:, n - v.shape[2] + 1:] = v[..., :0:-1]
             reduce(r + i, p, v)
         _ntt(x, mod, table)
-        u, v = (x, x[..., _negation(n)]) if real else (x[:, :k], x[:, k:])
+        u, v = (x, x[..., _negation(tables.reversal)]) if real else (x[:, :k], x[:, k:])
         u *= v
         total = total + reduce(u, p, v).sum(axis=1)
         del x, u, v  # freed before the next group's x is made
@@ -371,25 +390,31 @@ def _lift(residues: np.ndarray, primes: tuple[int, ...], dtype) -> np.ndarray:
     return np.where(x > big // 2, x - big, x).astype(dtype)
 
 
-def _correlations(spectrum: np.ndarray, mod: _Moduli, shape: tuple[int, ...],
+def _correlations(spectrum: np.ndarray, tables: _Tables, shape: tuple[int, ...],
                   bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact re and im planes of the autocorrelation sum whose
-    transform is `spectrum`, on the output shape 2*s - 1.  The forward
-    transform of the spectrum in natural order is n * c(-d) at the
-    bit-reversed position of d, so n * c(d) is read at that of -d."""
+    transform is `spectrum`, on the output shape 2*s - 1, with the
+    forward transform's `tables`.  The forward transform of the spectrum
+    in natural order is n * c(-d) at the bit-reversed position of d, so
+    n * c(d) is read at that of -d.  From n = _LONG_LOOPS up, the split
+    of re and im reduces by `_mod`; below, by `%`."""
+    mod = tables.mod
     out = tuple(2 * s - 1 for s in shape)
     half = (math.prod(out) - 1) // 2
-    rev = _reversal(mod.n)
+    rev = tables.reversal
     c = spectrum[:, rev].reshape(len(mod.primes), 1, -1)
-    _ntt(c, mod)
-    p = mod.p
+    _ntt(c, mod, tables.twiddles)
+    reduce = _mod if mod.n >= _LONG_LOOPS else np.remainder
     # n * c(d) for d = -half..half, read at the bit-reversed position of -d
     at = c[:, 0, rev[np.arange(half, -half - 1, -1) % mod.n]]
     flip = at[:, ::-1]  # n * c(-d)
-    re = (at + flip) % p * mod.split_re % p
-    im = (at - flip) % p * mod.split_im % p
     dtype = _exact_dtype(bound)
-    return tuple(_lift(x, mod.primes, dtype).reshape(out) for x in (re, im))
+    x, y, planes = np.empty_like(at), np.empty_like(at), []
+    for op, split in ((np.add, mod.split_re), (np.subtract, mod.split_im)):
+        reduce(op(at, flip, out=x), mod.p, y)
+        y *= split
+        planes.append(_lift(reduce(y, mod.p, x), mod.primes, dtype).reshape(out))
+    return tuple(planes)
 
 
 def autocorrelation(a: Tensor) -> AutocorrResult:
@@ -401,8 +426,8 @@ def autocorrelation(a: Tensor) -> AutocorrResult:
     product exceeds twice the bound 2 * size * max**2.
     """
     bound = _autocorr_bound(a)
-    mod = _moduli(a.shape, bound)
-    re, im = _correlations(_spectrum([a], mod), mod, a.shape, bound)
+    tables = _tables(_moduli(a.shape, bound))
+    re, im = _correlations(_spectrum([a], tables), tables, a.shape, bound)
     return AutocorrResult(Tensor(re, im), tuple(s - 1 for s in a.shape))
 
 
@@ -494,12 +519,12 @@ def is_gca_set(arrays: Sequence[Tensor]) -> GcaVerdict:
     shape = arrays[0].shape
     bounds = [_autocorr_bound(a) for a in arrays]
     bound = sum(bounds)
-    mod = _moduli(shape, bound)
+    tables = _tables(_moduli(shape, bound))
     w = sum(map(_weight, arrays, bounds))
-    spectrum = _spectrum(arrays, mod)
-    if all(np.all(s == w % p) for s, p in zip(spectrum, mod.primes)):
+    spectrum = _spectrum(arrays, tables)
+    if all(np.all(s == w % p) for s, p in zip(spectrum, tables.mod.primes)):
         return GcaVerdict(True, w, 0)
-    return _judge(*_correlations(spectrum, mod, shape, bound), w)
+    return _judge(*_correlations(spectrum, tables, shape, bound), w)
 
 
 def jointly_complementary(arrays: Sequence[Tensor]) -> GcaVerdict:

@@ -1,6 +1,7 @@
 """Ring and structure operations on Gaussian-integer tensors."""
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -270,11 +271,11 @@ class TestNoInt64Wrap:
 
 
 @st.composite
-def same_rank_pairs(draw, max_component=2, real=False):
-    """Two tensors of one rank, 1 to 3, whose shapes may differ; `real`
-    holds for both, or is a (first, second) pair of flags."""
-    rank = draw(st.integers(1, 3))
-    dims = st.lists(st.integers(1, 4), min_size=rank, max_size=rank).map(tuple)
+def same_rank_pairs(draw, max_component=2, real=False, min_rank=1, max_dim=4):
+    """Two tensors of one rank, `min_rank` to 3, whose shapes may differ;
+    `real` holds for both, or is a (first, second) pair of flags."""
+    rank = draw(st.integers(min_rank, 3))
+    dims = st.lists(st.integers(1, max_dim), min_size=rank, max_size=rank).map(tuple)
     reals = real if isinstance(real, tuple) else (real, real)
     return tuple(draw(tensors(shape=draw(dims), max_component=max_component,
                               real=r))
@@ -403,7 +404,9 @@ def sparse_rows(draw, rows, length, max_component, real):
 class TestToomCook:
     """`_toom.mul`, one level of Toom-Cook from `_CUT` bits, against
     CPython's product, and `convolve` past the cut against the double
-    sum."""
+    sum.  Two rows would go row by row, in products of single rows
+    below the cut, so `_ROW_BITS` is raised past them: these tests are
+    of the one padded product."""
 
     @given(signed_ints(CUT, 6 * CUT), signed_ints(CUT, 6 * CUT))
     @settings(max_examples=15, deadline=None)
@@ -467,6 +470,7 @@ class TestToomCook:
         a = data.draw(sparse_rows(rows, 9000, 2, real))
         b = data.draw(sparse_rows(rows, 9600, 2, real))
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_toom, "_ROW_BITS", math.inf)
             sizes = self._spied(mp)
             assert convolve(a, b) == oracles.naive_convolve(a, b)
         assert sizes and min(sizes) >= CUT
@@ -481,6 +485,7 @@ class TestToomCook:
         a = data.draw(sparse_rows(rows, 2800, 2**44, real))
         b = data.draw(sparse_rows(rows, 3200, 2**41, real))
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_toom, "_ROW_BITS", math.inf)
             sizes = self._spied(mp)
             assert convolve(a, b) == oracles.naive_convolve(a, b)
         assert sizes and min(sizes) >= CUT
@@ -497,13 +502,13 @@ class TestToomCook:
 
 
 @st.composite
-def topped_pairs(draw, real):
+def topped_pairs(draw, real, sizes=(300, 2**12, 2**20, 2**27, 2**70), **shapes):
     """same_rank_pairs whose last entries have parts +-m (only `re` when
-    `real`), m drawn from a few sizes: so each operand's largest part is
-    m, and the digit width is the largest for the shapes."""
-    m = draw(st.sampled_from((300, 2**12, 2**20, 2**27, 2**70)))
+    `real`), m drawn from `sizes`: so each operand's largest part is m,
+    and the digit width is the largest for the shapes."""
+    m = draw(st.sampled_from(sizes))
     out = []
-    for t in draw(same_rank_pairs(max_component=m, real=real)):
+    for t in draw(same_rank_pairs(max_component=m, real=real, **shapes)):
         re, im = (np.array(p, dtype=object) for p in (t.re, t.im))
         re.flat[-1] = draw(st.sampled_from((m, -m)))
         if not real:
@@ -627,6 +632,101 @@ class TestTwoPoints:
                     assert not verify.gca_check_polynomial(bad)
 
 
+def schoolbook(x, y):
+    """x * y as polynomials, coefficients lowest first, term by term."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+class TestRowByRow:
+    """`convolve` row by row, forced on small operands by a zero
+    `_ROW_BITS`: each row packed on its own, unpadded, and the row lists
+    multiplied by `_toom.karatsuba`, against the double sum."""
+
+    @staticmethod
+    def _forced(mp, points):
+        """The (axis, lead) and point counts `convolve` uses, with every
+        rank-2 or higher pair sent row by row, at one point or two."""
+        orders, counts = [], []
+        order, count = _toom.row_order, _toom.point_count
+        mp.setattr(_toom, "_ROW_BITS", 0)
+        mp.setattr(_toom, "_HALVE", 0 if points == 2 else math.inf)
+        mp.setattr(_toom, "row_order", lambda *args: orders.append(order(*args)) or orders[-1])
+        mp.setattr(_toom, "point_count", lambda *args: counts.append(count(*args)) or counts[-1])
+        return orders, counts
+
+    @pytest.mark.parametrize("points", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, points, data):
+        # ranks 2-3, tall, wide and one-row shapes with odd and even row
+        # counts; int64 digits, and Python-int digits past 2**40.  The
+        # operands' largest parts are +-m, which half the digit width
+        # holds, so two points are taken when asked for
+        real = data.draw(st.booleans())
+        a, b = data.draw(topped_pairs(real, sizes=(300, 2**20, 2**45), min_rank=2,
+                                      max_dim=7))
+        with pytest.MonkeyPatch.context() as mp:
+            orders, counts = self._forced(mp, points)
+            c = convolve(a, b)
+        assert counts == [points] and [lead for _, lead in orders] == [1]
+        assert c == oracles.naive_convolve(a, b)
+        if real:
+            assert not c.im.any()
+
+    @pytest.mark.parametrize("shape, axis", [
+        ((1, 9), 0), ((9, 1), 1), ((6, 5), 1), ((5, 6), 0), ((3, 7, 2), 2), ((4, 1, 5), 1)],
+        ids=["one-row", "one-column", "tall", "wide", "rank-3-last", "rank-3-middle"])
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_rows_along_the_shortest_output_axis(self, shape, axis, points, monkeypatch):
+        orders, _ = self._forced(monkeypatch, points)
+        rng = np.random.default_rng(sum(shape))
+        a, b = (Tensor(*rng.integers(-3, 4, size=(2,) + shape)) for _ in range(2))
+        assert convolve(a, b) == oracles.naive_convolve(a, b)
+        assert orders == [(axis, 1)]
+
+    def test_gate_on_the_packed_row(self):
+        # 2-byte digits: rows of 125 entries reach 2,000 bits; 1-D never goes
+        assert _toom.row_order((4, 125), (4, 125), 16) == (0, 1)
+        assert _toom.row_order((4, 124), (4, 124), 16) == (0, 0)
+        assert _toom.row_order((125, 4), (125, 4), 16) == (1, 1)
+        assert _toom.row_order((124, 4), (124, 4), 16) == (0, 0)
+        assert _toom.row_order((2, 5, 13), (2, 5, 13), 16) == (0, 1)  # 5 * 25 entries
+        assert _toom.row_order((10**6,), (10**6,), 16) == (0, 0)
+
+    @given(st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=40),
+           st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_rows_against_schoolbook(self, x, y):
+        # Karatsuba-Ofman on signed coefficients of unequal lengths
+        assert _toom.karatsuba(x, y) == schoolbook(x, y)
+        assert _toom.karatsuba(y, x) == schoolbook(x, y)
+
+    @pytest.mark.parametrize("wrong", ["plus-one", "plus-B"])
+    @pytest.mark.parametrize("call", [0, 6, 7, 13])
+    def test_inexact_split_raises(self, wrong, call, monkeypatch):
+        # a real 3x3 self-convolution makes 7 products of rows at each
+        # point, +B first; any one wrong by 1 or by B leaves some output
+        # row's r(B) + r(-B) odd or r(B) - r(-B) a non-multiple of 2B
+        self._forced(monkeypatch, 2)
+        calls = []
+
+        def mul(x, y):
+            calls.append(None)
+            off = 1 if wrong == "plus-one" else 1 << 8 * 2
+            return x * y + (off if len(calls) == call + 1 else 0)
+
+        monkeypatch.setattr(_toom, "mul", mul)
+        a = Tensor(np.array([[3000, -7, 2], [5, 0, -3000], [1, 2, 3]]),
+                   np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(ArithmeticError, match="not exact"):
+            convolve(a, a)
+        assert len(calls) == 14
+
+
 def _read_only(t: Tensor) -> bool:
     return not t.re.flags.writeable and not t.im.flags.writeable
 
@@ -706,6 +806,45 @@ class TestKronBroadcast:
             checked_superpose(k, top)
         assert tensor_to_obj(k) == tensor_to_obj(m)
         assert alphabet_of(k) is alphabet_of(m) is Alphabet.BINARY
+
+    def test_zeros_im_kept_by_ring_ops(self):
+        # a real tensor's stride-0 `im` stays one through negate, involute
+        # and add, so a later kron or convolve reads its one stored entry
+        k = kron(seq(1, -1), seq(1, 1, -1))
+        c = Tensor._adopt(np.array([2, 0, 1, 1, -1, 3]), np.array([1, -1, 0, 0, 2, 1]))
+        assert k.im.strides == (0,)
+        for t in (negate(k), involute(k), add(k, k), k - k, negate(negate(k))):
+            assert t.im.strides == (0,) and not t.im.flags.writeable
+        assert negate(k) == oracles.from_map(k.shape, {i: (-r, 0) for i, (r, _) in
+                                                       oracles.to_map(k).items()})
+        assert involute(k) == oracles.naive_involute(k)
+        # a stride-0 `im` with a nonzero entry is not a `_zeros` plane
+        const = Tensor._adopt(k.re, np.broadcast_to(np.int64(2), k.shape))
+        assert negate(const).im.tolist() == [-2] * 6
+        # with a complex term the sum takes the other `im` as it is
+        assert add(k, c) == add(c, k) == Tensor(k.re + c.re, c.im)
+        assert np.shares_memory(add(k, c).im, c.im)
+
+    @pytest.mark.parametrize("op", ["concat", "interleave", "upsample", "halve",
+                                    "quarter", "embed"])
+    def test_structure_ops_adopt_int64_planes(self, op, monkeypatch):
+        # int64 planes just made are wrapped as they are; only object
+        # planes go through Tensor's cast, to int64 when they fit
+        a, b = seq(4, (0, -8), 12), seq((8, 4), -4, 0)
+        made = {"concat": lambda: concat(a, b, 0), "interleave": lambda: interleave(a, b, 0),
+                "upsample": lambda: upsample(a, (3,)), "halve": lambda: halve(a),
+                "quarter": lambda: quarter(a), "embed": lambda: embed(a, 2, 1)}[op]
+        calls, as_plane = [], tensor._as_plane
+        monkeypatch.setattr(tensor, "_as_plane", lambda p: calls.append(p) or as_plane(p))
+        t = made()
+        assert calls == [] and t.re.dtype == t.im.dtype == np.int64 and _read_only(t)
+        a, b = seq(2**70, 4), seq(2**64, -4)
+        calls.clear()
+        assert made().re.dtype == object
+        assert calls and all(p.dtype == object for p in calls)
+        b = seq(2**63, -4)
+        assert b.re.dtype == object and halve(b).re.dtype == np.int64
+        assert halve(b) == seq(2**62, -2)
 
 
 class TestMaxComponent:

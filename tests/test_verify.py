@@ -473,7 +473,35 @@ class TestPermutations:
         rev = bit_reversal(n)
         assert np.array_equal(verify._reversal(n), rev)
         # position i holds frequency rev[i]; -rev[i] mod n sits at rev of it
-        assert np.array_equal(verify._negation(n), rev[-rev % n])
+        assert np.array_equal(verify._negation(verify._reversal(n)), rev[-rev % n])
+
+
+class TestRejectionTables:
+    """A rejection inverts with the tables of its check's forward
+    transform, and from _LONG_LOOPS up splits re and im by `_mod`."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_made_once_and_split_by_scalar_division(self, real, monkeypatch):
+        # two random unit sequences of 8200: 2**14 points, past
+        # _KEPT_TABLES, one prime, and 16399 shifts to split
+        rng = np.random.default_rng(8200 + real)
+        units = np.array([[1, 0], [-1, 0]] if real else [[1, 0], [0, 1], [-1, 0], [0, -1]])
+        arrays = [Tensor(*units[rng.integers(0, len(units), 8200)].T.copy())
+                  for _ in range(2)]
+        made, reduced, mod_of = [], [], verify._mod
+        for name in ("_twiddles", "_reversal"):
+            build = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *args, build=build, name=name:
+                                made.append(name) or build(*args))
+        monkeypatch.setattr(verify, "_mod", lambda x, p, out:
+                            reduced.append(x.shape) or mod_of(x, p, out))
+        verdict = is_gca_set(arrays)
+        assert not verdict.is_complementary and verdict.max_sidelobe_norm > 0
+        assert sorted(made) == ["_reversal", "_twiddles"]
+        assert reduced.count((1, 2 * 8200 - 1)) == 4
+        # every step by `%`, as below _LONG_LOOPS
+        monkeypatch.setattr(verify, "_LONG_LOOPS", 1 << 20)
+        assert is_gca_set(arrays) == verdict
 
 
 class TestScalarDivision:
@@ -532,15 +560,15 @@ class TestScalarDivision:
             return mod_of(x, p, out)
 
         monkeypatch.setattr(verify, "_mod", counted)
-        got = verify._spectrum(arrays, mod)
+        got = verify._spectrum(arrays, verify._tables(mod))
         # the stages reduce in uint64, the spectrum's own steps in int64
         assert set(calls) == {np.dtype(np.uint64), np.dtype(np.int64)}
-        # one member at a time: one group, whose table `_ntt` makes
-        alone = sum(verify._spectrum([a], mod) for a in arrays) % mod.p
+        # one member at a time: one group each
+        alone = sum(verify._spectrum([a], verify._tables(mod)) for a in arrays) % mod.p
         assert np.array_equal(got, alone)
         made = len(calls)
         monkeypatch.setattr(verify, "_LONG_LOOPS", 2 * mod.n)
-        assert np.array_equal(got, verify._spectrum(arrays, mod))
+        assert np.array_equal(got, verify._spectrum(arrays, verify._tables(mod)))
         assert len(calls) == made
 
 
