@@ -69,17 +69,22 @@ def products(x: list[int], y: list[int], k: int, s: int, terms: int) -> list:
     im) at `k` points, 2**s or +-2**s, point by point.  Gives the rows
     of [re] or [re, im] at one point, and each plane's [E, O] at two,
     row by row, E and O as digits of base 2**(2s): r(z) = E(z**2) +
-    z * O(z**2).
+    z * O(z**2).  When every plane of both operands is one row, each
+    product is one `mul`, with no row lists to split or multiply.
     """
-    x, y = ([v[i:i + len(v) // (k * terms)] for i in range(0, len(v), len(v) // (k * terms))]
-            for v in (x, y))
+    if len(x) == len(y) == k * terms:
+        times = _one_row
+    else:
+        x, y = ([v[i:i + len(v) // (k * terms)] for i in range(0, len(v), len(v) // (k * terms))]
+                for v in (x, y))
+        times = karatsuba
     if terms == 1:  # real operands: one product at each point
-        planes = [list(map(karatsuba, x, y))]
+        planes = [list(map(times, x, y))]
     else:  # (xr + i xi)(yr + i yi) at each point
         xr, xi, yr, yi = x[::2], x[1::2], y[::2], y[1::2]
-        planes = [[list(map(sub, karatsuba(a, c), karatsuba(b, d)))
+        planes = [[list(map(sub, times(a, c), times(b, d)))
                    for a, b, c, d in zip(xr, xi, yr, yi)],
-                  [list(map(add, karatsuba(a, d), karatsuba(b, c)))
+                  [list(map(add, times(a, d), times(b, c)))
                    for a, b, c, d in zip(xr, xi, yr, yi)]]
     if k == 1:
         return [row for (r,) in planes for row in r]
@@ -90,6 +95,11 @@ def products(x: list[int], y: list[int], k: int, s: int, terms: int) -> list:
             raise ArithmeticError("the split of r(B) and r(-B) is not exact")
         out += [e >> 1 for e in even], [o >> s + 1 for o in odd]
     return out
+
+
+def _one_row(x: int, y: int) -> list[int]:
+    """The one-row product list of two planes packed as one row each."""
+    return [mul(x, y)]
 
 
 def karatsuba(x: list[int], y: list[int]) -> list[int]:

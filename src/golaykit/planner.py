@@ -487,37 +487,40 @@ _RULED_OUT_PAIR_SHAPES = ((2, 5), (2, 13))
 
 
 def _pair_feasibility(alphabet: Alphabet, shape: tuple[int, ...],
-                      explain: bool = True) -> FeasibilityReport:
+                      explain: bool = True) -> FeasibilityReport | bool:
     """The pair feasibility rule: `plan_pair`'s report without the
     recipe.  A feasible report's witness holds the per-dimension
     witnesses (binary) or block assignment (quaternary); the recipe
     follows from those alone, so quad rules test candidate splits here
-    and call `plan_pair` only for the one that wins.  The quad rules read
-    only `feasible` and pass `explain=False`: a refusal's reason is
-    written only for a report that leaves the planner."""
+    and call `plan_pair` only for the one that wins.  The quad rules
+    need only the verdict: with `explain=False` it is a bool, decided
+    from `is_binary_golay_number` or `_best_blocks` alone, and no
+    report, witness or reason is made."""
     refusal = _refusal("pair", alphabet, shape)
     if refusal is not None:
-        return refusal
+        return refusal if explain else False
     if alphabet is Alphabet.BINARY:
         wits = tuple(map(is_binary_golay_number, shape))
+        if not explain:
+            return all(wits)
         if all(wits):
             return FeasibilityReport(True, alphabet, shape, witness=wits)
         ruled_out = tuple(sorted(shape)) in _RULED_OUT_PAIR_SHAPES
-        reason = ""
-        if explain:
-            s = next(s for s, w in zip(shape, wits) if w is None)
-            reason = (f"dimension {s} is not a binary Golay number "
-                      f"(2^a 10^b 26^c)")
-            if ruled_out:
-                reason += ("; this exact shape is exhaustively ruled out, "
-                           "no binary pair of it exists")
+        s = next(s for s, w in zip(shape, wits) if w is None)
+        reason = (f"dimension {s} is not a binary Golay number "
+                  f"(2^a 10^b 26^c)")
+        if ruled_out:
+            reason += ("; this exact shape is exhaustively ruled out, "
+                       "no binary pair of it exists")
         return FeasibilityReport(False, alphabet, shape, reason=reason,
                                  nonexistent=ruled_out)
-    n = math.prod(shape)
-    product_wit = is_quaternary_golay_number(n)
     per_dim = [_best_blocks(s) for s in shape]
     assignable = None not in per_dim
     surplus = sum(p[0] for p in per_dim) if assignable else None
+    if not explain:
+        return assignable and surplus >= -1
+    n = math.prod(shape)
+    product_wit = is_quaternary_golay_number(n)
     if assignable and surplus >= -1:
         return FeasibilityReport(True, alphabet, shape, witness={
             "product": product_wit,
@@ -529,10 +532,8 @@ def _pair_feasibility(alphabet: Alphabet, shape: tuple[int, ...],
             False, alphabet, shape, nonexistent=True,
             reason=(f"product {n} is not a quaternary Golay number "
                     f"(2^(a+u) 3^b 5^c 11^d 13^e with "
-                    f"b+c+d+e <= a+2u+1, u <= c+e)") if explain else "",
+                    f"b+c+d+e <= a+2u+1, u <= c+e)"),
         )
-    if not explain:
-        return FeasibilityReport(False, alphabet, shape, witness=product_wit)
     glued = [g for g in (10, 26) if n % g == 0]
     stuck = [g for g in glued if not any(s % g == 0 for s in shape)]
     if stuck:
@@ -660,8 +661,8 @@ def _quad_cross(alphabet, shape, registry, misses, depth):
         key = (sum(abs(a - b) for a, b in zip(u, v)), u, v)
         splits.append(key)
     for _, u, v in sorted(splits):
-        if not (_pair_feasibility(alphabet, u, explain=False).feasible
-                and _pair_feasibility(alphabet, v, explain=False).feasible):
+        if not (_pair_feasibility(alphabet, u, explain=False)
+                and _pair_feasibility(alphabet, v, explain=False)):
             continue
         recipe = _node("cross_set", [plan_pair(alphabet, u).recipe,
                                      plan_pair(alphabet, v).recipe])
@@ -739,7 +740,7 @@ def _quad_compromise(alphabet, shape, registry, misses, depth):
     rank = len(shape)
 
     def feasible(pshape: tuple[int, ...]) -> bool:
-        return _pair_feasibility(alphabet, pshape, explain=False).feasible
+        return _pair_feasibility(alphabet, pshape, explain=False)
 
     for j in range(rank):
         def put(at_j: int, off: int) -> tuple[int, ...]:
@@ -786,7 +787,7 @@ def _quad_expand(alphabet, shape, registry, misses, depth):
     for t in _divisor_tuples(shape):
         if all(x == 1 for x in t):
             continue
-        if not _pair_feasibility(Alphabet.BINARY, t, explain=False).feasible:
+        if not _pair_feasibility(Alphabet.BINARY, t, explain=False):
             continue
         inner = tuple(s // x for s, x in zip(shape, t))
         sub = plan_quad(alphabet, inner, registry, _depth=depth - 1)

@@ -492,8 +492,8 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     if a.rank != b.rank:
         raise RankMismatch(f"ranks differ: {a.rank} vs {b.rank}")
     real = _is_zero(a.im) and _is_zero(b.im)
-    planes = [(t.re,) if real else (t.re, t.im) for t in (a, b)]
-    ma, mb = (max(max(int(p.max()), -int(p.min())) for p in ps) for ps in planes)
+    planes = [np.asarray((t.re,) if real else (t.re, t.im)) for t in (a, b)]
+    ma, mb = (max(int(ps.max()), -int(ps.min())) for ps in planes)
     terms = 1 if real else 2
     # every output entry, and every input entry, fits in a signed digit
     width = (max(terms * min(a.size, b.size) * ma * mb, ma, mb).bit_length() + 8) // 8
@@ -502,10 +502,10 @@ def convolve(a: Tensor, b: Tensor) -> Tensor:
     width = -(-width // k)  # at +-B of half the width from k = 2 points
     axis, lead = _toom.row_order(a.shape, b.shape, 8 * width)
     if axis:  # convolution commutes with swapping two axes
-        planes = [[p.swapaxes(0, axis) for p in ps] for ps in planes]
+        planes = [np.ascontiguousarray(ps.swapaxes(1, 1 + axis)) for ps in planes]
         out_shape = (out_shape[axis],) + out_shape[1:axis] + (out_shape[0],) + out_shape[axis + 1:]
     # each plane one padded row, or its rows along axis 0 unpadded
-    packed = [_digits(_layout(np.reshape(ps, (-1,) + ps[0].shape[1:]) if lead else ps,
+    packed = [_digits(_layout(ps.reshape((-1,) + ps.shape[2:]) if lead else ps,
                               out_shape[lead:]), width, k) for ps in planes]
     del planes
     values = _toom.products(*packed, k, 8 * width, terms)

@@ -25,12 +25,18 @@ Three routes are implemented and kept deliberately independent:
   to invert: the same forward transform, run on the spectrum and read
   at negated frequencies, then the split of re and im from c(d) and
   c(-d), and a CRT lift of the residues to the exact integers in
-  (-P/2, P/2); it reuses the forward transform's twiddles and bit
-  reversal.  From n = 2**14 up, stages with short inner loops run on
-  transposed quarters of the input, and reductions modulo p (save the
-  residues of object planes) divide by each prime as a scalar, which
-  numpy does by a multiply with its reciprocal; below, each is one
-  `%`, a hardware divide per entry.
+  (-P/2, P/2); it reuses the forward transform's tables.  Up to n =
+  2**10 the transform is dense exact matrix products (`_dense`, the
+  four-step transform of Bailey, 1990, over F_p): one product up to
+  32 points, above it a 16-point product, twiddles and the rest on
+  the rows; each matrix is held in 16-bit limbs, so with residues
+  below 2**31 every int64 sum stays below 2**53.  The output is the
+  butterflies', bit for bit; the two came even near 2**11 points.
+  Above, Gentleman-Sande butterflies.  From n = 2**14 up, stages with
+  short inner loops run on transposed quarters of the input, and
+  reductions modulo p (save the residues of object planes) divide by
+  each prime as a scalar, which numpy does by a multiply with its
+  reciprocal; below, each is one `%`, a hardware divide per entry.
 * `gca_check_polynomial` sums each array's exact convolution with its
   conjugate flip and demands the constant total.  It convolves real
   planes only: with u = re + im and P = re * flip(im), a complex
@@ -69,6 +75,8 @@ from .errors import (
     ShapeMismatch,
     Trivial,
 )
+from . import _dense
+from ._dense import reversal as _reversal
 from .tensor import GaussInt, Tensor, _exact_dtype, _is_zero, _layout, convolve
 
 __all__ = [
@@ -121,6 +129,7 @@ def _autocorr_bound(a: Tensor) -> int:
 _PRIME_LIMIT = 1 << 31  # so that 2p * p, a butterfly's product, fits int64
 _KEPT_TABLES = 1 << 12  # transform lengths whose tables are kept
 _GROUP = 1 << 17  # residues in one forward transform at most (1 MB)
+_DENSE = 1 << 10  # n up to which the transform is `_dense` matrix products
 _LONG_LOOPS = 1 << 14  # n from which short stages run transposed
 _PAD_CAP = 1 << 20  # entries a padded member may have past the largest given
 
@@ -212,16 +221,6 @@ def _twiddles(n: int, mod: _Moduli) -> np.ndarray:
     return t
 
 
-def _reversal(n: int) -> np.ndarray:
-    """The bit-reversal permutation of range(n), its own inverse: the
-    forward transform leaves frequency k at position rev[k].  Built by
-    doubling: the reversal of 2n is that of n doubled, then plus one."""
-    rev = np.zeros(1, np.intp)
-    while rev.size < n:
-        rev = np.concatenate((2 * rev, 2 * rev + 1))
-    return rev
-
-
 def _negation(rev: np.ndarray) -> np.ndarray:
     """For each position of the forward transform's bit-reversed output,
     rev the reversal, the position that holds the negated frequency."""
@@ -229,10 +228,11 @@ def _negation(rev: np.ndarray) -> np.ndarray:
 
 
 class _Tables:
-    """The twiddles and the bit reversal of transforms of length mod.n
-    modulo mod.primes, each made when first used and then kept: a check
-    makes its forward transform and, on a rejection, its inverse with
-    the same tables."""
+    """The tables of transforms of length mod.n modulo mod.primes: the
+    butterflies' twiddles (above _DENSE points) or the dense products'
+    matrices (up to it), and the bit reversal, each made when first used
+    and then kept: a check makes its forward transform and, on a
+    rejection, its inverse with the same tables."""
 
     def __init__(self, mod: _Moduli):
         self.mod = mod
@@ -244,6 +244,10 @@ class _Tables:
     @functools.cached_property
     def reversal(self) -> np.ndarray:
         return _reversal(self.mod.n)
+
+    @functools.cached_property
+    def dense(self) -> tuple[list, np.ndarray]:
+        return _dense.tables(_twiddles(2 * self.mod.n, self.mod))
 
 
 _kept_tables = functools.lru_cache(maxsize=None)(_Tables)
@@ -270,36 +274,45 @@ def _mod(x: np.ndarray, p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ntt(x: np.ndarray, mod: _Moduli, table: np.ndarray | None = None) -> None:
-    """Transform x, shape (primes, rows, n) with entries in [0, p), in
-    place along its last axis, modulo mod.primes[k] in x[k]: natural
-    order in, bit-reversed order out (Gentleman-Sande); `table` is
-    _twiddles(n, mod), made here when not given.  From n = _LONG_LOOPS
-    up, the stages of half-length h < sqrt(n), whose inner loops are
-    short, run after the long stages on a quarter of their blocks at a
-    time, copied transposed into x.size/4 entries of `spare` with the
-    next x.size/8 as temporary, and every stage reduces through `_mod`:
-    its contiguous runs, h >= sqrt(n) in place and h * 32 or more in a
-    quarter, are long enough for the scalar division to pay.  Below,
-    every stage reduces by np.remainder."""
+def _ntt(x: np.ndarray, tables: _Tables) -> np.ndarray:
+    """The transform of x, shape (primes, rows, n) with entries in [0, p),
+    along its last axis, modulo mod.primes[k] in x[k], mod = tables.mod:
+    natural order in, bit-reversed order out.  Up to n = _DENSE, by
+    `_dense.transform`, which leaves x as it is: int64 matrix products
+    with tables.dense, each matrix in 16-bit limbs (lo < 2**16, hi <
+    2**15), so every sum of products with residues below 2**31 stays
+    below 2**53.  Per transform of 4 rows modulo one prime (best of 15)
+    it took 12 us at n = 32 against the butterflies' 58, 77 against 151
+    at 256 and 362 against 418 at 1024; at 2048, 8 rows took 1443
+    against 1384, hence the gate.  Above it, in place in x, which is
+    returned, by Gentleman-Sande butterflies with tables.twiddles.  From
+    n = _LONG_LOOPS up, the stages of half-length h < sqrt(n), whose
+    inner loops are short, run after the long stages on a quarter of
+    their blocks at a time, copied transposed into x.size/4 entries of
+    `spare` with the next x.size/8 as temporary, and every stage reduces
+    through `_mod`: its contiguous runs, h >= sqrt(n) in place and h * 32
+    or more in a quarter, are long enough for the scalar division to
+    pay.  Below, every stage reduces by np.remainder."""
     n = x.shape[-1]
-    table = (_twiddles(n, mod) if table is None
-             else table).view(np.uint64)[:, None, None, :]
-    p = mod.p.view(np.uint64)[:, :, None, None]
-    x = x.view(np.uint64)
-    spare = np.empty(x.size // 2, dtype=np.uint64)
+    if n <= _DENSE:
+        return _dense.transform(x, tables.mod.p, tables.dense)
+    table = tables.twiddles.view(np.uint64)[:, None, None, :]
+    p = tables.mod.p.view(np.uint64)[:, :, None, None]
+    y = x.view(np.uint64)
+    spare = np.empty(y.size // 2, dtype=np.uint64)
     if n < _LONG_LOOPS:
-        _stages(x, spare, table, p, 1, n, np.remainder)
-        return
+        _stages(y, spare, table, p, 1, n, np.remainder)
+        return x
     size = 1 << n.bit_length() // 2
-    _stages(x, spare, table, p, size, n, _mod)
-    quarter = spare[:x.size // 4].reshape(x.shape[:2] + (size, -1))
-    blocks = x.reshape(x.shape[:2] + (4, -1, size))
+    _stages(y, spare, table, p, size, n, _mod)
+    quarter = spare[:y.size // 4].reshape(y.shape[:2] + (size, -1))
+    blocks = y.reshape(y.shape[:2] + (4, -1, size))
     for q in range(4):
         np.copyto(quarter, blocks[:, :, q].swapaxes(2, 3))
-        _stages(quarter, spare[x.size // 4:3 * x.size // 8], table[..., None],
+        _stages(quarter, spare[y.size // 4:3 * y.size // 8], table[..., None],
                 p[..., None], 1, size, _mod)
         np.copyto(blocks[:, :, q], quarter.swapaxes(2, 3))
+    return x
 
 
 # the two halves of each block of `_stages`'s y
@@ -337,11 +350,14 @@ def _spectrum(arrays: list[Tensor], tables: _Tables) -> np.ndarray:
     members (u = v): V is U at the negated frequency.  From n =
     _LONG_LOOPS up, residues are taken by `_mod`, save those of object
     planes, each into an array that holds its quotients: the residues'
-    own, or one the step has spent; below, each step is one `%`.  The
-    twiddles of `tables`, the tables for mod = tables.mod, are made
-    first, before the planes are laid out, and serve every group."""
-    mod, table = tables.mod, tables.twiddles
+    own, or one the step has spent; below, each step is one `%`.  Above
+    _DENSE points, the twiddles of `tables`, the tables for mod =
+    tables.mod, are made first, before the planes are laid out; every
+    group transforms with the same tables."""
+    mod = tables.mod
     n, m = mod.n, len(arrays)
+    if n > _DENSE:
+        tables.twiddles  # made before anything else is allocated
     out = tuple(2 * s - 1 for s in arrays[0].shape)
     p = mod.p[:, :, None]
     reduce = _mod if n >= _LONG_LOOPS else np.remainder
@@ -371,7 +387,7 @@ def _spectrum(arrays: list[Tensor], tables: _Tables) -> np.ndarray:
             x[:, k:, 0] = v[..., 0]
             x[:, k:, n - v.shape[2] + 1:] = v[..., :0:-1]
             reduce(r + i, p, v)
-        _ntt(x, mod, table)
+        x = _ntt(x, tables)
         u, v = (x, x[..., _negation(tables.reversal)]) if real else (x[:, :k], x[:, k:])
         u *= v
         total = total + reduce(u, p, v).sum(axis=1)
@@ -403,7 +419,7 @@ def _correlations(spectrum: np.ndarray, tables: _Tables, shape: tuple[int, ...],
     half = (math.prod(out) - 1) // 2
     rev = tables.reversal
     c = spectrum[:, rev].reshape(len(mod.primes), 1, -1)
-    _ntt(c, mod, tables.twiddles)
+    c = _ntt(c, tables)
     reduce = _mod if mod.n >= _LONG_LOOPS else np.remainder
     # n * c(d) for d = -half..half, read at the bit-reversed position of -d
     at = c[:, 0, rev[np.arange(half, -half - 1, -1) % mod.n]]

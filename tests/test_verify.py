@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golaykit import verify
+from golaykit import _dense, verify
 from golaykit.errors import (
     EmptySet,
     GolayKitError,
@@ -370,9 +370,9 @@ class TestLongLoopStages:
         rng = np.random.default_rng(n + 10 * count + rows)
         got = rng.integers(0, np.array(primes)[:, None, None], (count, rows, n))
         want = got.copy()
-        verify._ntt(got, mod)
+        assert verify._ntt(got, verify._Tables(mod)) is got
         monkeypatch.setattr(verify, "_LONG_LOOPS", 2 * n)
-        verify._ntt(want, mod)
+        verify._ntt(want, verify._Tables(mod))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(1, 2, 65536), (2, 2, 32768)])
@@ -384,7 +384,7 @@ class TestLongLoopStages:
         x = np.ones(shape, dtype=np.int64)
         tracemalloc.start()
         try:
-            verify._ntt(x, mod)
+            verify._ntt(x, verify._Tables(mod))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -443,7 +443,7 @@ class TestLongLoopStages:
         rng = np.random.default_rng(n + count)
         x = rng.integers(0, np.array(primes)[:, None, None], (count, 2, n))
         rows = x.tolist()
-        verify._ntt(x, mod)
+        verify._ntt(x, verify._Tables(mod))
         rev = bit_reversal(n)
         freqs = [0, 1, n // 2, n - 1] + rng.integers(2, n - 1, 12).tolist()
         for p, w, prime_rows, got in zip(primes, mod.root[:, 0].tolist(), rows, x):
@@ -454,6 +454,84 @@ class TestLongLoopStages:
                     for c in reversed(row):
                         total = (total * z + c) % p
                     assert out[rev[k]] == total
+
+
+# (n, primes, rows) for every power of two n up to twice the gate
+DENSE_TRANSFORMS = [(1 << e, k, r) for e in range(verify._DENSE.bit_length() + 1)
+                    for k, r in ((1, 1), (1, 8), (2, 3), (3, 2))]
+
+
+class TestDenseProducts:
+    """Up to _DENSE points, `_ntt` is `_dense.transform`: exact int64
+    matrix products, one up to _SQUARE points, a _RADIX-point step and
+    twiddles above; its output must be the butterflies', bit for bit."""
+
+    @pytest.mark.parametrize("n, count, rows", DENSE_TRANSFORMS)
+    def test_matches_the_butterflies(self, n, count, rows, monkeypatch):
+        # random residues, a row of zeros and a row of p - 1 (the largest
+        # sums the limbs make), against every stage run as butterflies
+        primes = verify._primes(max(n, 4), count)
+        mod = verify._moduli_of(n, primes)
+        p = np.array(primes)[:, None, None]
+        x = np.random.default_rng(n + count + rows).integers(0, p, (count, rows + 2, n))
+        x[:, 0], x[:, 1] = 0, p[:, 0] - 1
+        given = x.copy()
+        got = _dense.transform(x, mod.p, verify._Tables(mod).dense)
+        assert np.array_equal(x, given)  # left as it is
+        monkeypatch.setattr(verify, "_DENSE", 0)
+        assert np.array_equal(got, verify._ntt(x, verify._Tables(mod)))
+
+    @pytest.mark.parametrize("terms", [_dense._RADIX, _dense._SQUARE])
+    def test_limb_sums_at_their_bound(self, terms):
+        # every residue p - 1 against a table whose every entry has the
+        # largest limbs of any residue below 2**31, 2**16 - 1 and
+        # 2**15 - 1: the largest sums a product can make
+        primes = verify._primes(4, 3)
+        p = np.array(primes)[:, None, None, None]
+        x = np.broadcast_to(p - 1, (3, 2, 1, terms))
+        limbs = np.empty((2, 3, 1, terms, terms), np.uint16)
+        limbs[0], limbs[1] = 2 ** 16 - 1, 2 ** 15 - 1
+        got = _dense._from_limbs(np.matmul(x, limbs), p)
+        assert got.tolist() == [[[[terms * (q - 1) * (2 ** 31 - 1) % q] * terms]] * 2
+                                for q in primes]
+
+    @pytest.mark.parametrize("n", [verify._DENSE, 2 * verify._DENSE])
+    def test_gate_holds_both_ways(self, n, monkeypatch):
+        stages = []
+        run = verify._stages
+        monkeypatch.setattr(verify, "_stages", lambda *args: stages.append(1) or run(*args))
+        mod = verify._moduli_of(n, verify._primes(n, 1))
+        tables = verify._Tables(mod)
+        verify._ntt(np.ones((1, 2, n), dtype=np.int64), tables)
+        assert bool(stages) is (n > verify._DENSE)
+        # below the gate, no twiddle table for the butterflies is made
+        assert ("twiddles" in vars(tables)) is (n > verify._DENSE)
+
+    def test_small_checks_run_no_butterflies(self, monkeypatch):
+        # a check and a rejection's inverse, and their kept tables
+        monkeypatch.setattr(verify, "_stages", TestRouteIndependence._refuse)
+        good = list(load_bundled().get_golay_pair(Alphabet.QUATERNARY, 13).tensors)
+        mod = verify._moduli(good[0].shape, sum(map(verify._autocorr_bound, good)))
+        assert mod.n <= verify._DENSE
+        assert is_gca_set(good).is_complementary
+        bad = [good[0], negate_entry(good[1], 0)]
+        assert is_gca_set(bad).max_sidelobe_norm == oracle_verdict(bad)[2] > 0
+        assert "twiddles" not in vars(verify._tables(mod))
+
+    @pytest.mark.parametrize("shape", [(2,), (3,), (2, 3), (3, 2, 2), (5, 7), (12, 12)])
+    def test_big_entry_rejections_match_oracle(self, shape):
+        # entries up to 2**70: several primes and a CRT lift, over one
+        # product (n <= 32) and one or two radix steps (64 to 1024)
+        rng = np.random.default_rng(math.prod(shape))
+        bad = [Tensor(*(rng.integers(-2 ** 20, 2 ** 20, (2,) + shape).astype(object)
+                        * 2 ** 50 + 2 ** 70 - 1)) for _ in range(2)]
+        mod = verify._moduli(shape, sum(map(verify._autocorr_bound, bad)))
+        assert mod.n <= verify._DENSE and len(mod.primes) > 2
+        v = is_gca_set(bad)
+        assert not v.is_complementary
+        assert (v.is_complementary, v.total_weight, v.max_sidelobe_norm) \
+            == oracle_verdict(bad)
+        assert autocorrelation(bad[0]).values == oracles.naive_autocorr(bad[0])
 
 
 def bit_reversal(n):
@@ -820,6 +898,15 @@ class TestRouteIndependence:
         monkeypatch.setattr(verify, "_ntt", self._refuse)
         assert gca_check_polynomial(good)
         assert not gca_check_polynomial(bad)
+
+    def test_product_route_without_matmul(self, pairs, monkeypatch):
+        # the direct route's dense transforms are its only matrix products
+        good, bad = pairs
+        monkeypatch.setattr(np, "matmul", self._refuse)
+        assert gca_check_polynomial(good)
+        assert not gca_check_polynomial(bad)
+        with pytest.raises(AssertionError, match="other route"):
+            is_gca_set(good)
 
 
 def direct_flatness(arrays, grid):
