@@ -537,6 +537,25 @@ class TestPinnedKernels:
             assert (got[0], got[-1]) == (
                 2 if budget < found_at else 0, min(budget, found_at))
 
+    def test_traversal_digest(self):
+        # whole pair-kernel results, hashed in order: every length with no
+        # budget, every budget up to one past the stop of quaternary 6
+        # (found at 65 nodes) and binary 9 (exhausted at 400), and every
+        # 7th budget of binary 12 (exhausted at 2196).  A budget stop, an
+        # exhaustion and the codes each leaves behind all show here.
+        runs = [(n, 2, -1) for n in range(2, 17)]
+        runs += [(n, 4, -1) for n in range(2, 10)]
+        runs += [(6, 4, b) for b in range(67)]
+        runs += [(9, 2, b) for b in range(402)]
+        runs += [(12, 2, b) for b in range(0, 2198, 7)]
+        digest = hashlib.sha256()
+        for n, phases, budget in runs:
+            status, a, b, nodes = _dfskernels.run_pair_dfs(n, phases, budget)
+            digest.update(repr((n, phases, budget, status, _digits(a),
+                                _digits(b), nodes)).encode())
+        assert digest.hexdigest() == (
+            "b6ce83f81a6e0b0b3a8780c32a3ad1c253cd078af0ac52ee0238e6eb6cbb43dd")
+
 
 class TestBudget:
     def test_pair_budget_exceeded(self):
