@@ -28,6 +28,19 @@ is made once per call.  Levels are generators on an explicit stack,
 so depth is not bounded by the recursion limit.  The kernels are plain
 Python: a node touches a few ints, where numpy scalars would only add
 overhead.
+
+Most pair-kernel children die at the first test, the exact zero of the
+shift that their level completes.  Level t adds only the terms
+(t-1, n-1) and (0, n-t) to that shift, and positions 0 and n-1 are
+fixed below level 1, so which children pass depends only on the level,
+the parent's part of the shift and the joint code at n-1.  Each such
+key's passing children, as ascending indices, are listed once per
+call; a level visits only those, and counts the children between them
+(and after the last, up to the budget) by index arithmetic, with no
+code placed.  A child's codes are read from one table per level width,
+and the codes left when a level ends or the budget stops it are those
+of the last child counted that no orbit cut removed, as if every child
+had been visited.
 """
 from __future__ import annotations
 
@@ -222,7 +235,9 @@ def _pair_shift_vanishes(joint, d: int) -> bool:
 def _orbit_cuts(phases, tied, wide, rev, last_a, last_b):
     """Per child of a level, in order: None when some element of `tied`
     maps its packed slots strictly lex-below them, else the elements
-    that tie.  Slots pack as base-4 digits, most significant first."""
+    that tie; and the index of the last child not cut.  Slots pack as
+    base-4 digits, most significant first.  The first child, all codes
+    0, is never cut."""
     img_a, img_b = _IMAGE[wide][last_a], _IMAGE[wide][last_b]
     width = 2 if wide else 1
     digits = 4 ** width
@@ -244,7 +259,7 @@ def _orbit_cuts(phases, tied, wide, rev, last_a, last_b):
             if q == packed:
                 still.append(g)
         out.append(None if still is None else tuple(still))
-    return out
+    return out, max(i for i, still in enumerate(out) if still is not None)
 
 
 def _pair_dfs_kernel(n: int, phases: int, budget: int):
@@ -257,9 +272,13 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
     (bit 3).  A node is cut when its assigned prefix is strictly
     lex-larger than its image under any of the 15 non-identity
     elements, so only the lex-least orbit member survives and
-    exhaustion is still a proof of nonexistence.  Returns
-    (status, a_codes, b_codes, nodes) with status 0 found,
-    1 exhausted, 2 budget exceeded (after exactly `budget` nodes).
+    exhaustion is still a proof of nonexistence.  Every child counts
+    as a node, in order, but only those whose completed shift vanishes
+    are visited: they come from a per-call lookup (see the module
+    docstring), and the budget stop is placed by index among the rest.
+    Returns (status, a_codes, b_codes, nodes) with status 0 found,
+    1 exhausted, 2 budget exceeded (after exactly `budget` nodes; -1
+    is none).
     """
     h = (n + 1) // 2
     a, b = [0] * n, [0] * n
@@ -284,7 +303,13 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
                      _checks(((0, n),), t, n - t)))
 
     nodes = 0
-    orbit_cuts = {}
+    orbit_cuts, passing = {}, {}
+    # one member's codes on a level, per width: child i of a level
+    # with m of them has slots[i // m] in a and slots[i % m] in b
+    member_codes = {w: list(itertools.product(range(phases), repeat=w))
+                    for w in (1, 2)}
+    if budget < 0:
+        budget = float("inf")
 
     def children_of(t, ev_a, ev_b, tied, known):
         """The children at level t of a node with unit-point evaluations
@@ -292,7 +317,8 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
         window shifts."""
         nonlocal nodes
         level, wide, k, terms, checks = plan[t]
-        width = 2 if wide else 1
+        slots = member_codes[2 if wide else 1]
+        m = len(slots)
         # the parent part of each checked shift: the parent's window
         # shifts are this level's completed shift and the window's
         # upper part, so only the lowest one is summed here
@@ -316,28 +342,32 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
         cuts = orbit_cuts.get(key)
         if cuts is None:
             cuts = orbit_cuts[key] = _orbit_cuts(phases, *key)
-        for child, still in zip(
-                itertools.product(range(phases), repeat=2 * width), cuts):
-            # stop before a node past the budget (-1: none)
-            if nodes == budget:
-                return 2
-            nodes += 1
+        cuts, last = cuts
+        # the children whose completed shift vanishes; the others are
+        # only counted, by index
+        key = (t, c_re, c_im, joint[n - 1])
+        order = passing.get(key)
+        if order is None:
+            order, row = passing.setdefault(key, []), joint[:]
+            for c, (ca, cb) in enumerate(itertools.product(slots, repeat=2)):
+                for pos, x, y in zip(level, ca, cb):
+                    row[pos] = 4 * x + y
+                if not (c_re + sum(jre[row[i]][row[j]] for i, j in c_new)
+                        or c_im + sum(jim[row[i]][row[j]] for i, j in c_new)):
+                    order.append(c)
+        done = 0
+        for i in order:
+            # stop before a node past the budget
+            if budget - nodes <= i - done:
+                break
+            nodes += i + 1 - done
+            done = i + 1
+            still = cuts[i]
             if still is None:
                 continue
-
-            ca, cb = child[:width], child[width:]
+            ca, cb = slots[i // m], slots[i % m]
             for pos, x, y in zip(level, ca, cb):
                 a[pos], b[pos], joint[pos] = x, y, 4 * x + y
-
-            # the newly completed shift must vanish exactly; it has no
-            # unknown term
-            s_re, s_im = c_re, c_im
-            for i, j in c_new:
-                x, y = joint[i], joint[j]
-                s_re += jre[x][y]
-                s_im += jim[x][y]
-            if s_re or s_im:
-                continue
 
             # magnitude and parity bounds on the nearly complete shifts
             sums = []
@@ -363,7 +393,17 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
                 eb = [x + y for x, y in zip(ev_b, terms[cb])]
                 if _pair_reaches(ea, eb, k, two_n):
                     yield ea, eb, still, sums
-        return None
+        # count the rest up to the budget; leave the codes of the last
+        # child counted that no cut removed
+        stop = min(done + budget - nodes, m * m)
+        nodes += stop - done
+        if stop:
+            i = min(stop - 1, last)
+            while cuts[i] is None:
+                i -= 1
+            for pos, x, y in zip(level, slots[i // m], slots[i % m]):
+                a[pos], b[pos], joint[pos] = x, y, 4 * x + y
+        return 2 if stop < m * m else None
 
     # position 0 of both sequences contributes +1 to every evaluation
     status = _depth_first(children_of, ([1, 0] * 4, [1, 0] * 4,
@@ -372,7 +412,10 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
 
 
 def run_pair_dfs(n: int, phases: int, budget: int):
-    """Status, code arrays and node count for the pair search."""
+    """Status, code arrays and node count for the pair search; the
+    kernel fixes both ends, so n is at least 2."""
+    if n < 2:
+        raise ValueError("the pair kernel needs n >= 2")
     status, a, b, nodes = _pair_dfs_kernel(int(n), int(phases), int(budget))
     return status, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), nodes
 
@@ -486,7 +529,10 @@ def _base_dfs_kernel(m: int, budget: int):
 
 
 def run_base_dfs(m: int, budget: int):
-    """Status, the four code arrays and node count for the base search."""
+    """Status, the four code arrays and node count for the base search
+    of index m >= 1."""
+    if m < 1:
+        raise ValueError("the base kernel needs m >= 1")
     status, flat, nodes = _base_dfs_kernel(int(m), int(budget))
     p = m + 1
     cuts = (0, p, 2 * p, 2 * p + m, len(flat))

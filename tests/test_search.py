@@ -556,6 +556,33 @@ class TestPinnedKernels:
         assert digest.hexdigest() == (
             "b6ce83f81a6e0b0b3a8780c32a3ad1c253cd078af0ac52ee0238e6eb6cbb43dd")
 
+    def test_pair_peak(self):
+        # the kernel's child tables are kept per level width and per
+        # lookup key, not per level: a quaternary 13 run to its budget
+        # allocates little beyond its orbit-cut tables
+        tracemalloc.start()
+        try:
+            _dfskernels.run_pair_dfs(13, 4, 15000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 10**3
+
+    @pytest.mark.parametrize("run", [
+        lambda: _dfskernels.run_pair_dfs(1, 2, -1),
+        lambda: _dfskernels.run_pair_dfs(1, 4, -1),
+        lambda: _dfskernels.run_pair_dfs(0, 2, 10),
+        lambda: _dfskernels.run_base_dfs(0, -1),
+        lambda: _dfskernels.run_base_dfs(-2, 10)],
+        ids=["b1", "q1", "b0", "base0", "base-negative"])
+    def test_short_inputs_refused(self, run):
+        # the pair kernel fixes both ends, so it needs two entries (a
+        # length-1 run would report "exhausted" though ([1], [1]) is a
+        # pair), and the base kernel an index of at least 1; the public
+        # searches answer these inputs before any kernel runs
+        with pytest.raises(ValueError, match="needs"):
+            run()
+
 
 class TestBudget:
     def test_pair_budget_exceeded(self):
