@@ -348,7 +348,8 @@ def _pair_dfs_kernel(n: int, phases: int, budget: int):
         key = (t, c_re, c_im, joint[n - 1])
         order = passing.get(key)
         if order is None:
-            order, row = passing.setdefault(key, []), joint[:]
+            order = passing[key] = []
+            row = joint[:]
             for c, (ca, cb) in enumerate(itertools.product(slots, repeat=2)):
                 for pos, x, y in zip(level, ca, cb):
                     row[pos] = 4 * x + y
